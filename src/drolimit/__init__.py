@@ -3,10 +3,7 @@
 from .dual import (
     AmbiguitySpec,
     DualInstance,
-    DualSolution,
     brute_force_sup,
-    dual_objective,
-    wasserstein_inf,
     wasserstein_sup,
 )
 from .errors import ConfigError, DataError, InputError, ModelError
@@ -29,24 +26,17 @@ from .models import (
     ReferenceModel,
     brownian_model,
     check_chapman_kolmogorov,
-    check_psi_stability,
     covariance,
     law,
     psi,
 )
 from .operators import (
-    DyadicSchedule,
     OperatorConfig,
     Partition,
     ScalingLimitResult,
-    best_case_diagnostic,
-    best_case_step,
     compose,
     dro_step,
-    dro_step_single_action,
     dyadic_partition,
-    reference_inf_step,
-    reference_step,
     scaling_limit,
 )
 from .pde import PdeScheme, SpaceTimeField, cfl_time_step, generator_apply, solve, solve_terminal, step_forward

@@ -27,8 +27,8 @@ from .config import (
     build_window,
     load_config,
 )
-from .errors import ConfigError, InputError
-from .fields import Grid, save_csv
+from .errors import ConfigError, InputError, ModelError
+from .fields import save_csv
 from .operators import scaling_limit
 from .pde import cfl_time_step, solve
 from .validation import CheckReport, named_field
@@ -57,8 +57,7 @@ def _field_from_cfg(cfg: dict, default_name: str):
     return named_field(build_grid(cfg), name), name
 
 
-def _run_sensitivity(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_sensitivity(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
     f, _ = _field_from_cfg(cfg, "sin")
     params = _exp_params(cfg)
@@ -71,8 +70,7 @@ def _run_sensitivity(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_generator(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_generator(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
     f, _ = _field_from_cfg(cfg, "cos")
     params = _exp_params(cfg)
@@ -85,8 +83,7 @@ def _run_generator(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_semigroup(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_semigroup(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
     f, _ = _field_from_cfg(cfg, "tanh")
     params = _exp_params(cfg)
@@ -99,11 +96,10 @@ def _run_semigroup(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_limit(cfg, args) -> List[CheckReport]:
+def _run_limit(cfg, op, args) -> List[CheckReport]:
     import time
 
     t0 = time.perf_counter()
-    op = build_operator_config(cfg)
     window = build_window(cfg)
     f, _ = _field_from_cfg(cfg, "tanh")
     params = _exp_params(cfg)
@@ -132,11 +128,10 @@ def _run_limit(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_pde(cfg, args) -> List[CheckReport]:
+def _run_pde(cfg, op, args) -> List[CheckReport]:
     import time
 
     t0 = time.perf_counter()
-    op = build_operator_config(cfg)
     scheme = build_scheme(cfg)
     f, _ = _field_from_cfg(cfg, "cos")
     params = _exp_params(cfg)
@@ -163,8 +158,7 @@ def _run_pde(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_crosscheck(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_crosscheck(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
     f, _ = _field_from_cfg(cfg, "tanh")
     params = _exp_params(cfg)
@@ -181,8 +175,7 @@ def _run_crosscheck(cfg, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_properties(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_properties(cfg, op, args) -> List[CheckReport]:
     params = _exp_params(cfg)
     trials = int(params.get("trials", 100))
     dual_trials = int(params.get("dual_trials", 200))
@@ -192,8 +185,7 @@ def _run_properties(cfg, args) -> List[CheckReport]:
     ]
 
 
-def _run_certify(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_certify(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
     params = _exp_params(cfg)
     experiments = tuple(
@@ -202,10 +194,10 @@ def _run_certify(cfg, args) -> List[CheckReport]:
     return [val.refinement_certificates(op, window, experiments=experiments)]
 
 
-def _run_all(cfg, args) -> List[CheckReport]:
-    op = build_operator_config(cfg)
+def _run_all(cfg, op, args) -> List[CheckReport]:
     window = build_window(cfg)
-    grid = build_grid(cfg)
+    grid = op.grid
+    fine_grid = grid.refined()
     reports: List[CheckReport] = []
     reports.append(val.check_dual_oracle(trials=200, seed=args.seed))
     reports.append(val.check_operator_properties(op, trials=100, seed=args.seed))
@@ -213,33 +205,31 @@ def _run_all(cfg, args) -> List[CheckReport]:
     # seventh at doubled resolution (see check_refinement_monotonicity notes)
     reports.append(
         val.check_refinement_monotonicity(
-            val._with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
+            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
             t=1.0, levels=6, window=window,
         )
     )
-    fine_grid = Grid(grid.lo, grid.hi, tuple(2 * (n - 1) + 1 for n in grid.n))
-    fine = replace(op, grid=fine_grid)
     reports.append(
         val.check_refinement_monotonicity(
-            val._with_model(fine, [[0.0]], [[1.0]], m=0.5),
+            val.with_model(replace(op, grid=fine_grid), [[0.0]], [[1.0]], m=0.5),
             named_field(fine_grid, "tanh"), t=1.0, levels=7, window=window,
         )
     )
     reports.append(
         val.check_sensitivity(
-            val._with_model(op, [[0.0]], [[1.0]], m=1.0), named_field(grid, "sin"),
+            val.with_model(op, [[0.0]], [[1.0]], m=1.0), named_field(grid, "sin"),
             window=window,
         )
     )
     reports.append(
         val.check_generator(
-            val._with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "cos"),
+            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "cos"),
             t_list=(0.2, 0.1, 0.05), window=window,
         )
     )
     reports.append(
         val.check_semigroup(
-            val._with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
+            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
             pairs=((0.25, 0.25),), window=window, stop_tol=1e-3,
         )
     )
@@ -269,19 +259,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _apply_thread_cap(n: Optional[int]) -> None:
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except Exception:
-        pass  # caps apply to BLAS pools only; elementwise kernels are serial
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="drolimit",
@@ -293,17 +270,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="KEY.PATH=VALUE", help="dotted config override (repeatable)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    _apply_thread_cap(args.threads)
-
     try:
         cfg = load_config(args.config, args.overrides)
-    except (ConfigError, InputError) as e:
+        op = build_operator_config(cfg)
+    except (ConfigError, InputError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
     args.out = args.out or cfg["output"]["directory"]
     os.makedirs(args.out, exist_ok=True)
@@ -312,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
     try:
-        reports = _SUBCOMMANDS[args.subcommand](cfg, args)
+        reports = _SUBCOMMANDS[args.subcommand](cfg, op, args)
     except (ConfigError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

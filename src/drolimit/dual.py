@@ -11,17 +11,17 @@ transport LP whose dual collapses to one multiplier:
     D(lam) = lam r^p + sum_i w_i max_{z in Z_i} [ g(z) - lam ||z - y_i||^p ],
 
 a convex piecewise-linear function of lam >= 0 whose minimum equals the LP
-value (LP strong duality).  ``wasserstein_sup`` minimizes D by bracketed
-ternary search; ``brute_force_sup`` enumerates lattice transport plans as an
-independent primal oracle; ``solve_batch`` is the vectorized path used by the
-operator module (bisection on the subgradient of D, one bracket per grid
-node).
+value (LP strong duality).  ``solve_batch`` minimizes D for a batch of grid
+nodes at once (bisection on the subgradient, one bracket per node) and is the
+only minimizer of D in the package; ``wasserstein_sup`` runs it on one
+``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
+as an independent primal oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,12 +54,6 @@ class AmbiguitySpec:
         if t < 0:
             raise InputError("time must be nonnegative")
         return self.m * t
-
-
-@dataclass(frozen=True)
-class DualSolution:
-    value: float
-    lambda_star: float
 
 
 class DualInstance:
@@ -105,12 +99,14 @@ class DualInstance:
 
         Sorting ascending by cost makes argmax ties resolve toward the
         cheaper destination, which keeps every downstream choice
-        deterministic.
+        deterministic.  Short rows are padded with copies of the free stay
+        option, which never change a row's max and keep every entry finite
+        (an infinite cost would give 0 * inf at lam = 0).
         """
         k = len(self.candidates)
         cmax = max(z.shape[0] for z in self.candidates)
-        gvals = np.full((k, cmax), -np.inf)
-        costs = np.full((k, cmax), np.inf)
+        gvals = np.empty((k, cmax))
+        costs = np.zeros((k, cmax))
         for i, z in enumerate(self.candidates):
             c = np.linalg.norm(z - self.source.atoms[i], axis=1) ** self.p
             order = np.argsort(c, kind="stable")
@@ -120,118 +116,27 @@ class DualInstance:
             if not np.all(np.isfinite(g)):
                 raise DataError("integrand returned non-finite values")
             gvals[i, : z.shape[0]] = g[order]
+            gvals[i, z.shape[0] :] = g[order[0]]
             costs[i, : z.shape[0]] = c[order]
         costs[:, 0] = 0.0  # stay option is exactly free
         return gvals, costs
 
 
-def dual_objective(inst: DualInstance, lam: float) -> float:
-    """D(lam) = lam r^p + sum_i w_i max_z [g(z) - lam ||z - y_i||^p]."""
-    if lam < 0:
-        raise InputError("lambda must be nonnegative")
-    gvals, costs = inst._tableau()
-    finite = np.isfinite(costs)
-    obj = np.where(finite, gvals - lam * np.where(finite, costs, 0.0), -np.inf)
-    return float(lam * inst.radius ** inst.p + inst.source.weights @ obj.max(axis=1))
+def wasserstein_sup(inst: DualInstance, tol: float = 1e-10) -> float:
+    """LP value of the instance: ``solve_batch`` on a batch of one node.
 
-
-def _value_subgrad(gvals, costs, weights, rp, lam):
-    finite = np.isfinite(costs)
-    obj = np.where(finite, gvals - lam * np.where(finite, costs, 0.0), -np.inf)
-    arg = obj.argmax(axis=1)
-    rows = np.arange(obj.shape[0])
-    value = lam * rp + weights @ obj[rows, arg]
-    sub = rp - weights @ costs[rows, arg]
-    return float(value), float(sub)
-
-
-def wasserstein_sup(
-    inst: DualInstance, tol: float = 1e-10, trace: Optional[List] = None
-) -> DualSolution:
-    """Minimal dual value and its multiplier, by bracketed ternary search.
-
-    The objective is convex in lambda (affine per candidate, max over a
-    finite set, positive combination), so ternary search on a bracket whose
-    right end has nonnegative subgradient converges to the LP value.  With
-    radius zero the plain expectation is returned without any search.
+    The integrand's largest slope from the stay option seeds the multiplier
+    bracket, the same scale the operator module passes as ``lip_hint``.
     """
-    if not tol > 0:
-        raise InputError("tolerance must be positive")
     gvals, costs = inst._tableau()
-    w = inst.source.weights
-    if inst.radius == 0.0:
-        value = float(w @ gvals[:, 0])
-        if trace is not None:
-            trace.append((0.0, value))
-        return DualSolution(value=value, lambda_star=0.0)
-    rp = inst.radius ** inst.p
-
-    best_val = np.inf
-    best_lam = 0.0
-
-    def probe(lam: float) -> float:
-        nonlocal best_val, best_lam
-        val, _ = _value_subgrad(gvals, costs, w, rp, lam)
-        if trace is not None:
-            trace.append((lam, val))
-        if val < best_val:
-            best_val, best_lam = val, lam
-        return val
-
-    # bracket: start from the integrand's Lipschitz scale, double until the
-    # subgradient at the right end is nonnegative
-    with np.errstate(invalid="ignore"):
-        dist = costs ** (1.0 / inst.p)
-        slope = np.where(dist > _STAY_TOL, np.abs(gvals - gvals[:, :1]) / np.where(dist > 0, dist, 1.0), 0.0)
-    lip = float(np.nanmax(np.where(np.isfinite(slope), slope, 0.0))) if slope.size else 0.0
-    hi = lip / (inst.p * max(inst.radius, 1e-12) ** (inst.p - 1.0)) + 1.0
-    hi0 = hi
-    for _ in range(_MAX_DOUBLINGS):
-        _, sub = _value_subgrad(gvals, costs, w, rp, hi)
-        if sub >= 0:
-            break
-        hi *= 2.0
-    else:
-        raise DataError("dual bracket failed to close; integrand unbounded?")
-
-    probe(0.0)
-    probe(hi)
-    lo = 0.0
-    width_target = tol * (1.0 + hi0)
-    for _ in range(500):
-        if hi - lo <= width_target:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if probe(m1) < probe(m2):
-            hi = m2
-        else:
-            lo = m1
-    probe(0.5 * (lo + hi))
-    return DualSolution(value=best_val, lambda_star=best_lam)
-
-
-def save_trace_csv(trace, path) -> None:
-    """Dump a (lambda, objective) search trace collected by wasserstein_sup."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "objective"])
-        for lam, val in trace:
-            w.writerow([repr(float(lam)), repr(float(val))])
-
-
-def wasserstein_inf(inst: DualInstance, tol: float = 1e-10) -> float:
-    """Best-case (inner minimization) value: -sup with negated integrand."""
-    flipped = DualInstance(
-        inst.source,
-        inst.candidates,
-        lambda z: -np.asarray(inst.integrand(z), dtype=float),
-        inst.radius,
-        inst.p,
+    dist = costs ** (1.0 / inst.p)
+    far = dist > _STAY_TOL
+    slopes = np.abs(gvals - gvals[:, :1])[far] / dist[far]
+    lip = float(slopes.max()) if slopes.size else 0.0
+    value = solve_batch(
+        gvals[None], costs, inst.source.weights, inst.radius, inst.p, tol=tol, lip_hint=lip
     )
-    return -wasserstein_sup(flipped, tol).value
+    return float(value[0])
 
 
 def _simplex_lattice(k: int, steps: int) -> Array:
@@ -326,7 +231,9 @@ def solve_batch(
     """Vectorized dual minimization for a batch of instances sharing geometry.
 
     gvals:   (N, Q, C) integrand values, one row of atoms per grid node
-    costs:   (C,) transport costs ||z - y||^p, ascending with costs[0] == 0
+    costs:   (C,) transport costs ||z - y||^p shared by all atoms, or (Q, C)
+             per atom; column 0 is the free stay option, and sorting the
+             rest ascending makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
 
     Returns the per-node LP values, found by bisection on the subgradient of
@@ -337,16 +244,24 @@ def solve_batch(
     n = gvals.shape[0]
     if radius <= 0.0 or gvals.shape[2] == 1:
         return gvals[:, :, 0] @ weights
-    if costs[0] != 0.0:
-        raise InputError("costs[0] must be the zero-cost stay option")
+    if np.any(costs[..., 0] != 0.0):
+        raise InputError("costs[..., 0] must be the zero-cost stay option")
+    if not tol > 0:
+        raise InputError("tolerance must be positive")
     rp = radius ** p
+    # the chosen cost per (node, atom) is one flat gather from the costs
+    # broadcast to (Q, C), whether they are shared or per atom
+    q, c = gvals.shape[1:]
+    flat_costs = np.broadcast_to(costs, (q, c)).ravel()
+    row_start = c * np.arange(q)
 
     def evaluate(lam: Array):
         obj = gvals - lam[:, None, None] * costs
         arg = obj.argmax(axis=2)
         mx = np.take_along_axis(obj, arg[:, :, None], axis=2)[:, :, 0]
+        paid = flat_costs[arg + row_start]
         val = lam * rp + mx @ weights
-        sub = rp - costs[arg] @ weights
+        sub = rp - paid @ weights
         return val, sub
 
     lo = np.zeros(n)
@@ -368,7 +283,7 @@ def solve_batch(
         raise DataError("batch dual bracket failed to close")
     hi = np.where(need, hi, 0.0)  # lambda* = 0 where the budget is slack at 0
 
-    cmax = float(costs[-1])
+    cmax = float(np.max(costs))
     slope_bound = max(rp, cmax)
     span = float(hi.max())
     if span > 0 and slope_bound > 0:

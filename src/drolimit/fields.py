@@ -80,6 +80,10 @@ class Grid:
         xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
+    def refined(self) -> "Grid":
+        """The same box with every spacing halved (the old nodes are kept)."""
+        return Grid(self.lo, self.hi, tuple(2 * (n - 1) + 1 for n in self.n))
+
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
         return cls((lo,), (hi,), (n,))
@@ -222,8 +226,17 @@ def _bilinear(grid: Grid, values: Array, pts: Array) -> Array:
     )
 
 
+def _same_nodes(a: Grid, b: Grid) -> bool:
+    """Same node counts and box.  The ends may differ by rounding far below
+    the spacing, because ``load_csv`` rebuilds ``hi`` from the last node."""
+    if a.n != b.n:
+        return False
+    ends = zip(a.lo + a.hi, b.lo + b.hi, a.spacing + a.spacing)
+    return all(abs(u - v) <= 1e-9 * h for u, v, h in ends)
+
+
 def sup_distance(f: ScalarField, g: ScalarField, window: Optional[CompactWindow] = None) -> float:
-    if f.grid is not g.grid and f.grid.shape != g.grid.shape:
+    if f.grid is not g.grid and not _same_nodes(f.grid, g.grid):
         raise InputError("fields live on different grids")
     diff = f.values - g.values
     if window is None:
@@ -262,20 +275,29 @@ def lipschitz_estimate(field: ScalarField) -> float:
     return best
 
 
+def csv_columns(grid: Grid) -> list:
+    return ["x", "value"] if grid.dim == 1 else ["x", "y", "value"]
+
+
+def write_rows(writer, field: ScalarField, prefix: Sequence[str] = ()) -> None:
+    """Write one ``*prefix, x[, y], value`` row per node in C order, every
+    number by ``repr`` so that the file round-trips exactly."""
+    g = field.grid
+    if g.dim == 1:
+        for x, v in zip(g.axes[0], field.values):
+            writer.writerow([*prefix, repr(float(x)), repr(float(v))])
+    else:
+        for i, x in enumerate(g.axes[0]):
+            for j, y in enumerate(g.axes[1]):
+                writer.writerow([*prefix, repr(float(x)), repr(float(y)), repr(float(field.values[i, j]))])
+
+
 def save_csv(field: ScalarField, path) -> None:
     """Dump as ``x[,y],value`` rows with a header; round-trips via load_csv."""
-    g = field.grid
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if g.dim == 1:
-            w.writerow(["x", "value"])
-            for x, v in zip(g.axes[0], field.values):
-                w.writerow([repr(float(x)), repr(float(v))])
-        else:
-            w.writerow(["x", "y", "value"])
-            for i, x in enumerate(g.axes[0]):
-                for j, y in enumerate(g.axes[1]):
-                    w.writerow([repr(float(x)), repr(float(y)), repr(float(field.values[i, j]))])
+        w.writerow(csv_columns(field.grid))
+        write_rows(w, field)
 
 
 def load_csv(path) -> ScalarField:

@@ -121,20 +121,6 @@ class ReferenceModel:
         except KeyError:
             raise InputError(f"unknown action {a!r}") from None
 
-    @property
-    def lipschitz_rate(self) -> float:
-        # both built-in flows are 1-Lipschitz (e^{c t} with c = 0)
-        return 0.0
-
-    def drift_increment_constant(self) -> float:
-        """Constant C with sup_{t,a} ||psi_t(x) - x|| / t <= C (1 + ||x||)."""
-        if self.family == BROWNIAN:
-            return max(float(np.linalg.norm(a.drift)) for a in self.actions)
-        return max(
-            max(float(np.linalg.norm(a.theta, 2)), float(np.linalg.norm(a.kappa)))
-            for a in self.actions
-        )
-
 
 def _vector(v, d: int, name: str) -> Array:
     if v is None:
@@ -295,35 +281,3 @@ def check_chapman_kolmogorov(
     rhs = float(mu_t.weights @ vals @ mu_s.weights)
     return abs(lhs - rhs)
 
-
-def psi_stability_time(model: ReferenceModel, R: float, R_prime: float) -> float:
-    """Largest guaranteed horizon t0 = (R' - R) / (C (1 + R')) such that the
-    flow of any action keeps ||psi_t(x)|| >= R whenever ||x|| >= R'."""
-    if not R_prime > R >= 0:
-        raise InputError("need R' > R >= 0")
-    c = model.drift_increment_constant()
-    if c == 0.0:
-        return float("inf")
-    return (R_prime - R) / (c * (1.0 + R_prime))
-
-
-def check_psi_stability(
-    model: ReferenceModel, R: float, R_prime: float, samples: int = 100, seed: int = 0
-) -> float:
-    """Return t0 and verify it on sampled points with ||x|| >= R'."""
-    t0 = psi_stability_time(model, R, R_prime)
-    rng = np.random.default_rng(seed)
-    d = model.dim
-    dirs = rng.standard_normal((samples, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = R_prime + 2.0 * rng.random(samples)
-    pts = dirs * radii[:, None]
-    t_hi = min(t0, 10.0)
-    for t in np.linspace(0.0, t_hi, 8):
-        for act in model.actions:
-            moved = psi(model, act, float(t), pts)
-            if np.linalg.norm(moved, axis=1).min() < R - 1e-9:
-                raise ModelError(
-                    f"psi stability violated at t={t}: some ||psi_t(x)|| < {R}"
-                )
-    return t0

@@ -2,9 +2,11 @@
 
 Per grid node x and action a, one period of length t is the worst-case
 expectation of f(psi_t^a(x) + z) over the Wasserstein ball of radius t*m
-around the Gaussian quadrature law of Y_t^a.  The robust (worst case, best
-action) operator takes the node-wise min over actions, the best-case operator
-the max.  Compositions over a partition apply the one-period operator over
+around the Gaussian quadrature law of Y_t^a.  ``dro_step`` is the only step:
+the robust (worst case, best action) operator takes the node-wise min over
+actions, the best-case operator the max, and at m = 0 the ball is the
+reference law itself, so the same step is the non-robust Bellman step.
+Compositions over a partition apply the one-period operator over
 the successive gaps, rightmost gap first; the scaling limit follows the
 dyadic partition sequence, whose values decrease node-wise as the mesh is
 refined.
@@ -20,7 +22,7 @@ by the refinement certificates in the validation module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,9 +32,6 @@ from .fields import CompactWindow, Grid, ScalarField, lipschitz_estimate, sup_di
 from .models import ReferenceModel, law, psi
 
 Array = np.ndarray
-
-MODE_DRO = "dro"
-MODE_BEST_CASE = "best_case"
 
 
 @dataclass(frozen=True)
@@ -54,36 +53,8 @@ class Partition:
         return self.times[-1]
 
     @property
-    def mesh(self) -> float:
-        if len(self.times) == 1:
-            return 0.0
-        return max(b - a for a, b in zip(self.times, self.times[1:]))
-
-    @property
     def gaps(self) -> Tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.times, self.times[1:]))
-
-    def refines(self, other: "Partition") -> bool:
-        """True if every time of ``other`` appears in this partition."""
-        mine = set(self.times)
-        return all(t in mine for t in other.times)
-
-
-@dataclass(frozen=True)
-class DyadicSchedule:
-    """Horizon t and refinement level n for the dyadic partition sequence."""
-
-    horizon: float
-    level: int
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise InputError("horizon must be nonnegative")
-        if self.level < 0:
-            raise InputError("level must be nonnegative")
-
-    def partition(self) -> Partition:
-        return dyadic_partition(self.horizon, self.level)
 
 
 def dyadic_partition(t: float, level: int) -> Partition:
@@ -183,82 +154,42 @@ class _StepKernel:
         )
 
 
-def _node_values_to_field(grid: Grid, vals: Array) -> ScalarField:
-    return ScalarField(grid, vals.reshape(grid.shape))
-
-
-def reference_step(cfg: OperatorConfig, a, t: float, f: ScalarField) -> ScalarField:
-    """Linear transition step: quadrature expectation of f(psi_t^a(x) + y)."""
-    if t < 0:
-        raise InputError("time must be nonnegative")
-    if t == 0.0:
-        return f
-    meas = law(cfg.model, a, t, cfg.quad_order)
-    base = psi(cfg.model, a, t, cfg.grid.nodes())
-    pts = base[:, None, :] + meas.atoms[None, :, :]
-    g = f.eval(pts.reshape(-1, cfg.grid.dim)).reshape(pts.shape[:2])
-    return _node_values_to_field(cfg.grid, g @ meas.weights)
-
-
-def dro_step_single_action(
-    cfg: OperatorConfig, a, t: float, f: ScalarField, _cache: Optional[Dict] = None
-) -> ScalarField:
-    """Worst case over the radius-(t m) ball around the action's law."""
-    if t < 0:
-        raise InputError("time must be nonnegative")
-    if t == 0.0:
-        return f
-    act = cfg.model.action(a)
-    kernel = None
-    if _cache is not None:
-        kernel = _cache.get((act.label, t))
-    if kernel is None:
-        kernel = _StepKernel(cfg, act, t)
-        if _cache is not None:
-            _cache[(act.label, t)] = kernel
-    return _node_values_to_field(cfg.grid, kernel.apply(cfg, f))
-
-
 def dro_step(
-    cfg: OperatorConfig, t: float, f: ScalarField, _cache: Optional[Dict] = None
+    cfg: OperatorConfig,
+    t: float,
+    f: ScalarField,
+    cache: Optional[Dict] = None,
+    reduce: Callable[[Array, Array], Array] = np.minimum,
 ) -> ScalarField:
-    """One robust period: node-wise min over actions of the worst case."""
+    """One period: node-wise ``reduce`` over actions of the worst case over
+    the radius-(t m) ball around each action's law.
+
+    ``reduce=np.minimum`` (the default) is the robust operator and
+    ``np.maximum`` the best case.  ``cache`` maps (action label, t) to the
+    step geometry; it is only valid for the config it was filled with.
+    """
+    if t < 0:
+        raise InputError("time must be nonnegative")
+    if t == 0.0:
+        return f
     vals = None
     for act in cfg.model.actions:
-        out = dro_step_single_action(cfg, act, t, f, _cache).values
-        vals = out if vals is None else np.minimum(vals, out)
+        kernel = None if cache is None else cache.get((act.label, t))
+        if kernel is None:
+            kernel = _StepKernel(cfg, act, t)
+            if cache is not None:
+                cache[(act.label, t)] = kernel
+        out = kernel.apply(cfg, f)
+        vals = out if vals is None else reduce(vals, out)
     return ScalarField(cfg.grid, vals)
 
 
-def best_case_step(
-    cfg: OperatorConfig, t: float, f: ScalarField, _cache: Optional[Dict] = None
-) -> ScalarField:
-    """Best case: node-wise max over actions of the worst-case expectation."""
-    vals = None
-    for act in cfg.model.actions:
-        out = dro_step_single_action(cfg, act, t, f, _cache).values
-        vals = out if vals is None else np.maximum(vals, out)
-    return ScalarField(cfg.grid, vals)
-
-
-def reference_inf_step(cfg: OperatorConfig, t: float, f: ScalarField) -> ScalarField:
-    """Non-robust Bellman step: node-wise min over actions of the reference."""
-    vals = None
-    for act in cfg.model.actions:
-        out = reference_step(cfg, act, t, f).values
-        vals = out if vals is None else np.minimum(vals, out)
-    return ScalarField(cfg.grid, vals)
-
-
-def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField, mode: str = MODE_DRO) -> ScalarField:
-    """Multi-period value over a partition, rightmost gap applied first."""
-    if mode not in (MODE_DRO, MODE_BEST_CASE):
-        raise InputError(f"unknown composition mode {mode!r}")
-    step = dro_step if mode == MODE_DRO else best_case_step
+def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
+    """Multi-period robust value over a partition, rightmost gap applied first."""
     cache: Dict = {}
     out = f
     for gap in reversed(pi.gaps):
-        out = step(cfg, gap, out, cache)
+        out = dro_step(cfg, gap, out, cache)
     return out
 
 
@@ -303,7 +234,7 @@ def scaling_limit(
         part = dyadic_partition(t, n)
         if prev_part is not None and part.times == prev_part.times:
             continue
-        out = compose(cfg, part, f, MODE_DRO)
+        out = compose(cfg, part, f)
         levels.append(n)
         if prev_field is not None:
             gaps.append(sup_distance(out, prev_field, window))
@@ -316,24 +247,3 @@ def scaling_limit(
         prev_part = part
     return ScalingLimitResult(prev_field, len(levels), gaps, levels, converged)
 
-
-def best_case_diagnostic(
-    cfg: OperatorConfig, t: float, f: ScalarField, max_level: int = 6
-) -> List[ScalarField]:
-    """Best-case compositions over the dyadic sequence, levels 0..max_level.
-
-    A lower diagnostic for the mesh-restricted sup over partitions; no
-    convergence claim is attached to it.
-    """
-    if t == 0.0:
-        return [f]
-    out: List[ScalarField] = []
-    prev_part = None
-    for n in range(max_level + 1):
-        part = dyadic_partition(t, n)
-        if prev_part is not None and part.times == prev_part.times:
-            out.append(out[-1])
-            continue
-        out.append(compose(cfg, part, f, MODE_BEST_CASE))
-        prev_part = part
-    return out

@@ -21,13 +21,14 @@ value problems reduce to this solver by the substitution w(tau) = v(T - tau).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .fields import Grid, ScalarField, gradient_fd
+from .fields import Grid, ScalarField, csv_columns, gradient_fd, write_rows
 from .models import BROWNIAN
 from .operators import OperatorConfig
 
@@ -39,15 +40,9 @@ class PdeScheme:
     """Time step controls; ``dt=None`` derives the step from the CFL bound."""
 
     dt: Optional[float] = None
-    upwind: str = "godunov"
-    boundary: str = "clamp"
     cfl_safety: float = 0.8
 
     def __post_init__(self):
-        if self.upwind != "godunov":
-            raise ConfigError(f"unsupported upwind rule {self.upwind!r}")
-        if self.boundary != "clamp":
-            raise ConfigError(f"unsupported boundary rule {self.boundary!r}")
         if not 0 < self.cfl_safety <= 1:
             raise ConfigError("cfl_safety must lie in (0, 1]")
 
@@ -69,22 +64,12 @@ class SpaceTimeField:
         return self.snapshots[i]
 
     def save_csv(self, path) -> None:
-        import csv
-
-        g = self.grid
+        """``t,x[,y],value`` rows, one block per snapshot."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t"] + (["x", "value"] if g.dim == 1 else ["x", "y", "value"]))
+            w.writerow(["t"] + csv_columns(self.grid))
             for t, snap in zip(self.times, self.snapshots):
-                if g.dim == 1:
-                    for x, v in zip(g.axes[0], snap.values):
-                        w.writerow([repr(float(t)), repr(float(x)), repr(float(v))])
-                else:
-                    for i, x in enumerate(g.axes[0]):
-                        for j, y in enumerate(g.axes[1]):
-                            w.writerow(
-                                [repr(float(t)), repr(float(x)), repr(float(y)), repr(float(snap.values[i, j]))]
-                            )
+                write_rows(w, snap, prefix=[repr(float(t))])
 
 
 def _drift_arrays(cfg: OperatorConfig) -> List[List[Array]]:

@@ -26,16 +26,7 @@ from .fields import (
     sup_distance,
 )
 from .models import DiscreteMeasure, brownian_model
-from .operators import (
-    MODE_DRO,
-    OperatorConfig,
-    best_case_step,
-    compose,
-    dro_step,
-    dyadic_partition,
-    reference_inf_step,
-    scaling_limit,
-)
+from .operators import OperatorConfig, compose, dro_step, dyadic_partition, scaling_limit
 from .pde import PdeScheme, generator_apply, solve
 
 Array = np.ndarray
@@ -142,6 +133,12 @@ def fourier_field(grid: Grid, rng: np.random.Generator, max_wavenumber: int = 8)
     return ScalarField(grid, vals)
 
 
+def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
+    """The same model and numerics at m = 0: ``dro_step`` on it is the
+    non-robust Bellman step (min over actions of the reference expectation)."""
+    return replace(cfg, ambiguity=AmbiguitySpec(m=0.0, p=cfg.ambiguity.p))
+
+
 # ----------------------------------------------------------------------
 # limit checks: sensitivity, generator, semigroup
 
@@ -168,10 +165,11 @@ def check_sensitivity(
     grad = gradient_norm(f)
     target = m * grad.values
     mask = window.mask(cfg.grid) if window is not None else np.ones(cfg.grid.shape, bool)
+    bellman_cfg = non_robust_config(cfg)
     errors = []
     for t in ts:
         robust = dro_step(cfg, t, f)
-        base = reference_inf_step(cfg, t, f)
+        base = dro_step(bellman_cfg, t, f)
         quotient = (robust.values - base.values) / t
         errors.append(float(np.max(np.abs((quotient - target)[mask]))))
     max_ratio = 0.0
@@ -216,7 +214,7 @@ def check_generator(
     max_ratio = 0.0
     for a, b in zip(errors, errors[1:]):
         max_ratio = max(max_ratio, (b - a) / max(a, 1e-15))
-    bellman_cfg = replace(cfg, ambiguity=AmbiguitySpec(m=0.0, p=cfg.ambiguity.p))
+    bellman_cfg = non_robust_config(cfg)
     bellman_sup = float(np.max(np.abs(generator_apply(bellman_cfg, f).values[mask])))
     grad_sup = float(np.max(gradient_norm(f).values[mask]))
     threshold = final_factor * (bellman_sup + cfg.ambiguity.m * grad_sup)
@@ -291,7 +289,9 @@ def check_operator_properties(
         "subadditivity": -np.inf,
         "sandwich": -np.inf,
     }
+    bellman_cfg = non_robust_config(cfg)
     cache: Dict = {}
+    bellman_cache: Dict = {}
     for trial in range(trials):
         f = fourier_field(grid, rng)
         g = fourier_field(grid, rng)
@@ -321,21 +321,21 @@ def check_operator_properties(
                     worst["translation"],
                     float(np.max(np.abs(shifted.values - rob_f.values - 1.0))),
                 )
-                best_f = best_case_step(cfg, t, f, cache)
+                best_f = dro_step(cfg, t, f, cache, np.maximum)
                 for lam in (0.0, 0.5, 2.0):
-                    best_lam = best_case_step(cfg, t, ScalarField(grid, lam * f.values), cache)
+                    best_lam = dro_step(cfg, t, ScalarField(grid, lam * f.values), cache, np.maximum)
                     err = float(np.max(np.abs(best_lam.values - lam * best_f.values)))
                     worst["homogeneity_rel"] = max(
                         worst["homogeneity_rel"],
                         err / max(1.0, abs(lam) * float(np.max(np.abs(best_f.values)))),
                     )
-                best_g = best_case_step(cfg, t, g, cache)
-                best_sum = best_case_step(cfg, t, ScalarField(grid, f.values + g.values), cache)
+                best_g = dro_step(cfg, t, g, cache, np.maximum)
+                best_sum = dro_step(cfg, t, ScalarField(grid, f.values + g.values), cache, np.maximum)
                 worst["subadditivity"] = max(
                     worst["subadditivity"],
                     float(np.max(best_sum.values - best_f.values - best_g.values)),
                 )
-                non_robust = reference_inf_step(cfg, t, f)
+                non_robust = dro_step(bellman_cfg, t, f, bellman_cache)
                 worst["sandwich"] = max(
                     worst["sandwich"],
                     float(np.max(non_robust.values - rob_f.values)),
@@ -371,7 +371,7 @@ def check_refinement_monotonicity(
     fields = []
     for n in range(levels + 1):
         part = dyadic_partition(t, n)
-        cur = compose(cfg, part, f, MODE_DRO)
+        cur = compose(cfg, part, f)
         fields.append(cur)
         if prev is not None:
             worst = max(worst, float(np.max((cur.values - prev.values)[mask])))
@@ -403,7 +403,7 @@ def check_dual_oracle(
         dual = wasserstein_sup(inst, tol=1e-11)
         oracle = brute_force_sup(inst, grid_steps=grid_steps)
         res = oracle_resolution(inst, grid_steps)
-        gap = abs(dual.value - oracle)
+        gap = abs(dual - oracle)
         worst_abs = max(worst_abs, gap)
         worst = max(worst, gap - res)
     measured = [("excess_over_resolution", worst), ("max_abs_gap", worst_abs)]
@@ -503,14 +503,16 @@ def cross_check_pde(
     )
 
 
-def _with_model(cfg: OperatorConfig, drifts, sigma, m: float) -> OperatorConfig:
+def with_model(cfg: OperatorConfig, drifts, sigma, m: float) -> OperatorConfig:
+    """The config's grid and numerics with a Brownian model (one action per
+    drift, shared sigma) and uncertainty rate m."""
     model = brownian_model(drifts, np.atleast_2d(sigma), dim=cfg.grid.dim)
     return replace(cfg, model=model, ambiguity=AmbiguitySpec(m=m, p=cfg.ambiguity.p))
 
 
 def heat_anchor_check(cfg: OperatorConfig, window: CompactWindow, tol: float = 5e-3) -> CheckReport:
     """m = 0 reduction: both routes must reproduce e^{-t/2} cos at t = 1/2."""
-    run = _with_model(cfg, [[0.0]], [[1.0]], m=0.0)
+    run = with_model(cfg, [[0.0]], [[1.0]], m=0.0)
     u0 = named_field(run.grid, "cos")
     ref = lambda x: math.exp(-0.25) * np.cos(x)
     return cross_check_pde(
@@ -522,7 +524,7 @@ def heat_anchor_check(cfg: OperatorConfig, window: CompactWindow, tol: float = 5
 def cdf_anchor_check(cfg: OperatorConfig, window: CompactWindow, tol: float = 1e-2) -> CheckReport:
     """Monotone-data closed form: S(1) applied to the normal CDF with m = 1/2
     equals Phi((x + 1/2) / sqrt(2)) because the gradient term linearizes."""
-    run = _with_model(cfg, [[0.0]], [[1.0]], m=0.5)
+    run = with_model(cfg, [[0.0]], [[1.0]], m=0.5)
     u0 = named_field(run.grid, "normal_cdf")
     ref = lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0))
     return cross_check_pde(
@@ -546,7 +548,7 @@ def game_crosscheck(
     rule cannot inject asymmetric truncation error.
     """
     t0 = time.perf_counter()
-    two = _with_model(cfg, [[-0.5], [0.5]], [[1.0]], m=0.25)
+    two = with_model(cfg, [[-0.5], [0.5]], [[1.0]], m=0.25)
     u0 = named_field(two.grid, "tanh")
     horizon = 0.5
     report = cross_check_pde(
@@ -559,7 +561,7 @@ def game_crosscheck(
     two_fixed = scaling_limit(two, horizon, u0, max_level=max_level, stop_tol=0.0, window=window)
     worst = -np.inf
     for b in (-0.5, 0.5):
-        single = _with_model(cfg, [[b]], [[1.0]], m=0.25)
+        single = with_model(cfg, [[b]], [[1.0]], m=0.25)
         lim = scaling_limit(single, horizon, u0, max_level=max_level, stop_tol=0.0, window=window)
         worst = max(worst, float(np.max(two_fixed.field.values - lim.field.values)))
     measured = report.measured + [("dominance_violation", worst)]
@@ -573,11 +575,9 @@ def game_crosscheck(
 
 def refined_config(cfg: OperatorConfig) -> OperatorConfig:
     """Doubled spatial, quadrature, and candidate resolution, halved dual_tol."""
-    g = cfg.grid
-    fine = Grid(g.lo, g.hi, tuple(2 * (n - 1) + 1 for n in g.n))
     return replace(
         cfg,
-        grid=fine,
+        grid=cfg.grid.refined(),
         quad_order=min(2 * cfg.quad_order, 64),
         cand_per_side=2 * cfg.cand_per_side,
         dual_tol=0.5 * cfg.dual_tol,

@@ -30,7 +30,6 @@ from drolimit import (
     OperatorConfig,
     brownian_model,
     dro_step,
-    reference_step,
 )
 from drolimit.validation import (
     cdf_anchor_check,
@@ -43,6 +42,7 @@ from drolimit.validation import (
     game_crosscheck,
     heat_anchor_check,
     named_field,
+    non_robust_config,
     refinement_certificates,
 )
 
@@ -166,7 +166,7 @@ def test_criterion_05_sensitivity_limit():
     x = GRID.axes[0]
     mask = WINDOW.mask(GRID)
     t = 0.025
-    quotient = (dro_step(cfg, t, f).values - reference_step(cfg, "a0", t, f).values) / t
+    quotient = (dro_step(cfg, t, f).values - dro_step(non_robust_config(cfg), t, f).values) / t
     theory = np.sqrt(0.5 * (1.0 + math.exp(-2 * t) * np.cos(2 * x)))
     assert np.max(np.abs(quotient - theory)[mask]) <= 1.2 * t
     assert final_ok, (

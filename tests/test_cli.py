@@ -29,6 +29,23 @@ def test_negative_m_rejected(tmp_path, capsys):
     assert "ambiguity.m" in capsys.readouterr().err
 
 
+def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
+    # sigma of the wrong shape is a ModelError raised while building the model
+    out = tmp_path / "bad"
+    code = run_cli(
+        ["limit", "--out", str(out), "--set",
+         'model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]']
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sigma")
+    assert not (out / "manifest.json").exists()
+
+
+def test_readme_limit_example(tmp_path):
+    # the README's `drolimit limit` example converges with the defaults
+    assert run_cli(["limit", "--set", "experiment.parameters.t=0.25", "--out", str(tmp_path)]) == 0
+
+
 def test_bad_config_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from drolimit import (
     AmbiguitySpec,
@@ -11,9 +10,7 @@ from drolimit import (
     InputError,
     brute_force_sup,
     brownian_model,
-    dual_objective,
     law,
-    wasserstein_inf,
     wasserstein_sup,
 )
 from drolimit.dual import oracle_resolution, solve_batch
@@ -41,13 +38,6 @@ def test_ambiguity_spec():
         AmbiguitySpec(m=0.0, p=1.0)
 
 
-def test_dual_objective_hand_values():
-    inst = delta_instance(linear, radius=1.0, candidates=[0.0, 1.0])
-    assert dual_objective(inst, 0.0) == pytest.approx(1.0)
-    assert dual_objective(inst, 1.0) == pytest.approx(1.0)  # 1*1 + max(0, 1-1)
-    assert dual_objective(inst, 2.0) == pytest.approx(2.0)  # stay option dominates
-
-
 def test_stay_option_required():
     src = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
     with pytest.raises(InputError):
@@ -61,16 +51,13 @@ def test_radius_zero_is_plain_expectation():
         mu, [mu.atoms[i : i + 1] for i in range(mu.atoms.shape[0])],
         lambda z: np.cos(np.asarray(z)[:, 0]), radius=0.0,
     )
-    sol = wasserstein_sup(inst, tol=1e-10)
-    assert sol.lambda_star == 0.0
-    assert sol.value == pytest.approx(math.exp(-0.5), abs=1e-8)
+    assert wasserstein_sup(inst, tol=1e-10) == pytest.approx(math.exp(-0.5), abs=1e-8)
 
 
 def test_linear_integrand_attains_kantorovich_bound():
     cands = np.linspace(-2, 2, 401)
     inst = delta_instance(linear, radius=0.3, candidates=cands)
-    sol = wasserstein_sup(inst, tol=1e-11)
-    assert sol.value == pytest.approx(0.3, abs=0.011)
+    assert wasserstein_sup(inst, tol=1e-11) == pytest.approx(0.3, abs=0.011)
 
 
 def test_two_atom_instance_matches_oracle():
@@ -79,17 +66,22 @@ def test_two_atom_instance_matches_oracle():
     inst = DualInstance(src, cands, neg_abs, radius=0.5, p=2.0)
     sol = wasserstein_sup(inst, tol=1e-11)
     oracle = brute_force_sup(inst, grid_steps=6)
-    assert abs(sol.value - oracle) <= 1e-6
-    assert sol.value == pytest.approx(-0.5, abs=1e-9)
+    assert abs(sol - oracle) <= 1e-6
+    assert sol == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_wasserstein_inf():
+    # the inner inf (best case) is minus the sup of the negated integrand
+    def inf(integrand, radius, candidates):
+        flipped = lambda z: -np.asarray(integrand(z))
+        return -wasserstein_sup(delta_instance(flipped, radius, candidates))
+
     cands = np.linspace(-2, 2, 401)
-    assert wasserstein_inf(delta_instance(linear, 0.0, [0.0])) == pytest.approx(0.0)
-    assert wasserstein_inf(delta_instance(linear, 0.3, cands)) == pytest.approx(-0.3, abs=0.011)
+    assert inf(linear, 0.0, [0.0]) == pytest.approx(0.0)
+    assert inf(linear, 0.3, cands) == pytest.approx(-0.3, abs=0.011)
     # concave peak -|z| at a point mass: all mass moves distance r, value -r
     r = 0.4
-    assert wasserstein_inf(delta_instance(neg_abs, r, cands)) == pytest.approx(-r, abs=0.011)
+    assert inf(neg_abs, r, cands) == pytest.approx(-r, abs=0.011)
 
 
 def test_brute_force_limits():
@@ -132,7 +124,7 @@ def test_duality_sandwich_random():
     for trial in range(60):
         r = [0.0, 0.1, 0.5, 2.0][trial % 4]
         inst = _random_small_instance(rng, r)
-        dual = wasserstein_sup(inst, tol=1e-11).value
+        dual = wasserstein_sup(inst, tol=1e-11)
         oracle = brute_force_sup(inst, grid_steps=8)
         res = oracle_resolution(inst, 8)
         assert oracle <= dual + 1e-9          # weak duality
@@ -144,7 +136,7 @@ def test_other_orders_match_oracle():
     for p in (1.5, 3.0):
         for _ in range(10):
             inst = _random_small_instance(rng, radius=0.4, p=p)
-            dual = wasserstein_sup(inst, tol=1e-11).value
+            dual = wasserstein_sup(inst, tol=1e-11)
             oracle = brute_force_sup(inst, grid_steps=10)
             assert oracle <= dual + 1e-9
             assert dual <= oracle + oracle_resolution(inst, 10) + 1e-6
@@ -157,8 +149,8 @@ def test_radius_monotonicity():
         inst_large = DualInstance(
             inst_small.source, inst_small.candidates, inst_small.integrand, 0.6, inst_small.p
         )
-        v_small = wasserstein_sup(inst_small, tol=1e-11).value
-        v_large = wasserstein_sup(inst_large, tol=1e-11).value
+        v_small = wasserstein_sup(inst_small, tol=1e-11)
+        v_large = wasserstein_sup(inst_large, tol=1e-11)
         assert v_small <= v_large + 1e-10
 
 
@@ -168,10 +160,10 @@ def test_a_priori_lipschitz_bound():
     for _ in range(20):
         inst = _random_small_instance(rng, radius=0.5)
         lip = 0.5 * (1 + 2 + 0.25) * 3  # coarse bound on the Fourier integrand family
-        v_r = wasserstein_sup(inst, tol=1e-11).value
+        v_r = wasserstein_sup(inst, tol=1e-11)
         v_0 = wasserstein_sup(
             DualInstance(inst.source, inst.candidates, inst.integrand, 0.0, inst.p), tol=1e-11
-        ).value
+        )
         assert v_r - v_0 <= lip * 0.5 + 1e-9
 
 
@@ -182,25 +174,39 @@ def test_translation_covariance_exact():
         inst.source, inst.candidates,
         lambda z: np.asarray(inst.integrand(z)) + 5.0, inst.radius, inst.p,
     )
-    v = wasserstein_sup(inst, tol=1e-11).value
-    vs = wasserstein_sup(shifted, tol=1e-11).value
+    v = wasserstein_sup(inst, tol=1e-11)
+    vs = wasserstein_sup(shifted, tol=1e-11)
     assert vs == pytest.approx(v + 5.0, abs=1e-9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.floats(0.01, 3.0), st.floats(0.01, 3.0), st.floats(0.0, 1.0),
-)
-def test_dual_objective_convex(l1, gap, frac):
-    inst = delta_instance(lambda z: np.sin(np.asarray(z)[:, 0]), 0.4, np.linspace(-2, 2, 9))
-    l2 = l1 + gap
-    mid = l1 + frac * gap
-    chord = dual_objective(inst, l1) + frac * (dual_objective(inst, l2) - dual_objective(inst, l1))
-    assert dual_objective(inst, mid) <= chord + 1e-12
+def lp_value(inst):
+    """The primal transport LP solved by scipy's HiGHS: an oracle that shares
+    no code with the dual solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    natoms = inst.source.atoms.shape[0]
+    w = inst.source.weights
+    obj, cost_row, eq_rows = [], [], []
+    for i, z in enumerate(inst.candidates):
+        g = np.asarray(inst.integrand(z), float).ravel()
+        c = np.linalg.norm(z - inst.source.atoms[i], axis=1) ** inst.p
+        for j in range(z.shape[0]):
+            obj.append(-w[i] * g[j])
+            cost_row.append(w[i] * c[j])
+            eq_rows.append(i)
+    a_eq = np.zeros((natoms, len(obj)))
+    for col, row in enumerate(eq_rows):
+        a_eq[row, col] = 1.0
+    res = linprog(
+        np.array(obj), A_ub=np.array([cost_row]), b_ub=[inst.radius ** inst.p],
+        A_eq=a_eq, b_eq=np.ones(natoms), bounds=(0, None), method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
 
 
 def test_batch_matches_scalar_path():
-    # shared offsets: the operator-facing batch solver equals the scalar dual
+    # shared offsets: every row of the operator-facing batch (shared costs)
+    # equals the LP value and the scalar path (per-atom costs, batch of one)
     rng = np.random.default_rng(16)
     atoms = rng.standard_normal((6, 1)) * 0.4
     w = rng.random(6)
@@ -226,47 +232,24 @@ def test_batch_matches_scalar_path():
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
-        scalar = wasserstein_sup(inst, tol=1e-12).value
-        assert batch[k] == pytest.approx(scalar, abs=1e-9)
+        assert batch[k] == pytest.approx(lp_value(inst), abs=1e-8)
+        assert batch[k] == pytest.approx(wasserstein_sup(inst, tol=1e-12), abs=1e-9)
 
 
-def test_trace_csv(tmp_path):
-    inst = delta_instance(lambda z: np.sin(np.asarray(z)[:, 0]), 0.4, np.linspace(-2, 2, 9))
-    trace = []
-    wasserstein_sup(inst, tol=1e-10, trace=trace)
-    assert len(trace) > 3
-    from drolimit.dual import save_trace_csv
-
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,objective"
-    assert len(lines) == len(trace) + 1
+def test_batch_per_atom_costs_match_shared():
+    # (Q, C) costs with identical rows are the shared (C,) costs, bitwise
+    rng = np.random.default_rng(18)
+    w = rng.random(5)
+    w /= w.sum()
+    costs = np.array([0.0, 0.01, 0.01, 0.04, 0.04, 0.16, 0.16])
+    gvals = rng.standard_normal((9, 5, 7))
+    shared = solve_batch(gvals, costs, w, radius=0.2, p=2.0, lip_hint=3.0)
+    per_atom = solve_batch(gvals, np.tile(costs, (5, 1)), w, radius=0.2, p=2.0, lip_hint=3.0)
+    assert np.array_equal(shared, per_atom)
 
 
 def test_against_linear_program():
     # independent LP oracle on a mid-size instance
-    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(17)
     inst = _random_small_instance(rng, radius=0.45)
-    natoms = inst.source.atoms.shape[0]
-    w = inst.source.weights
-    cols, obj, cost_row = [], [], []
-    eq_rows = []
-    for i, z in enumerate(inst.candidates):
-        g = np.asarray(inst.integrand(z), float).ravel()
-        c = np.linalg.norm(z - inst.source.atoms[i], axis=1) ** inst.p
-        for j in range(z.shape[0]):
-            obj.append(-w[i] * g[j])
-            cost_row.append(w[i] * c[j])
-            eq_rows.append(i)
-    a_eq = np.zeros((natoms, len(obj)))
-    for col, row in enumerate(eq_rows):
-        a_eq[row, col] = 1.0
-    res = linprog(
-        np.array(obj), A_ub=np.array([cost_row]), b_ub=[inst.radius ** inst.p],
-        A_eq=a_eq, b_eq=np.ones(natoms), bounds=(0, None), method="highs",
-    )
-    assert res.status == 0
-    dual = wasserstein_sup(inst, tol=1e-12).value
-    assert dual == pytest.approx(-res.fun, abs=1e-8)
+    assert wasserstein_sup(inst, tol=1e-12) == pytest.approx(lp_value(inst), abs=1e-8)

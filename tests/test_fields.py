@@ -26,6 +26,15 @@ def test_grid_nodes_exact():
     assert g.axes[0][256] == 0.0
 
 
+def test_grid_refined():
+    # same box, every spacing halved, every old node kept exactly
+    g = Grid.box((-1.0, 0.0), (1.3, 2.0), (9, 11))
+    fine = g.refined()
+    assert fine.n == (17, 21) and fine.lo == g.lo and fine.hi == g.hi
+    for coarse_ax, fine_ax in zip(g.axes, fine.axes):
+        assert np.array_equal(fine_ax[::2], coarse_ax)
+
+
 def test_grid_validation():
     with pytest.raises(InputError):
         Grid.line(1.0, -1.0, 64)
@@ -126,6 +135,21 @@ def test_sup_distance_zero_iff_equal():
     assert sup_distance(a, b) == 0.0
     c = ScalarField(g, a.values + 1e-12)
     assert sup_distance(a, c) > 0.0
+
+
+def test_sup_distance_checks_grid_box(tmp_path):
+    a = ScalarField.constant(Grid.line(0.0, 1.0, 9), 1.0)
+    with pytest.raises(InputError):
+        sup_distance(a, ScalarField.constant(Grid.line(5.0, 6.0, 9), 0.0))
+    with pytest.raises(InputError):
+        sup_distance(a, ScalarField.constant(Grid.line(0.0, 1.0, 17), 1.0))
+    # a field read back from CSV has hi rebuilt from its last node (here
+    # 1.2999999999999998) and still compares with the field it was saved from
+    fresh = ScalarField.from_function(Grid.line(-1.0, 1.3, 33), np.tanh)
+    save_csv(fresh, tmp_path / "f.csv")
+    back = load_csv(tmp_path / "f.csv")
+    assert back.grid.hi != fresh.grid.hi
+    assert sup_distance(back, fresh) == 0.0
 
 
 def test_csv_roundtrip_1d(tmp_path):

@@ -15,12 +15,10 @@ from drolimit import (
     ScalarField,
     brownian_model,
     check_chapman_kolmogorov,
-    check_psi_stability,
     covariance,
     law,
     psi,
 )
-from drolimit.models import psi_stability_time
 
 
 def ou_model(theta, kappa, sigma, dim=1):
@@ -88,9 +86,10 @@ def test_psi_one_lipschitz():
 
 
 def test_psi_drift_increment_bound():
+    # ||psi_t(x) - x|| <= t C (1 + ||x||) with C = |b| (Brownian) and
+    # C = max(|theta|, |kappa|) (OU)
     rng = np.random.default_rng(6)
-    for m in [brownian_model([[1.5]], [[1.0]]), ou_model(2.0, 0.8, 1.0)]:
-        c = m.drift_increment_constant()
+    for m, c in [(brownian_model([[1.5]], [[1.0]]), 1.5), (ou_model(2.0, 0.8, 1.0), 2.0)]:
         for _ in range(50):
             x = rng.standard_normal(1) * 4
             t = rng.random() * 0.5 + 1e-3
@@ -161,19 +160,6 @@ def test_chapman_kolmogorov_ou():
     f = ScalarField.from_function(g, np.tanh)
     res = check_chapman_kolmogorov(ou, "a0", 0.25, 0.75, f, np.array([0.3]), quad_order=16)
     assert res <= 1e-4
-
-
-def test_psi_stability():
-    m = brownian_model([[1.0]], [[1.0]])
-    t0 = check_psi_stability(m, R=1.0, R_prime=2.0, samples=100, seed=0)
-    assert t0 == pytest.approx(1.0 / 3.0)
-    flat = brownian_model([[0.0]], [[1.0]])
-    assert math.isinf(check_psi_stability(flat, R=0.0, R_prime=1.0))
-    ou = ou_model(1.0, 0.0, 1.0)
-    t0 = check_psi_stability(ou, R=1.0, R_prime=2.0, samples=100, seed=1)
-    assert t0 > 0.0
-    with pytest.raises(InputError):
-        psi_stability_time(m, R=2.0, R_prime=1.0)
 
 
 def test_model_validation():

@@ -7,7 +7,6 @@ from drolimit import (
     Action,
     AmbiguitySpec,
     CompactWindow,
-    DyadicSchedule,
     Grid,
     InputError,
     OperatorConfig,
@@ -15,18 +14,16 @@ from drolimit import (
     Partition,
     ReferenceModel,
     ScalarField,
-    best_case_diagnostic,
-    best_case_step,
     brownian_model,
     compose,
     dro_step,
-    dro_step_single_action,
     dyadic_partition,
-    reference_step,
+    law,
+    psi,
     scaling_limit,
     sup_distance,
 )
-from drolimit.validation import named_field, normal_cdf
+from drolimit.validation import named_field, non_robust_config, normal_cdf
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +41,20 @@ def cfg_for(grid, m=0.5, drifts=((0.0,),), sigma=1.0, **kw):
     return OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=m), grid=grid, **kw)
 
 
+def reference_loop(cfg, t, f):
+    """Independent non-robust step: per action, the quadrature expectation of
+    f(psi_t^a(x) + y) at every node; then the node-wise min over actions."""
+    vals = None
+    for act in cfg.model.actions:
+        meas = law(cfg.model, act, t, cfg.quad_order)
+        base = psi(cfg.model, act, t, cfg.grid.nodes())
+        pts = base[:, None, :] + meas.atoms[None, :, :]
+        g = f.eval(pts.reshape(-1, cfg.grid.dim)).reshape(pts.shape[:2])
+        out = g @ meas.weights
+        vals = out if vals is None else np.minimum(vals, out)
+    return ScalarField(cfg.grid, vals)
+
+
 # ---------------------------------------------------------------- partitions
 
 def test_partition_validation():
@@ -52,8 +63,8 @@ def test_partition_validation():
     with pytest.raises(InputError):
         Partition((0.0, 1.0, 1.0))
     p = Partition((0.0, 0.5, 2.0))
-    assert p.mesh == 1.5 and p.horizon == 2.0 and p.gaps == (0.5, 1.5)
-    assert Partition((0.0,)).mesh == 0.0
+    assert p.horizon == 2.0 and p.gaps == (0.5, 1.5)
+    assert Partition((0.0,)).gaps == ()
 
 
 def test_dyadic_partitions():
@@ -65,14 +76,14 @@ def test_dyadic_partitions():
     # the regular points are the multiples k 2^-n strictly below t
     part = dyadic_partition(0.7, 4)
     assert part.times[-2] < 0.7 <= part.times[-2] + 2.0 ** -4
-    assert DyadicSchedule(1.0, 2).partition().times == dyadic_partition(1.0, 2).times
 
 
 def test_refinement_relation():
-    fine = dyadic_partition(1.0, 3)
-    coarse = dyadic_partition(1.0, 2)
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
+    # each dyadic level keeps every time of the previous one
+    fine = set(dyadic_partition(1.0, 3).times)
+    coarse = set(dyadic_partition(1.0, 2).times)
+    assert coarse < fine
+    assert set(dyadic_partition(0.7, 3).times) < set(dyadic_partition(0.7, 4).times)
 
 
 # ---------------------------------------------------------------- one-period
@@ -80,25 +91,29 @@ def test_refinement_relation():
 def test_reference_step_identity_and_constant(grid):
     cfg = cfg_for(grid, m=0.0)
     f = named_field(grid, "cos")
-    assert reference_step(cfg, "a0", 0.0, f) is f
+    assert dro_step(cfg, 0.0, f) is f
     five = ScalarField.constant(grid, 5.0)
-    out = reference_step(cfg, "a0", 0.3, five)
+    out = dro_step(cfg, 0.3, five)
     assert np.allclose(out.values, 5.0, atol=1e-12)
 
 
 def test_reference_step_heat_identity(grid, window):
     cfg = cfg_for(grid, m=0.0)
     f = named_field(grid, "cos")
-    out = reference_step(cfg, "a0", 0.5, f)
+    out = dro_step(cfg, 0.5, f)
     ref = math.exp(-0.25) * np.cos(grid.axes[0])
     assert np.max(np.abs(out.values - ref)[window.mask(grid)]) <= 1e-4
 
 
 def test_dro_step_zero_m_equals_reference(grid):
-    cfg = cfg_for(grid, m=0.0)
     f = named_field(grid, "tanh")
+    for drifts in (((0.0,),), ((-0.5,), (0.5,))):
+        cfg = cfg_for(grid, m=0.0, drifts=drifts)
+        assert np.array_equal(dro_step(cfg, 0.3, f).values, reference_loop(cfg, 0.3, f).values)
+    # the m = 0 config of a robust one gives the same step
+    robust = cfg_for(grid, m=0.5, drifts=((-0.5,), (0.5,)))
     assert np.array_equal(
-        dro_step(cfg, 0.3, f).values, reference_step(cfg, "a0", 0.3, f).values
+        dro_step(non_robust_config(robust), 0.3, f).values, reference_loop(robust, 0.3, f).values
     )
 
 
@@ -120,10 +135,11 @@ def test_dro_step_a_priori_bracket(grid):
 
 
 def test_single_action_matches_min_of_one(grid):
+    # with one action the min and the max over actions are the same step
     cfg = cfg_for(grid, m=0.3)
     f = named_field(grid, "sin")
     a = dro_step(cfg, 0.1, f)
-    b = dro_step_single_action(cfg, "a0", 0.1, f)
+    b = dro_step(cfg, 0.1, f, reduce=np.maximum)
     assert np.array_equal(a.values, b.values)
 
 
@@ -134,7 +150,7 @@ def test_two_action_min_and_tie(grid, window):
     i0 = int(np.argmin(np.abs(grid.axes[0])))
     target = math.exp(-0.05) * math.cos(0.1)
     assert out.values[i0] == pytest.approx(target, abs=1e-4)
-    best = best_case_step(cfg, 0.1, f)
+    best = dro_step(cfg, 0.1, f, reduce=np.maximum)
     assert best.values[i0] == pytest.approx(target, abs=1e-4)  # symmetric tie
     assert np.all(best.values >= out.values - 1e-12)
 
@@ -142,8 +158,11 @@ def test_two_action_min_and_tie(grid, window):
 def test_best_case_dominates_levelwise(grid):
     cfg = cfg_for(grid, m=0.4, drifts=((-0.5,), (0.5,)))
     f = named_field(grid, "tanh")
-    worst = compose(cfg, dyadic_partition(0.5, 2), f, "dro")
-    best = compose(cfg, dyadic_partition(0.5, 2), f, "best_case")
+    part = dyadic_partition(0.5, 2)
+    worst = compose(cfg, part, f)
+    best = f
+    for gap in reversed(part.gaps):
+        best = dro_step(cfg, gap, best, reduce=np.maximum)
     assert np.all(best.values >= worst.values - 1e-12)
 
 
@@ -162,7 +181,7 @@ def test_compose_linear_semigroup_collapse(grid, window):
     # (each extra stage re-samples the grid, adding ~5e-5 interpolation bias)
     cfg = cfg_for(grid, m=0.0)
     f = named_field(grid, "cos")
-    direct = reference_step(cfg, "a0", 0.75, f)
+    direct = dro_step(cfg, 0.75, f)
     two_stage = compose(cfg, Partition((0.0, 0.4, 0.75)), f)
     assert sup_distance(two_stage, direct, window) <= 1e-4
     three_stage = compose(cfg, Partition((0.0, 0.2, 0.5, 0.75)), f)
@@ -182,7 +201,7 @@ def test_scaling_limit_linear_case_converges_immediately(grid, window):
     res = scaling_limit(cfg, 0.5, f, max_level=6, stop_tol=1e-3, window=window)
     assert res.converged
     assert res.level_gaps[-1] <= 1e-3
-    assert sup_distance(res.field, reference_step(cfg, "a0", 0.5, f), window) <= 5e-3
+    assert sup_distance(res.field, dro_step(cfg, 0.5, f), window) <= 5e-3
 
 
 def test_scaling_limit_duplicate_levels_skipped(grid, window):
@@ -210,24 +229,6 @@ def test_scaling_limit_cdf_oracle(grid, window):
     assert res.field.values[i0] == pytest.approx(normal_cdf(0.5 / math.sqrt(2.0)), abs=1e-2)
 
 
-def test_best_case_diagnostic_linear_case(grid, window):
-    cfg = cfg_for(grid, m=0.0)
-    f = named_field(grid, "cos")
-    ref = reference_step(cfg, "a0", 0.5, f)
-    diag = best_case_diagnostic(cfg, 0.5, f, max_level=2)
-    assert all(sup_distance(d, ref, window) <= 1e-4 for d in diag)
-    assert best_case_diagnostic(cfg, 0.0, f) == [f]
-
-
-def test_best_case_diagnostic_dominates_dro(grid, window):
-    cfg = cfg_for(grid, m=0.3, drifts=((-0.5,), (0.5,)))
-    f = named_field(grid, "tanh")
-    diag = best_case_diagnostic(cfg, 0.5, f, max_level=3)
-    for n, best in enumerate(diag):
-        worst = compose(cfg, dyadic_partition(0.5, n), f, "dro")
-        assert np.all(best.values >= worst.values - 1e-12)
-
-
 # ---------------------------------------------------------------- OU and 2-d
 
 def test_ou_operator_contraction(grid):
@@ -250,7 +251,7 @@ def test_two_dimensional_smoke():
         model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2, quad_order=8, cand_per_side=4
     )
     f = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
-    out = reference_step(cfg, "a0", 0.25, f)
+    out = dro_step(cfg, 0.25, f)
     w2 = CompactWindow((-2.0, -2.0), (2.0, 2.0))
     ref = ScalarField.from_function(g2, lambda x, y: math.exp(-0.25) * np.cos(x) * np.cos(y))
     assert sup_distance(out, ref, w2) <= 2e-2

@@ -205,3 +205,25 @@ def test_snapshot_csv(tmp_path, grid):
     run.save_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "t,x,value"
+
+
+def test_snapshot_csv_2d(tmp_path):
+    # one block of t,x,y,value rows per snapshot, nodes in C order, every
+    # number written by repr so the values read back exactly
+    g2 = Grid.box((-4.0, -3.0), (4.0, 3.0), (9, 11))
+    model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
+    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
+    u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.sin(y))
+    run = solve(cfg, PdeScheme(), u0, 0.1, snapshot_times=[0.0, 0.1])
+    path = tmp_path / "snaps2.csv"
+    run.save_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x,y,value"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (2 * 9 * 11, 4)
+    for k, t in enumerate(run.times):
+        block = rows[k * 99 : (k + 1) * 99]
+        assert np.all(block[:, 0] == t)
+        assert np.array_equal(block[:, 1], np.repeat(g2.axes[0], 11))
+        assert np.array_equal(block[:, 2], np.tile(g2.axes[1], 9))
+        assert np.array_equal(block[:, 3], run.snapshots[k].values.ravel())

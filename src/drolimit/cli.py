@@ -276,6 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         op = build_operator_config(cfg)
+        build_window(cfg).validate_for(op.grid)
     except (ConfigError, InputError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

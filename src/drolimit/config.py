@@ -30,7 +30,6 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     },
     "numerics": {
         "quad_order": 16,
-        "dual_tol": 1e-12,
         "reach_factor": 4.0,
         "cand_per_side": 16,
         "stop_tol": 1e-3,
@@ -52,6 +51,9 @@ def _check_keys(section: dict, allowed, path: str) -> None:
 
 def validate_config(cfg: dict) -> None:
     _check_keys(cfg, DEFAULT_CONFIG.keys(), "config")
+    for section in DEFAULT_CONFIG:
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object, got {cfg[section]!r}")
     _check_keys(cfg.get("model", {}), {"family", "actions"}, "model")
     _check_keys(cfg.get("ambiguity", {}), {"m", "p"}, "ambiguity")
     _check_keys(cfg.get("grid", {}), {"dim", "lo", "hi", "n", "window"}, "grid")
@@ -61,6 +63,13 @@ def validate_config(cfg: dict) -> None:
     _check_keys(cfg.get("output", {}), {"directory", "formats"}, "output")
     for i, act in enumerate(cfg.get("model", {}).get("actions", [])):
         _check_keys(act, _ACTION_KEYS, f"model.actions[{i}]")
+    for section, defaults in DEFAULT_CONFIG.items():
+        for key, default in defaults.items():
+            value = cfg.get(section, {}).get(key, default)
+            if isinstance(default, (int, float)) and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     amb = cfg.get("ambiguity", {})
     if amb.get("m", 0.0) < 0:
         raise ConfigError("ambiguity.m must be nonnegative")
@@ -150,7 +159,6 @@ def build_operator_config(cfg: dict) -> OperatorConfig:
         ambiguity=AmbiguitySpec(m=float(cfg["ambiguity"]["m"]), p=float(cfg["ambiguity"]["p"])),
         grid=build_grid(cfg),
         quad_order=int(num["quad_order"]),
-        dual_tol=float(num["dual_tol"]),
         reach_factor=float(num["reach_factor"]),
         cand_per_side=int(num["cand_per_side"]),
     )

@@ -12,8 +12,8 @@ transport LP whose dual collapses to one multiplier:
 
 a convex piecewise-linear function of lam >= 0 whose minimum equals the LP
 value (LP strong duality).  ``solve_batch`` minimizes D for a batch of grid
-nodes at once (bisection on the subgradient, one bracket per node) and is the
-only minimizer of D in the package; ``wasserstein_sup`` runs it on one
+nodes at once (exactly, by cutting planes on its pieces) and is the only
+minimizer of D in the package; ``wasserstein_sup`` runs it on one
 ``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
 as an independent primal oracle.
 """
@@ -30,7 +30,6 @@ from .models import DiscreteMeasure
 
 Array = np.ndarray
 
-_MAX_DOUBLINGS = 200
 _STAY_TOL = 1e-9
 
 
@@ -122,21 +121,10 @@ class DualInstance:
         return gvals, costs
 
 
-def wasserstein_sup(inst: DualInstance, tol: float = 1e-10) -> float:
-    """LP value of the instance: ``solve_batch`` on a batch of one node.
-
-    The integrand's largest slope from the stay option seeds the multiplier
-    bracket, the same scale the operator module passes as ``lip_hint``.
-    """
+def wasserstein_sup(inst: DualInstance) -> float:
+    """LP value of the instance: ``solve_batch`` on a batch of one node."""
     gvals, costs = inst._tableau()
-    dist = costs ** (1.0 / inst.p)
-    far = dist > _STAY_TOL
-    slopes = np.abs(gvals - gvals[:, :1])[far] / dist[far]
-    lip = float(slopes.max()) if slopes.size else 0.0
-    value = solve_batch(
-        gvals[None], costs, inst.source.weights, inst.radius, inst.p, tol=tol, lip_hint=lip
-    )
-    return float(value[0])
+    return float(solve_batch(gvals[None], costs, inst.source.weights, inst.radius, inst.p)[0])
 
 
 def _simplex_lattice(k: int, steps: int) -> Array:
@@ -219,35 +207,31 @@ def oracle_resolution(inst: DualInstance, grid_steps: int) -> float:
     return worst / grid_steps
 
 
-def solve_batch(
-    gvals: Array,
-    costs: Array,
-    weights: Array,
-    radius: float,
-    p: float,
-    tol: float = 1e-10,
-    lip_hint: float = 1.0,
-) -> Array:
-    """Vectorized dual minimization for a batch of instances sharing geometry.
+def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: float) -> Array:
+    """Exact vectorized dual minimization for a batch of instances sharing geometry.
 
     gvals:   (N, Q, C) integrand values, one row of atoms per grid node
     costs:   (C,) transport costs ||z - y||^p shared by all atoms, or (Q, C)
-             per atom; column 0 is the free stay option, and sorting the
-             rest ascending makes ties resolve toward cheaper destinations
+             per atom; column 0 is the free stay option (any other zero-cost
+             entry must be a copy of it), and sorting the rest ascending makes
+             ties resolve toward cheaper destinations
     weights: (Q,) source weights
 
-    Returns the per-node LP values, found by bisection on the subgradient of
-    the piecewise-linear dual (monotone in lambda); the reported value is the
-    running minimum of all evaluated dual objectives, so it is always an
-    upper bound on the LP value, within ``tol`` of it at the end.
+    Returns the per-node LP values.  D is convex and piecewise linear, so each
+    node runs cutting planes in lambda: two supporting lines bracket the
+    minimizer, the next point is where they cross, and the line on the side
+    of the new subgradient's sign is replaced.  A node stops when the new
+    subgradient repeats a bracketing slope or is 0 (the point lies on a known
+    piece, so it is a minimizer), or when rounding leaves no crossing strictly
+    inside the bracket.  Every pass finds a new piece of D, so at most
+    Q (C - 1) + 1 passes are needed.  The reported value is the running
+    minimum of all evaluated dual objectives, an upper bound on the LP value
+    that is attained up to rounding.
     """
-    n = gvals.shape[0]
     if radius <= 0.0 or gvals.shape[2] == 1:
         return gvals[:, :, 0] @ weights
     if np.any(costs[..., 0] != 0.0):
         raise InputError("costs[..., 0] must be the zero-cost stay option")
-    if not tol > 0:
-        raise InputError("tolerance must be positive")
     rp = radius ** p
     # the chosen cost per (node, atom) is one flat gather from the costs
     # broadcast to (Q, C), whether they are shared or per atom
@@ -264,40 +248,28 @@ def solve_batch(
         sub = rp - paid @ weights
         return val, sub
 
-    lo = np.zeros(n)
-    val0, sub0 = evaluate(lo)
-    best = val0.copy()
-
-    hi_scalar = lip_hint / (p * max(radius, 1e-12) ** (p - 1.0)) + 1.0
-    hi = np.full(n, hi_scalar)
-    need = sub0 < 0
-    for _ in range(_MAX_DOUBLINGS):
-        if not need.any():
-            break
-        _, sub_hi = evaluate(hi)
-        grow = need & (sub_hi < 0)
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    else:
-        raise DataError("batch dual bracket failed to close")
-    hi = np.where(need, hi, 0.0)  # lambda* = 0 where the budget is slack at 0
-
-    cmax = float(np.max(costs))
-    slope_bound = max(rp, cmax)
-    span = float(hi.max())
-    if span > 0 and slope_bound > 0:
-        iters = int(np.ceil(np.log2(span * slope_bound / tol))) if span * slope_bound > tol else 1
-    else:
-        iters = 1
-    iters = int(np.clip(iters, 30, 120))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val, sub = evaluate(mid)
-        np.minimum(best, val, out=best)
-        shrink_up = sub < 0
-        lo = np.where(shrink_up, mid, lo)
-        hi = np.where(shrink_up, hi, mid)
-    val, _ = evaluate(0.5 * (lo + hi))
-    np.minimum(best, val, out=best)
+    lam = np.zeros(gvals.shape[0])
+    best, sub = evaluate(lam)
+    active = sub < 0  # lambda* = 0 where the budget is slack at 0
+    # supporting lines a + s lam: the left one at the last point with a
+    # negative subgradient; the right one starts as the stay line
+    # lam r^p + E[g(y)], a lower bound for every lam because staying is free
+    a_l, s_l, lo = best.copy(), sub, lam
+    a_r, s_r, hi = gvals[:, :, 0] @ weights, np.full_like(lam, rp), np.full_like(lam, np.inf)
+    for _ in range(q * (c - 1) + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (a_l - a_r) / (s_r - s_l)
+        active &= (cross > lo) & (cross < hi)
+        if not active.any():
+            return best
+        lam = np.where(active, cross, lam)
+        val, sub = evaluate(lam)
+        np.minimum(best, val, out=best, where=active)
+        active &= (sub != s_l) & (sub != s_r) & (sub != 0)
+        left, right = active & (sub < 0), active & (sub > 0)
+        a = val - sub * lam
+        a_l, s_l, lo = np.where(left, a, a_l), np.where(left, sub, s_l), np.where(left, lam, lo)
+        a_r, s_r, hi = np.where(right, a, a_r), np.where(right, sub, s_r), np.where(right, lam, hi)
+    if active.any():
+        raise DataError("batch dual cutting planes did not terminate")
     return best

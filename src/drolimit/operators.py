@@ -21,6 +21,7 @@ by the refinement certificates in the validation module.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .dual import AmbiguitySpec, solve_batch
 from .errors import InputError
-from .fields import CompactWindow, Grid, ScalarField, lipschitz_estimate, sup_distance
+from .fields import CompactWindow, Grid, ScalarField, sup_distance
 from .models import ReferenceModel, law, psi
 
 Array = np.ndarray
@@ -79,7 +80,6 @@ class OperatorConfig:
     ambiguity: AmbiguitySpec
     grid: Grid
     quad_order: int = 16
-    dual_tol: float = 1e-12
     reach_factor: float = 4.0
     cand_per_side: int = 16
 
@@ -90,8 +90,6 @@ class OperatorConfig:
             raise InputError("reach_factor must be positive")
         if self.cand_per_side < 1:
             raise InputError("cand_per_side must be >= 1")
-        if not self.dual_tol > 0:
-            raise InputError("dual_tol must be positive")
 
 
 def _radius_offsets(radius: float, reach: float, per_side: int, dim: int, p: float):
@@ -122,11 +120,20 @@ class _StepKernel:
 
     def __init__(self, cfg: OperatorConfig, action, dt: float):
         meas = law(cfg.model, action, dt, cfg.quad_order)
-        base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
         radius = cfg.ambiguity.radius(dt)
         offs, costs = _radius_offsets(
             radius, cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
         )
+        # the points' coordinates plus one integrand value per point
+        need = cfg.grid.num_nodes * len(meas.weights) * len(costs) * (cfg.grid.dim + 1) * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise InputError(
+                f"one step needs {need / 1e9:.1f} GB of evaluation points, more than"
+                f" the {have / 1e9:.1f} GB of physical memory; lower grid.n,"
+                " numerics.quad_order or numerics.cand_per_side"
+            )
+        base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
         pts = (
             base[:, None, None, :]
             + meas.atoms[None, :, None, :]
@@ -139,19 +146,9 @@ class _StepKernel:
         self.radius = radius
         self.p = cfg.ambiguity.p
 
-    def apply(self, cfg: OperatorConfig, f: ScalarField) -> Array:
+    def apply(self, f: ScalarField) -> Array:
         g = f.eval(self.points).reshape(self.shape)
-        if self.radius <= 0.0 or g.shape[2] == 1:
-            return g[:, :, 0] @ self.weights
-        return solve_batch(
-            g,
-            self.costs,
-            self.weights,
-            self.radius,
-            self.p,
-            tol=cfg.dual_tol,
-            lip_hint=max(lipschitz_estimate(f), 1e-12),
-        )
+        return solve_batch(g, self.costs, self.weights, self.radius, self.p)
 
 
 def dro_step(
@@ -179,7 +176,7 @@ def dro_step(
             kernel = _StepKernel(cfg, act, t)
             if cache is not None:
                 cache[(act.label, t)] = kernel
-        out = kernel.apply(cfg, f)
+        out = kernel.apply(f)
         vals = out if vals is None else reduce(vals, out)
     return ScalarField(cfg.grid, vals)
 

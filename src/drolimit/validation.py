@@ -400,7 +400,7 @@ def check_dual_oracle(
     worst_abs = -np.inf
     for trial in range(trials):
         inst = _random_instance(rng, radius=radii[trial % len(radii)])
-        dual = wasserstein_sup(inst, tol=1e-11)
+        dual = wasserstein_sup(inst)
         oracle = brute_force_sup(inst, grid_steps=grid_steps)
         res = oracle_resolution(inst, grid_steps)
         gap = abs(dual - oracle)
@@ -574,13 +574,12 @@ def game_crosscheck(
 
 
 def refined_config(cfg: OperatorConfig) -> OperatorConfig:
-    """Doubled spatial, quadrature, and candidate resolution, halved dual_tol."""
+    """Doubled spatial, quadrature, and candidate resolution."""
     return replace(
         cfg,
         grid=cfg.grid.refined(),
         quad_order=min(2 * cfg.quad_order, 64),
         cand_per_side=2 * cfg.cand_per_side,
-        dual_tol=0.5 * cfg.dual_tol,
     )
 
 

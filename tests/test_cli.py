@@ -30,15 +30,20 @@ def test_negative_m_rejected(tmp_path, capsys):
 
 
 def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
-    # sigma of the wrong shape is a ModelError raised while building the model
-    out = tmp_path / "bad"
-    code = run_cli(
-        ["limit", "--out", str(out), "--set",
-         'model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]']
-    )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: sigma")
-    assert not (out / "manifest.json").exists()
+    # each override is refused while the config is built, before any output
+    cases = [
+        # sigma of the wrong shape is a ModelError raised while building the model
+        ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]', "error: sigma"),
+        ('grid.window={"lo":[-7.9],"hi":[4.0]}', "error: window"),
+        ('ambiguity.m="abc"', "error: ambiguity.m"),
+        ('numerics.quad_order="x"', "error: numerics.quad_order"),
+    ]
+    for i, (override, message) in enumerate(cases):
+        out = tmp_path / f"bad{i}"
+        code = run_cli(["limit", "--out", str(out), "--set", override])
+        assert code == 2, override
+        assert capsys.readouterr().err.startswith(message), override
+        assert not (out / "manifest.json").exists(), override
 
 
 def test_readme_limit_example(tmp_path):

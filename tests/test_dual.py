@@ -14,6 +14,7 @@ from drolimit import (
     wasserstein_sup,
 )
 from drolimit.dual import oracle_resolution, solve_batch
+from drolimit.operators import _radius_offsets
 
 
 def delta_instance(integrand, radius, candidates, p=2.0):
@@ -51,20 +52,20 @@ def test_radius_zero_is_plain_expectation():
         mu, [mu.atoms[i : i + 1] for i in range(mu.atoms.shape[0])],
         lambda z: np.cos(np.asarray(z)[:, 0]), radius=0.0,
     )
-    assert wasserstein_sup(inst, tol=1e-10) == pytest.approx(math.exp(-0.5), abs=1e-8)
+    assert wasserstein_sup(inst) == pytest.approx(math.exp(-0.5), abs=1e-8)
 
 
 def test_linear_integrand_attains_kantorovich_bound():
     cands = np.linspace(-2, 2, 401)
     inst = delta_instance(linear, radius=0.3, candidates=cands)
-    assert wasserstein_sup(inst, tol=1e-11) == pytest.approx(0.3, abs=0.011)
+    assert wasserstein_sup(inst) == pytest.approx(0.3, abs=0.011)
 
 
 def test_two_atom_instance_matches_oracle():
     src = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
     cands = [np.array([[-1.5], [-1.0], [-0.5], [0.0], [0.5], [1.0], [1.5]])] * 2
     inst = DualInstance(src, cands, neg_abs, radius=0.5, p=2.0)
-    sol = wasserstein_sup(inst, tol=1e-11)
+    sol = wasserstein_sup(inst)
     oracle = brute_force_sup(inst, grid_steps=6)
     assert abs(sol - oracle) <= 1e-6
     assert sol == pytest.approx(-0.5, abs=1e-9)
@@ -124,7 +125,7 @@ def test_duality_sandwich_random():
     for trial in range(60):
         r = [0.0, 0.1, 0.5, 2.0][trial % 4]
         inst = _random_small_instance(rng, r)
-        dual = wasserstein_sup(inst, tol=1e-11)
+        dual = wasserstein_sup(inst)
         oracle = brute_force_sup(inst, grid_steps=8)
         res = oracle_resolution(inst, 8)
         assert oracle <= dual + 1e-9          # weak duality
@@ -136,7 +137,7 @@ def test_other_orders_match_oracle():
     for p in (1.5, 3.0):
         for _ in range(10):
             inst = _random_small_instance(rng, radius=0.4, p=p)
-            dual = wasserstein_sup(inst, tol=1e-11)
+            dual = wasserstein_sup(inst)
             oracle = brute_force_sup(inst, grid_steps=10)
             assert oracle <= dual + 1e-9
             assert dual <= oracle + oracle_resolution(inst, 10) + 1e-6
@@ -149,8 +150,8 @@ def test_radius_monotonicity():
         inst_large = DualInstance(
             inst_small.source, inst_small.candidates, inst_small.integrand, 0.6, inst_small.p
         )
-        v_small = wasserstein_sup(inst_small, tol=1e-11)
-        v_large = wasserstein_sup(inst_large, tol=1e-11)
+        v_small = wasserstein_sup(inst_small)
+        v_large = wasserstein_sup(inst_large)
         assert v_small <= v_large + 1e-10
 
 
@@ -160,9 +161,9 @@ def test_a_priori_lipschitz_bound():
     for _ in range(20):
         inst = _random_small_instance(rng, radius=0.5)
         lip = 0.5 * (1 + 2 + 0.25) * 3  # coarse bound on the Fourier integrand family
-        v_r = wasserstein_sup(inst, tol=1e-11)
+        v_r = wasserstein_sup(inst)
         v_0 = wasserstein_sup(
-            DualInstance(inst.source, inst.candidates, inst.integrand, 0.0, inst.p), tol=1e-11
+            DualInstance(inst.source, inst.candidates, inst.integrand, 0.0, inst.p)
         )
         assert v_r - v_0 <= lip * 0.5 + 1e-9
 
@@ -174,8 +175,8 @@ def test_translation_covariance_exact():
         inst.source, inst.candidates,
         lambda z: np.asarray(inst.integrand(z)) + 5.0, inst.radius, inst.p,
     )
-    v = wasserstein_sup(inst, tol=1e-11)
-    vs = wasserstein_sup(shifted, tol=1e-11)
+    v = wasserstein_sup(inst)
+    vs = wasserstein_sup(shifted)
     assert vs == pytest.approx(v + 5.0, abs=1e-9)
 
 
@@ -228,12 +229,12 @@ def test_batch_matches_scalar_path():
         fn = integrand_at(s)
         for i in range(6):
             gvals[k, i] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
-    batch = solve_batch(gvals, costs, w, radius=0.25, p=2.0, tol=1e-12, lip_hint=2.0)
+    batch = solve_batch(gvals, costs, w, radius=0.25, p=2.0)
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
         assert batch[k] == pytest.approx(lp_value(inst), abs=1e-8)
-        assert batch[k] == pytest.approx(wasserstein_sup(inst, tol=1e-12), abs=1e-9)
+        assert batch[k] == pytest.approx(wasserstein_sup(inst), abs=1e-9)
 
 
 def test_batch_per_atom_costs_match_shared():
@@ -243,8 +244,8 @@ def test_batch_per_atom_costs_match_shared():
     w /= w.sum()
     costs = np.array([0.0, 0.01, 0.01, 0.04, 0.04, 0.16, 0.16])
     gvals = rng.standard_normal((9, 5, 7))
-    shared = solve_batch(gvals, costs, w, radius=0.2, p=2.0, lip_hint=3.0)
-    per_atom = solve_batch(gvals, np.tile(costs, (5, 1)), w, radius=0.2, p=2.0, lip_hint=3.0)
+    shared = solve_batch(gvals, costs, w, radius=0.2, p=2.0)
+    per_atom = solve_batch(gvals, np.tile(costs, (5, 1)), w, radius=0.2, p=2.0)
     assert np.array_equal(shared, per_atom)
 
 
@@ -252,4 +253,26 @@ def test_against_linear_program():
     # independent LP oracle on a mid-size instance
     rng = np.random.default_rng(17)
     inst = _random_small_instance(rng, radius=0.45)
-    assert wasserstein_sup(inst, tol=1e-12) == pytest.approx(lp_value(inst), abs=1e-8)
+    assert wasserstein_sup(inst) == pytest.approx(lp_value(inst), abs=1e-8)
+
+
+def test_closed_form_single_atom():
+    # one atom moving to 0.7 at cost 0.49 under the budget 0.16: the optimal
+    # plan moves the share 0.16 / 0.49 of the mass, gaining 0.8 on it
+    value = solve_batch(
+        np.array([[[0.3, 1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0
+    )
+    assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
+
+
+def test_ulp_level_batch_terminates():
+    # values within 8 ulps of 1 make D flat up to rounding; the solve must
+    # still stop on the bracket, at the value 1
+    t = 2.0 ** -6
+    weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
+    radius = AmbiguitySpec(m=0.5).radius(t)
+    _, costs = _radius_offsets(radius, 4.0, 16, 1, 2.0)
+    for seed in range(20):
+        k = np.random.default_rng(seed).integers(0, 8, (64, 16, costs.size))
+        value = solve_batch(1.0 - k * 2.0 ** -53, costs, weights, radius, 2.0)
+        assert np.all(np.abs(value - 1.0) <= 1e-15)

@@ -263,6 +263,18 @@ def test_two_dimensional_smoke():
     assert np.all(rob.values >= out.values - 1e-12)
 
 
+def test_two_dimensional_step_refused_beyond_memory():
+    # 263169 nodes x 4096 atoms x 12853 candidates: refused with the projected
+    # size before the evaluation points are built
+    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (513, 513))
+    model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
+    cfg = OperatorConfig(
+        model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2, quad_order=64, cand_per_side=64
+    )
+    with pytest.raises(InputError, match="GB of evaluation points"):
+        dro_step(cfg, 0.25, ScalarField.constant(g2, 1.0))
+
+
 def test_config_validation(grid):
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     with pytest.raises(InputError):

@@ -165,7 +165,6 @@ def test_refined_config_doubles(grid):
     assert fine.grid.n == (1025,)
     assert fine.quad_order == 32
     assert fine.cand_per_side == 32
-    assert fine.dual_tol == cfg.dual_tol / 2
 
 
 def test_refinement_certificate_heat(grid, window):

@@ -70,6 +70,8 @@ def validate_config(cfg: dict) -> None:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
     amb = cfg.get("ambiguity", {})
     if amb.get("m", 0.0) < 0:
         raise ConfigError("ambiguity.m must be nonnegative")

@@ -212,9 +212,8 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
 
     gvals:   (N, Q, C) integrand values, one row of atoms per grid node
     costs:   (C,) transport costs ||z - y||^p shared by all atoms, or (Q, C)
-             per atom; column 0 is the free stay option (any other zero-cost
-             entry must be a copy of it), and sorting the rest ascending makes
-             ties resolve toward cheaper destinations
+             per atom; column 0 is the free stay option, and sorting the rest
+             ascending makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
 
     Returns the per-node LP values.  D is convex and piecewise linear, so each
@@ -253,9 +252,17 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     active = sub < 0  # lambda* = 0 where the budget is slack at 0
     # supporting lines a + s lam: the left one at the last point with a
     # negative subgradient; the right one starts as the stay line
-    # lam r^p + E[g(y)], a lower bound for every lam because staying is free
+    # lam r^p + sum_i w_i max{g_ic : cost_ic = 0}, a lower bound for every lam
+    # that D reaches for large lam.  Columns past 0 with a zero cost are
+    # gathered only where some exist, and enter as a gain over column 0.
+    a_r = gvals[:, :, 0] @ weights
+    free = np.broadcast_to(costs, (q, c)) == 0.0
+    cols = np.flatnonzero(free[:, 1:].any(axis=0)) + 1
+    if cols.size:
+        gain = np.where(free[:, cols], gvals[:, :, cols] - gvals[:, :, :1], 0.0).max(axis=2)
+        a_r = a_r + np.maximum(gain, 0.0) @ weights
     a_l, s_l, lo = best.copy(), sub, lam
-    a_r, s_r, hi = gvals[:, :, 0] @ weights, np.full_like(lam, rp), np.full_like(lam, np.inf)
+    s_r, hi = np.full_like(lam, rp), np.full_like(lam, np.inf)
     for _ in range(q * (c - 1) + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (a_l - a_r) / (s_r - s_l)

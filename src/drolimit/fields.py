@@ -167,23 +167,8 @@ class ScalarField:
     def eval(self, x) -> Array:
         """Interpolate at points ``x`` of shape (d,) or (..., d) (or bare
         floats in 1-d).  Outside the box the nearest boundary value is used."""
-        pts = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise InputError("evaluation points must be finite")
-        scalar_in = False
-        if self.grid.dim == 1:
-            if pts.ndim == 0:
-                scalar_in = True
-                pts = pts.reshape(1)
-            elif pts.ndim > 1 and pts.shape[-1] == 1:
-                pts = pts[..., 0]
-            out = np.interp(pts.ravel(), self.grid.axes[0], self.values).reshape(pts.shape)
-            return float(out[0]) if scalar_in else out
-        if pts.ndim == 1:
-            scalar_in = True
-            pts = pts.reshape(1, -1)
-        out = _bilinear(self.grid, self.values, pts.reshape(-1, 2)).reshape(pts.shape[:-1])
-        return float(out[0]) if scalar_in else out
+        out = Stencil(self.grid, x).apply(self.values)
+        return float(out) if out.ndim == 0 else out
 
     def sup_norm(self, window: Optional[CompactWindow] = None) -> float:
         if window is None:
@@ -194,39 +179,111 @@ class ScalarField:
         return f"ScalarField(dim={self.grid.dim}, n={self.grid.n}, sup={self.sup_norm():.3g})"
 
 
-def _bilinear(grid: Grid, values: Array, pts: Array) -> Array:
-    """Bilinear interpolation with clamped extension, exact at nodes."""
-    out_idx = []
-    out_frac = []
-    for axis in range(2):
-        u = (pts[:, axis] - grid.lo[axis]) / grid.spacing[axis]
-        u = np.clip(u, 0.0, grid.n[axis] - 1)
-        i0 = np.floor(u).astype(np.intp)
-        np.minimum(i0, grid.n[axis] - 2, out=i0)
-        frac = u - i0
-        # snap float wobble so node queries reproduce node values bitwise
-        near = np.rint(u)
-        snap = np.abs(u - near) < 1e-12
-        i_snap = np.minimum(near.astype(np.intp), grid.n[axis] - 2)
-        i0 = np.where(snap, i_snap, i0)
-        frac = np.where(snap, near - i_snap, frac)
-        out_idx.append(i0)
-        out_frac.append(frac)
-    i, j = out_idx
-    fx, fy = out_frac
-    v00 = values[i, j]
-    v10 = values[i + 1, j]
-    v01 = values[i, j + 1]
-    v11 = values[i + 1, j + 1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+_BLOCK = 1 << 14  # points per block, so that temporaries stay in cache
 
 
-def _same_nodes(a: Grid, b: Grid) -> bool:
+class Stencil:
+    """Where fixed points fall on a grid, found once and applied to any field
+    on that grid by gathers and arithmetic.
+
+    Per point it stores a node index and the offsets inside that node's cell.
+    In 1-d the index is the left node ``j`` and the offset ``x - x_j``, and
+    ``apply`` computes ``slope[j] * (x - x_j) + f_j``, the arithmetic of
+    NumPy's ``interp``; points left of the box get ``j = 0``, points right of
+    it or on the last node ``j = n - 1``, both with offset 0, and the slope
+    past the last node is 0.  In 2-d the index is the flat ``i * n1 + j`` of
+    the lower-left node and the offsets are the fractions ``fx``, ``fy`` of
+    the cell, clipped to the box and snapped to a node within 1e-12 cells so
+    that node queries reproduce node values bitwise.
+    """
+
+    __slots__ = ("grid", "shape", "index", "offsets")
+
+    def __init__(self, grid: Grid, points):
+        pts = np.asarray(points, dtype=float)
+        if grid.dim == 1 and pts.ndim > 1 and pts.shape[-1] == 1:
+            pts = pts[..., 0]
+        self._locate(grid, pts.shape if grid.dim == 1 else pts.shape[:-1], [pts])
+
+    @classmethod
+    def from_blocks(cls, grid: Grid, shape: tuple, blocks) -> "Stencil":
+        """The stencil of the points that ``blocks`` yields one after another,
+        shaped ``shape``; the points need never be held all at once."""
+        stencil = cls.__new__(cls)
+        stencil._locate(grid, shape, blocks)
+        return stencil
+
+    def _locate(self, grid: Grid, shape: tuple, blocks) -> None:
+        self.grid = grid
+        self.shape = tuple(shape)
+        size = int(np.prod(shape))
+        self.index = np.empty(size, np.int32 if grid.num_nodes < 2**31 else np.intp)
+        self.offsets = np.empty((grid.dim, size))
+        s = 0
+        for blk in blocks:
+            flat = np.asarray(blk, dtype=float).reshape(-1, grid.dim)
+            # in slices, so that the temporaries stay small
+            for part in np.array_split(flat, range(_BLOCK, len(flat), _BLOCK)):
+                if not np.all(np.isfinite(part)):
+                    raise InputError("evaluation points must be finite")
+                sl = slice(s, s + len(part))
+                if grid.dim == 1:
+                    self._locate_line(part[:, 0], sl)
+                else:
+                    self._locate_box(part, sl)
+                s += len(part)
+        if s != size:
+            raise InputError(f"blocks hold {s} points, not the {size} of shape {self.shape}")
+
+    def _locate_line(self, x: Array, sl: slice) -> None:
+        axis = self.grid.axes[0]
+        j = np.searchsorted(axis, x, side="right") - 1
+        np.clip(j, 0, len(axis) - 1, out=j)
+        off = x - axis[j]
+        off[(off < 0) | (j == len(axis) - 1)] = 0.0
+        self.index[sl] = j
+        self.offsets[0, sl] = off
+
+    def _locate_box(self, pts: Array, sl: slice) -> None:
+        g = self.grid
+        cell = []
+        for axis in range(2):
+            u = np.clip((pts[:, axis] - g.lo[axis]) / g.spacing[axis], 0.0, g.n[axis] - 1)
+            # snap float wobble so node queries reproduce node values bitwise
+            near = np.rint(u)
+            np.copyto(u, near, where=np.abs(u - near) < 1e-12)
+            i = np.minimum(np.floor(u), g.n[axis] - 2)
+            self.offsets[axis, sl] = u - i
+            cell.append(i.astype(self.index.dtype))
+        self.index[sl] = cell[0] * g.n[1] + cell[1]
+
+    def apply(self, values: Array) -> Array:
+        """Interpolated values at the points, shaped like the points, from the
+        values of a field on the stencil's grid."""
+        out = np.empty(self.index.shape[0])
+        if self.grid.dim == 1:
+            slope = np.append(np.diff(values) / np.diff(self.grid.axes[0]), 0.0)
+        else:
+            values = values.ravel()
+            n1 = self.grid.n[1]
+        for s in range(0, out.shape[0], _BLOCK):
+            sl = slice(s, s + _BLOCK)
+            k = self.index[sl]
+            if self.grid.dim == 1:
+                out[sl] = slope[k] * self.offsets[0, sl] + values[k]
+            else:
+                fx, fy = self.offsets[0, sl], self.offsets[1, sl]
+                gx, gy = 1 - fx, 1 - fy
+                out[sl] = (
+                    values[k] * gx * gy
+                    + values[k + n1] * fx * gy
+                    + values[k + 1] * gx * fy
+                    + values[k + n1 + 1] * fx * fy
+                )
+        return out.reshape(self.shape)
+
+
+def same_nodes(a: Grid, b: Grid) -> bool:
     """Same node counts and box.  The ends may differ by rounding far below
     the spacing, because ``load_csv`` rebuilds ``hi`` from the last node."""
     if a.n != b.n:
@@ -236,7 +293,7 @@ def _same_nodes(a: Grid, b: Grid) -> bool:
 
 
 def sup_distance(f: ScalarField, g: ScalarField, window: Optional[CompactWindow] = None) -> float:
-    if f.grid is not g.grid and not _same_nodes(f.grid, g.grid):
+    if f.grid is not g.grid and not same_nodes(f.grid, g.grid):
         raise InputError("fields live on different grids")
     diff = f.values - g.values
     if window is None:

@@ -37,6 +37,8 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ('grid.window={"lo":[-7.9],"hi":[4.0]}', "error: window"),
         ('ambiguity.m="abc"', "error: ambiguity.m"),
         ('numerics.quad_order="x"', "error: numerics.quad_order"),
+        ("numerics.quad_order=2.5", "error: numerics.quad_order"),
+        ("numerics.max_level=3.7", "error: numerics.max_level"),
     ]
     for i, (override, message) in enumerate(cases):
         out = tmp_path / f"bad{i}"

@@ -181,25 +181,31 @@ def test_translation_covariance_exact():
 
 
 def lp_value(inst):
-    """The primal transport LP solved by scipy's HiGHS: an oracle that shares
-    no code with the dual solver."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    natoms = inst.source.atoms.shape[0]
-    w = inst.source.weights
-    obj, cost_row, eq_rows = [], [], []
+    """The primal transport LP of an instance; see ``lp_rows``."""
+    values, costs = [], []
     for i, z in enumerate(inst.candidates):
-        g = np.asarray(inst.integrand(z), float).ravel()
-        c = np.linalg.norm(z - inst.source.atoms[i], axis=1) ** inst.p
-        for j in range(z.shape[0]):
+        values.append(np.asarray(inst.integrand(z), float).ravel())
+        costs.append(np.linalg.norm(z - inst.source.atoms[i], axis=1) ** inst.p)
+    return lp_rows(values, costs, inst.source.weights, inst.radius ** inst.p)
+
+
+def lp_rows(values, costs, w, budget):
+    """The primal transport LP with one row of candidate values and costs per
+    atom, solved by scipy's HiGHS: an oracle that shares no code with the dual
+    solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    obj, cost_row, eq_rows = [], [], []
+    for i, (g, c) in enumerate(zip(values, costs)):
+        for j in range(len(g)):
             obj.append(-w[i] * g[j])
             cost_row.append(w[i] * c[j])
             eq_rows.append(i)
-    a_eq = np.zeros((natoms, len(obj)))
+    a_eq = np.zeros((len(values), len(obj)))
     for col, row in enumerate(eq_rows):
         a_eq[row, col] = 1.0
     res = linprog(
-        np.array(obj), A_ub=np.array([cost_row]), b_ub=[inst.radius ** inst.p],
-        A_eq=a_eq, b_eq=np.ones(natoms), bounds=(0, None), method="highs",
+        np.array(obj), A_ub=np.array([cost_row]), b_ub=[budget],
+        A_eq=a_eq, b_eq=np.ones(len(values)), bounds=(0, None), method="highs",
     )
     assert res.status == 0
     return -res.fun
@@ -254,6 +260,20 @@ def test_against_linear_program():
     rng = np.random.default_rng(17)
     inst = _random_small_instance(rng, radius=0.45)
     assert wasserstein_sup(inst) == pytest.approx(lp_value(inst), abs=1e-8)
+
+
+def test_second_zero_cost_column_matches_linear_program():
+    # costs rounded to 0.1 give some rows a second free column whose value
+    # beats column 0; the stay line must take the best free value per atom
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        gvals = rng.standard_normal((1, 3, 5))
+        w = rng.random(3)
+        w /= w.sum()
+        costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
+        costs[:, 0] = 0.0
+        value = solve_batch(gvals, costs, w, radius=0.1, p=2.0)[0]
+        assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
 def test_closed_form_single_atom():

@@ -15,6 +15,7 @@ from drolimit import (
     save_csv,
     sup_distance,
 )
+from drolimit.fields import Stencil
 
 
 def test_grid_nodes_exact():
@@ -183,6 +184,66 @@ def test_bilinear_affine_exact_and_clamped():
     # node exactness
     nodes = g.nodes()
     assert np.array_equal(f.eval(nodes).reshape(g.shape), f.values)
+
+
+def test_stencil_matches_np_interp_1d():
+    g = Grid.line(-2.0, 3.0, 41)
+    f = ScalarField.from_function(g, lambda x: np.sin(2 * x) + 0.1 * x ** 2)
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([
+        rng.uniform(-4.0, 5.0, 500),            # both sides of the box
+        g.axes[0][rng.integers(0, 41, 50)],     # exactly on nodes
+        [-2.0, 3.0, -2.5, 3.5],                 # both ends, and beyond them
+    ])
+    assert np.array_equal(Stencil(g, pts).apply(f.values), np.interp(pts, g.axes[0], f.values))
+    # shaped points, with and without the trailing axis of length 1
+    shaped = pts[:552].reshape(6, 92)
+    assert np.array_equal(f.eval(shaped), np.interp(shaped, g.axes[0], f.values))
+    assert np.array_equal(f.eval(shaped[..., None]), np.interp(shaped, g.axes[0], f.values))
+    # a 0-d scalar gives a float
+    value = f.eval(0.3)
+    assert isinstance(value, float) and value == np.interp(0.3, g.axes[0], f.values)
+
+
+def test_stencil_matches_bilinear_2d():
+    g = Grid.box((-2.0, -3.0), (2.0, 3.0), (16, 24))
+    f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y) + 0.2 * x * y)
+    rng = np.random.default_rng(6)
+    nodes = g.nodes()[rng.integers(0, g.num_nodes, 60)]
+    pts = np.concatenate([
+        rng.uniform((-3.0, -4.0), (3.0, 4.0), (400, 2)),    # clamped outside
+        nodes + rng.uniform(-1e-13, 1e-13, nodes.shape),    # snapped to nodes
+        [[2.0, 3.0], [-2.0, -3.0], [9.0, -9.0]],
+    ])
+    # the clip-and-snap bilinear rule, written out
+    cell, frac = [], []
+    for axis in range(2):
+        u = np.clip((pts[:, axis] - g.lo[axis]) / g.spacing[axis], 0.0, g.n[axis] - 1)
+        i0 = np.minimum(np.floor(u).astype(int), g.n[axis] - 2)
+        near = np.rint(u)
+        snap = np.abs(u - near) < 1e-12
+        i_snap = np.minimum(near.astype(int), g.n[axis] - 2)
+        cell.append(np.where(snap, i_snap, i0))
+        frac.append(np.where(snap, near - i_snap, u - i0))
+    (i, j), (fx, fy), v = cell, frac, f.values
+    expected = (
+        v[i, j] * (1 - fx) * (1 - fy)
+        + v[i + 1, j] * fx * (1 - fy)
+        + v[i, j + 1] * (1 - fx) * fy
+        + v[i + 1, j + 1] * fx * fy
+    )
+    assert np.array_equal(Stencil(g, pts).apply(f.values), expected)
+
+
+def test_stencil_reused_across_fields():
+    for g, pts in [
+        (Grid.line(0.0, 1.0, 17), np.linspace(-0.2, 1.2, 57)),
+        (Grid.box((0.0, 0.0), (1.0, 2.0), (9, 12)), np.random.default_rng(7).uniform(-0.1, 2.1, (80, 2))),
+    ]:
+        stencil = Stencil(g, pts)
+        for seed in (1, 2):
+            f = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape))
+            assert np.array_equal(stencil.apply(f.values), f.eval(pts))
 
 
 def test_nonfinite_rejected():

@@ -23,6 +23,8 @@ from drolimit import (
     scaling_limit,
     sup_distance,
 )
+from drolimit.dual import solve_batch
+from drolimit.operators import _StepKernel, _radius_offsets
 from drolimit.validation import named_field, non_robust_config, normal_cdf
 
 
@@ -261,6 +263,37 @@ def test_two_dimensional_smoke():
     )
     rob = dro_step(cfg_m, 0.25, f)
     assert np.all(rob.values >= out.values - 1e-12)
+
+
+def test_merged_costs_match_unmerged_solve(grid):
+    # the kernel's max over each run of equal cost, solved over the distinct
+    # costs, equals the solve over all candidates at all points, bitwise
+    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    model2 = brownian_model([[0.5, 0.0], [-0.5, 0.0]], np.eye(2), dim=2)
+    cfg2 = OperatorConfig(
+        model=model2, ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3
+    )
+    f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
+    for cfg, f in [(cfg_for(grid), named_field(grid, "tanh")), (cfg2, f2)]:
+        for t in (1.0, 2.0 ** -4):
+            for act in cfg.model.actions:
+                kernel = _StepKernel(cfg, act, t)
+                meas = law(cfg.model, act, t, cfg.quad_order)
+                offs, costs = _radius_offsets(
+                    kernel.radius, cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
+                )
+                base = psi(cfg.model, act, t, cfg.grid.nodes())
+                pts = base[:, None, None, :] + meas.atoms[None, :, None, :] + offs[None, None, :, :]
+                full = f.eval(pts)
+                assert kernel.costs.size < costs.size
+                expected = solve_batch(full, costs, meas.weights, kernel.radius, kernel.p)
+                assert np.array_equal(kernel.apply(f), expected)
+
+
+def test_step_refuses_field_on_other_grid(grid):
+    other = Grid.line(-8.0, 8.0, 257)
+    with pytest.raises(InputError, match="different grids"):
+        dro_step(cfg_for(grid), 0.25, ScalarField.constant(other, 1.0))
 
 
 def test_two_dimensional_step_refused_beyond_memory():

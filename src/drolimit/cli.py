@@ -21,10 +21,10 @@ import numpy as np
 
 from . import validation as val
 from .config import (
-    build_grid,
     build_operator_config,
     build_scheme,
     build_window,
+    check_values,
     load_config,
 )
 from .errors import ConfigError, InputError, ModelError
@@ -45,70 +45,56 @@ def _write_table(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating)) else v for v in row])
+            w.writerow([_cell(v) for v in row])
 
 
-def _exp_params(cfg: dict) -> dict:
-    return cfg.get("experiment", {}).get("parameters", {}) or {}
+def _cell(v):
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return v
 
 
-def _field_from_cfg(cfg: dict, default_name: str):
-    name = _exp_params(cfg).get("function", default_name)
-    return named_field(build_grid(cfg), name), name
-
-
-def _run_sensitivity(cfg, op, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    f, _ = _field_from_cfg(cfg, "sin")
-    params = _exp_params(cfg)
+def _run_sensitivity(cfg, op, params, args) -> List[CheckReport]:
     report = val.check_sensitivity(
-        op, f, t_list=params.get("t_list", (0.2, 0.1, 0.05, 0.025)), window=window,
-        final_factor=params.get("final_factor", 0.05),
+        op, params["function"], t_list=params["t_list"], window=build_window(cfg),
+        final_factor=params["final_factor"],
     )
     rows = [(float(k.split("=")[1]), v) for k, v in report.measured if k.startswith("error_t=")]
     _write_table(os.path.join(args.out, "sensitivity.csv"), ["t", "error"], rows)
     return [report]
 
 
-def _run_generator(cfg, op, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    f, _ = _field_from_cfg(cfg, "cos")
-    params = _exp_params(cfg)
+def _run_generator(cfg, op, params, args) -> List[CheckReport]:
     report = val.check_generator(
-        op, f, t_list=params.get("t_list", (0.2, 0.1, 0.05)), window=window,
-        stop_tol=params.get("stop_tol", 2e-5),
+        op, params["function"], t_list=params["t_list"], window=build_window(cfg),
+        stop_tol=params["stop_tol"],
     )
     rows = [(float(k.split("=")[1]), v) for k, v in report.measured if k.startswith("error_t=")]
     _write_table(os.path.join(args.out, "generator.csv"), ["t", "error"], rows)
     return [report]
 
 
-def _run_semigroup(cfg, op, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    f, _ = _field_from_cfg(cfg, "tanh")
-    params = _exp_params(cfg)
-    pairs = [tuple(p) for p in params.get("pairs", [(0.25, 0.25), (0.5, 0.25)])]
+def _run_semigroup(cfg, op, params, args) -> List[CheckReport]:
     report = val.check_semigroup(
-        op, f, pairs=pairs, window=window,
+        op, params["function"], pairs=params["pairs"], window=build_window(cfg),
         stop_tol=float(cfg["numerics"]["stop_tol"]),
         max_level=int(cfg["numerics"]["max_level"]),
     )
     return [report]
 
 
-def _run_limit(cfg, op, args) -> List[CheckReport]:
+def _run_limit(cfg, op, params, args) -> List[CheckReport]:
     import time
 
     t0 = time.perf_counter()
-    window = build_window(cfg)
-    f, _ = _field_from_cfg(cfg, "tanh")
-    params = _exp_params(cfg)
-    horizon = float(params.get("t", 1.0))
+    horizon = float(params["t"])
     res = scaling_limit(
-        op, horizon, f,
+        op, horizon, params["function"],
         max_level=int(cfg["numerics"]["max_level"]),
         stop_tol=float(cfg["numerics"]["stop_tol"]),
-        window=window,
+        window=build_window(cfg),
     )
     _write_table(
         os.path.join(args.out, "limit_gaps.csv"), ["level", "gap"],
@@ -128,24 +114,20 @@ def _run_limit(cfg, op, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_pde(cfg, op, args) -> List[CheckReport]:
+def _run_pde(cfg, op, params, args) -> List[CheckReport]:
     import time
 
     t0 = time.perf_counter()
     scheme = build_scheme(cfg)
-    f, _ = _field_from_cfg(cfg, "cos")
-    params = _exp_params(cfg)
-    horizon = float(params.get("horizon", 0.5))
-    snaps = params.get("snapshots", [horizon])
-    run = solve(op, scheme, f, horizon, snapshot_times=snaps)
+    horizon = float(params["horizon"])
+    run = solve(op, scheme, params["function"], horizon, snapshot_times=params["snapshots"])
     run.save_csv(os.path.join(args.out, "pde_snapshots.csv"))
-    bound = cfl_time_step(op, scheme)
-    dt = scheme.dt if scheme.dt is not None else bound
+    dt = cfl_time_step(op, scheme)
     summary = {
         "dt": dt,
         "steps": int(np.ceil(horizon / dt)) if np.isfinite(dt) else 0,
-        "cfl_bound": bound,
-        "cfl_margin": bound - dt,
+        "cfl_bound": dt,
+        "cfl_margin": 0.0,
         "cfl_safety": scheme.cfl_safety,
         "horizon": horizon,
     }
@@ -158,16 +140,13 @@ def _run_pde(cfg, op, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_crosscheck(cfg, op, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    f, _ = _field_from_cfg(cfg, "tanh")
-    params = _exp_params(cfg)
+def _run_crosscheck(cfg, op, params, args) -> List[CheckReport]:
     report = val.cross_check_pde(
-        op, f, float(params.get("horizon", 0.5)), window=window,
+        op, params["function"], float(params["horizon"]), window=build_window(cfg),
         stop_tol=float(cfg["numerics"]["stop_tol"]),
         max_level=int(cfg["numerics"]["max_level"]),
         scheme=build_scheme(cfg),
-        tol=float(params.get("tol", 2e-2)),
+        tol=params["tol"],
     )
     if report.artifacts:
         save_csv(report.artifacts["limit"].field, os.path.join(args.out, "crosscheck_limit.csv"))
@@ -175,26 +154,18 @@ def _run_crosscheck(cfg, op, args) -> List[CheckReport]:
     return [report]
 
 
-def _run_properties(cfg, op, args) -> List[CheckReport]:
-    params = _exp_params(cfg)
-    trials = int(params.get("trials", 100))
-    dual_trials = int(params.get("dual_trials", 200))
+def _run_properties(cfg, op, params, args) -> List[CheckReport]:
     return [
-        val.check_operator_properties(op, trials=trials, seed=args.seed),
-        val.check_dual_oracle(trials=dual_trials, seed=args.seed),
+        val.check_operator_properties(op, trials=int(params["trials"]), seed=args.seed),
+        val.check_dual_oracle(trials=int(params["dual_trials"]), seed=args.seed),
     ]
 
 
-def _run_certify(cfg, op, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    params = _exp_params(cfg)
-    experiments = tuple(
-        params.get("experiments", ("heat_anchor", "cdf_anchor", "game_crosscheck"))
-    )
-    return [val.refinement_certificates(op, window, experiments=experiments)]
+def _run_certify(cfg, op, params, args) -> List[CheckReport]:
+    return [val.refinement_certificates(op, build_window(cfg), experiments=params["experiments"])]
 
 
-def _run_all(cfg, op, args) -> List[CheckReport]:
+def _run_all(cfg, op, params, args) -> List[CheckReport]:
     window = build_window(cfg)
     grid = op.grid
     fine_grid = grid.refined()
@@ -246,17 +217,41 @@ def _run_all(cfg, op, args) -> List[CheckReport]:
     return reports
 
 
+# subcommand -> (runner, the experiment.parameters it reads, with their defaults)
 _SUBCOMMANDS = {
-    "sensitivity": _run_sensitivity,
-    "generator": _run_generator,
-    "semigroup": _run_semigroup,
-    "limit": _run_limit,
-    "pde": _run_pde,
-    "crosscheck": _run_crosscheck,
-    "properties": _run_properties,
-    "certify": _run_certify,
-    "all": _run_all,
+    "sensitivity": (
+        _run_sensitivity,
+        {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025], "final_factor": 0.05},
+    ),
+    "generator": (_run_generator, {"function": "cos", "t_list": [0.2, 0.1, 0.05], "stop_tol": 2e-5}),
+    "semigroup": (_run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]}),
+    "limit": (_run_limit, {"function": "tanh", "t": 1.0}),
+    "pde": (_run_pde, {"function": "cos", "horizon": 0.5, "snapshots": []}),
+    "crosscheck": (_run_crosscheck, {"function": "tanh", "horizon": 0.5, "tol": 0.02}),
+    "properties": (_run_properties, {"trials": 100, "dual_trials": 200}),
+    "certify": (
+        _run_certify,
+        {"experiments": ["heat_anchor", "cdf_anchor", "game_crosscheck"]},
+    ),
+    "all": (_run_all, {}),
 }
+
+
+def _parameters(subcommand: str, cfg: dict, grid) -> dict:
+    """The subcommand's experiment.parameters over its defaults, with the
+    ``function`` name replaced by its field; ConfigError if it cannot run."""
+    defaults = _SUBCOMMANDS[subcommand][1]
+    given = cfg["experiment"]["parameters"]
+    check_values(given, defaults, "experiment.parameters")
+    if subcommand != "properties" and grid.dim != 1:
+        raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
+    params = {**defaults, **given}
+    if "function" in params:
+        try:
+            params["function"] = named_field(grid, params["function"])
+        except InputError as e:
+            raise ConfigError(f"experiment.parameters.function: {e}") from e
+    return params
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -277,6 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, args.overrides)
         op = build_operator_config(cfg)
         build_window(cfg).validate_for(op.grid)
+        params = _parameters(args.subcommand, cfg, op.grid)
     except (ConfigError, InputError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -291,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
     try:
-        reports = _SUBCOMMANDS[args.subcommand](cfg, op, args)
+        reports = _SUBCOMMANDS[args.subcommand][0](cfg, op, params, args)
     except (ConfigError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,42 +36,45 @@ DEFAULT_CONFIG: Dict[str, Any] = {
         "max_level": 8,
         "cfl_safety": 0.8,
     },
-    "experiment": {"name": "", "parameters": {}},
-    "output": {"directory": "out", "formats": ["json", "csv"]},
+    # each subcommand checks its own parameters against its defaults (cli)
+    "experiment": {"parameters": {}},
+    "output": {"directory": "out"},
 }
 
-_ACTION_KEYS = {"label", "drift", "sigma", "theta", "kappa"}
+# the keys an action may set; none has a default
+_ACTION_KEYS = dict.fromkeys(["label", "drift", "sigma", "theta", "kappa"])
 
 
-def _check_keys(section: dict, allowed, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown configuration key {path}.{key}")
+def check_values(values, defaults: dict, path: str) -> None:
+    """Refuse a key with no default, a non-object where the default is an
+    object, a non-number where it is a number, a fraction where it is an int,
+    and a non-string where it is a string, naming the key.  A nonempty
+    default object is checked recursively; an empty one
+    (``experiment.parameters``) only has to be an object."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path} must be an object, got {values!r}")
+    for key, value in values.items():
+        name = f"{path}.{key}" if path else key
+        if key not in defaults:
+            raise ConfigError(f"unknown configuration key {name}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if default or not isinstance(value, dict):
+                check_values(value, default, name)
+        elif isinstance(default, (int, float)) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        elif isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif isinstance(default, str) and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
 
 
 def validate_config(cfg: dict) -> None:
-    _check_keys(cfg, DEFAULT_CONFIG.keys(), "config")
-    for section in DEFAULT_CONFIG:
-        if not isinstance(cfg.get(section, {}), dict):
-            raise ConfigError(f"{section} must be an object, got {cfg[section]!r}")
-    _check_keys(cfg.get("model", {}), {"family", "actions"}, "model")
-    _check_keys(cfg.get("ambiguity", {}), {"m", "p"}, "ambiguity")
-    _check_keys(cfg.get("grid", {}), {"dim", "lo", "hi", "n", "window"}, "grid")
-    _check_keys(cfg.get("grid", {}).get("window", {}), {"lo", "hi"}, "grid.window")
-    _check_keys(cfg.get("numerics", {}), DEFAULT_CONFIG["numerics"].keys(), "numerics")
-    _check_keys(cfg.get("experiment", {}), {"name", "parameters"}, "experiment")
-    _check_keys(cfg.get("output", {}), {"directory", "formats"}, "output")
+    check_values(cfg, DEFAULT_CONFIG, "")
     for i, act in enumerate(cfg.get("model", {}).get("actions", [])):
-        _check_keys(act, _ACTION_KEYS, f"model.actions[{i}]")
-    for section, defaults in DEFAULT_CONFIG.items():
-        for key, default in defaults.items():
-            value = cfg.get(section, {}).get(key, default)
-            if isinstance(default, (int, float)) and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
     amb = cfg.get("ambiguity", {})
     if amb.get("m", 0.0) < 0:
         raise ConfigError("ambiguity.m must be nonnegative")

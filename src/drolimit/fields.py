@@ -137,8 +137,6 @@ class ScalarField:
 
     __slots__ = ("grid", "values")
 
-    extension = "clamp"  # the only supported out-of-box rule
-
     def __init__(self, grid: Grid, values: Array):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
@@ -160,9 +158,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(c)))
-
-    def with_values(self, values: Array) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
     def eval(self, x) -> Array:
         """Interpolate at points ``x`` of shape (d,) or (..., d) (or bare

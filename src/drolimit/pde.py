@@ -15,8 +15,7 @@ monotone Godunov selector per axis
 combined across axes by the Euclidean norm.  This orientation makes the
 update nondecreasing in every neighbor value for the +m||grad v|| source
 (neighbors can only push a node up), which is the defining monotonicity
-property; the explicit step is stable under the CFL bound below.  Terminal
-value problems reduce to this solver by the substitution w(tau) = v(T - tau).
+property; the explicit step is stable under the CFL bound below.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ Array = np.ndarray
 
 @dataclass
 class PdeScheme:
-    """Time step controls; ``dt=None`` derives the step from the CFL bound."""
+    """Time step control: steps are ``cfl_safety`` times the stability limit."""
 
-    dt: Optional[float] = None
     cfl_safety: float = 0.8
 
     def __post_init__(self):
@@ -160,10 +158,10 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
 
 
 def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
-    """One explicit Euler step of size dt (defaults to the scheme's)."""
-    if dt is None:
-        dt = scheme.dt if scheme.dt is not None else cfl_time_step(cfg, scheme)
+    """One explicit Euler step of size dt (defaults to the CFL bound)."""
     bound = cfl_time_step(cfg, scheme)
+    if dt is None:
+        dt = bound
     if dt > bound * (1 + 1e-12):
         raise ConfigError(f"dt={dt} violates the CFL bound {bound}")
     grid = cfg.grid
@@ -210,7 +208,7 @@ def solve(
     snaps = sorted(set(float(s) for s in (snapshot_times or [])) | {float(horizon)})
     if snaps and (snaps[0] < 0 or snaps[-1] > horizon + 1e-12):
         raise InputError("snapshot times must lie in [0, horizon]")
-    dt = scheme.dt if scheme.dt is not None else cfl_time_step(cfg, scheme)
+    dt = cfl_time_step(cfg, scheme)
     if not np.isfinite(dt):
         dt = horizon if horizon > 0 else 1.0
     times: List[float] = []
@@ -230,16 +228,3 @@ def solve(
         times.append(target)
         fields.append(v)
     return SpaceTimeField(cfg.grid, times, fields)
-
-
-def solve_terminal(
-    cfg: OperatorConfig, scheme: PdeScheme, h: ScalarField, horizon: float
-) -> SpaceTimeField:
-    """Terminal-value problem -dv/dt = generator, v(T) = h, via time reversal.
-
-    Returns snapshots indexed by the original (forward) time, so ``at(0.0)``
-    is the value at time zero."""
-    reversed_run = solve(cfg, scheme, h, horizon, snapshot_times=[0.0, horizon])
-    times = [horizon - t for t in reversed_run.times][::-1]
-    snaps = reversed_run.snapshots[::-1]
-    return SpaceTimeField(cfg.grid, times, snaps)

@@ -29,23 +29,49 @@ def test_negative_m_rejected(tmp_path, capsys):
     assert "ambiguity.m" in capsys.readouterr().err
 
 
+# a 2-d grid with a matching one-action model; only `properties` runs on it
+TWO_D = (
+    'model.actions=[{"label":"a0","drift":[0.0,0.0],"sigma":[[1.0,0.0],[0.0,1.0]]}]',
+    'grid={"dim":2,"lo":[-6.0,-6.0],"hi":[6.0,6.0],"n":[17,17],'
+    '"window":{"lo":[-3.0,-3.0],"hi":[3.0,3.0]}}',
+)
+
+
 def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
-    # each override is refused while the config is built, before any output
+    # each config is refused while it is built and checked, before any output
     cases = [
         # sigma of the wrong shape is a ModelError raised while building the model
-        ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]', "error: sigma"),
-        ('grid.window={"lo":[-7.9],"hi":[4.0]}', "error: window"),
-        ('ambiguity.m="abc"', "error: ambiguity.m"),
-        ('numerics.quad_order="x"', "error: numerics.quad_order"),
-        ("numerics.quad_order=2.5", "error: numerics.quad_order"),
-        ("numerics.max_level=3.7", "error: numerics.max_level"),
+        ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]',),
+         "error: sigma"),
+        ("limit", ('grid.window={"lo":[-7.9],"hi":[4.0]}',), "error: window"),
+        ("limit", ('ambiguity.m="abc"',), "error: ambiguity.m"),
+        ("limit", ('numerics.quad_order="x"',), "error: numerics.quad_order"),
+        ("limit", ("numerics.quad_order=2.5",), "error: numerics.quad_order"),
+        ("limit", ("numerics.max_level=3.7",), "error: numerics.max_level"),
+        # `limit` reads `t`, not `horizon`
+        ("limit", ("experiment.parameters.horizon=0.25",),
+         "error: unknown configuration key experiment.parameters.horizon"),
+        ("limit", ('experiment.parameters.t="x"',), "error: experiment.parameters.t"),
+        ("limit", ('experiment.parameters.function="foo"',),
+         "error: experiment.parameters.function"),
+        ("limit", ("experiment.parameters.function=[1]",),
+         "error: experiment.parameters.function"),
+        ("limit", ('experiment.name="x"',), "error: unknown configuration key experiment.name"),
+        ("limit", ("output.formats=[]",), "error: unknown configuration key output.formats"),
+        ("limit", TWO_D, "error: limit runs on 1-d grids only"),
+        ("properties", ("experiment.parameters.trials=2.5",),
+         "error: experiment.parameters.trials"),
+        ("certify", TWO_D, "error: certify runs on 1-d grids only"),
     ]
-    for i, (override, message) in enumerate(cases):
+    for i, (subcommand, overrides, message) in enumerate(cases):
         out = tmp_path / f"bad{i}"
-        code = run_cli(["limit", "--out", str(out), "--set", override])
-        assert code == 2, override
-        assert capsys.readouterr().err.startswith(message), override
-        assert not (out / "manifest.json").exists(), override
+        args = [subcommand, "--out", str(out)]
+        for override in overrides:
+            args += ["--set", override]
+        code = run_cli(args)
+        assert code == 2, overrides
+        assert capsys.readouterr().err.startswith(message), overrides
+        assert not (out / "manifest.json").exists(), overrides
 
 
 def test_readme_limit_example(tmp_path):
@@ -130,6 +156,7 @@ def test_limit_writes_gap_table(tmp_path):
     lines = (out / "limit_gaps.csv").read_text().splitlines()
     assert lines[0] == "level,gap"
     assert len(lines) >= 2
+    assert all(line.split(",")[0].isdigit() for line in lines[1:])  # integer levels
     assert (out / "limit_field.csv").exists()
 
 

@@ -18,7 +18,6 @@ from drolimit import (
     cfl_time_step,
     generator_apply,
     solve,
-    solve_terminal,
     step_forward,
     sup_distance,
 )
@@ -166,16 +165,6 @@ def test_solve_cdf_anchor(grid, window):
     run = solve(cfg, PdeScheme(), u0, 1.0)
     ref = ScalarField.from_function(grid, lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0)))
     assert sup_distance(run.at(1.0), ref, window) <= 1e-2
-
-
-def test_terminal_solve_is_time_reversed(grid):
-    cfg = cfg_for(grid, m=0.3)
-    h = named_field(grid, "tanh")
-    fwd = solve(cfg, PdeScheme(), h, 0.4)
-    bwd = solve_terminal(cfg, PdeScheme(), h, 0.4)
-    assert bwd.times[0] == 0.0 and bwd.times[-1] == 0.4
-    assert np.array_equal(bwd.at(0.0).values, fwd.at(0.4).values)
-    assert np.array_equal(bwd.at(0.4).values, h.values)
 
 
 def test_2d_requires_diagonal_diffusion():

@@ -237,6 +237,14 @@ _SUBCOMMANDS = {
 }
 
 
+# subcommand -> {parameter: its range check}, run before any output
+_RANGES = {
+    "semigroup": {"pairs": val.validate_pairs},
+    "crosscheck": {"horizon": val.validate_horizon},
+    "certify": {"experiments": val.validate_experiments},
+}
+
+
 def _parameters(subcommand: str, cfg: dict, grid) -> dict:
     """The subcommand's experiment.parameters over its defaults, with the
     ``function`` name replaced by its field; ConfigError if it cannot run."""
@@ -246,6 +254,11 @@ def _parameters(subcommand: str, cfg: dict, grid) -> dict:
     if subcommand != "properties" and grid.dim != 1:
         raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
     params = {**defaults, **given}
+    for key, validate in _RANGES.get(subcommand, {}).items():
+        try:
+            validate(params[key])
+        except InputError as e:
+            raise ConfigError(f"experiment.parameters.{key}: {e}") from e
     if "function" in params:
         try:
             params["function"] = named_field(grid, params["function"])

@@ -82,17 +82,17 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("ambiguity.p must exceed 1")
 
 
-def merge_defaults(cfg: dict) -> dict:
-    """Fill missing sections/keys from the defaults (shallow per section)."""
-    out = copy.deepcopy(DEFAULT_CONFIG)
-    for section, value in cfg.items():
-        if isinstance(value, dict) and isinstance(out.get(section), dict):
-            out[section].update(copy.deepcopy(value))
+def merge_defaults(cfg: dict, defaults: dict = DEFAULT_CONFIG) -> dict:
+    """Fill missing sections and keys from the defaults, at every depth; a
+    value that is not an object (the action list among them) replaces its
+    default whole."""
+    out = copy.deepcopy(defaults)
+    for key, value in cfg.items():
+        default = defaults.get(key)
+        if isinstance(value, dict) and isinstance(default, dict):
+            out[key] = merge_defaults(value, default)
         else:
-            out[section] = copy.deepcopy(value)
-    # a user-provided action list replaces the default entirely
-    if "model" in cfg and "actions" in cfg["model"]:
-        out["model"]["actions"] = copy.deepcopy(cfg["model"]["actions"])
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -105,9 +105,13 @@ def load_config(path: Optional[str], overrides: Optional[List[str]] = None) -> d
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        cfg = merge_defaults(cfg)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {path} must hold an object")
     for item in overrides or []:
         _apply_override(cfg, item)
+    # after the overrides, so that an override of a whole section keeps the
+    # defaults of the keys it leaves out
+    cfg = merge_defaults(cfg)
     validate_config(cfg)
     return cfg
 

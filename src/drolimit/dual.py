@@ -227,8 +227,11 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     minimum of all evaluated dual objectives, an upper bound on the LP value
     that is attained up to rounding.
     """
+    # one contiguous copy of the stay column, so that the matrix-vector
+    # product (BLAS or not) and its last bits do not depend on the layout
+    stay = np.ascontiguousarray(gvals[:, :, 0])
     if radius <= 0.0 or gvals.shape[2] == 1:
-        return gvals[:, :, 0] @ weights
+        return stay @ weights
     if np.any(costs[..., 0] != 0.0):
         raise InputError("costs[..., 0] must be the zero-cost stay option")
     rp = radius ** p
@@ -255,7 +258,7 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     # lam r^p + sum_i w_i max{g_ic : cost_ic = 0}, a lower bound for every lam
     # that D reaches for large lam.  Columns past 0 with a zero cost are
     # gathered only where some exist, and enter as a gain over column 0.
-    a_r = gvals[:, :, 0] @ weights
+    a_r = stay @ weights
     free = np.broadcast_to(costs, (q, c)) == 0.0
     cols = np.flatnonzero(free[:, 1:].any(axis=0)) + 1
     if cols.size:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -276,6 +277,67 @@ class Stencil:
                     + values[k + n1 + 1] * fx * fy
                 )
         return out.reshape(self.shape)
+
+
+class ShiftStencil:
+    """Where ``node + shift`` falls on a grid, for every node and each of a
+    fixed set of shifts: the same cell shift and cell fractions at every node.
+
+    ``shifts`` has shape (C, Q, d).  Per shift and axis it stores the integer
+    cell shift ``k`` and the fraction ``f`` of ``shift / spacing = k + f``,
+    snapped to a node within 1e-12 cells as ``Stencil`` snaps.  ``rows`` reads
+    the edge-padded values through sliding windows, so that the values at
+    ``node + shift`` for all nodes are one shifted window, and interpolates
+    them as ``a + f (b - a)``: past the box ``b - a`` is exactly 0, so the
+    padding reproduces the clamped extension exactly.
+    """
+
+    __slots__ = ("grid", "cells", "fracs", "pad")
+
+    def __init__(self, grid: Grid, shifts):
+        u = np.asarray(shifts, dtype=float) / np.asarray(grid.spacing)
+        if not np.all(np.isfinite(u)):
+            raise InputError("shifts must be finite")
+        near = np.rint(u)
+        np.copyto(u, near, where=np.abs(u - near) < 1e-12)
+        cells = np.floor(u)
+        self.fracs = np.moveaxis(u - cells, -1, 0)  # (d, C, Q)
+        # a shift past the whole box clamps every node the same way, so
+        # shifts beyond n cells need no more padding than n cells
+        n = np.asarray(grid.n)
+        cells = np.moveaxis(np.clip(cells, -n - 1, n), -1, 0).astype(np.intp)
+        lo = np.maximum(0, -cells.min(axis=(1, 2)))
+        hi = np.maximum(0, cells.max(axis=(1, 2)) + 1)
+        self.grid = grid
+        self.pad = tuple(zip(lo.tolist(), hi.tolist()))
+        self.cells = cells + lo[:, None, None]  # window index of each shift
+
+    def windows(self, values: Array) -> tuple:
+        """Sliding windows over the edge-padded values and over their steps
+        along the last axis; window ``k`` is the field shifted by ``k`` cells,
+        in 2-d with one more row, the upper neighbour of the last."""
+        padded = np.pad(values, self.pad, mode="edge")
+        steps = np.diff(padded, axis=-1)
+        shape = self.grid.shape if self.grid.dim == 1 else (self.grid.n[0] + 1, self.grid.n[1])
+        return sliding_window_view(padded, shape), sliding_window_view(steps, shape)
+
+    def rows(self, windows: tuple, start: int, end: int) -> Array:
+        """Interpolated values at ``node + shift`` for the shifts
+        ``start:end`` along the first axis, shaped (end - start, Q, *grid.shape)."""
+        vals, steps = windows
+        cols = slice(start, end)
+        grid_axes = (...,) + (None,) * self.grid.dim
+        k = tuple(self.cells[:, cols])
+        out = steps[k]
+        out *= self.fracs[-1, cols][grid_axes]
+        out += vals[k]
+        if self.grid.dim == 1:
+            return out
+        # along the last axis in every row and the row above, then between them
+        upper = out[:, :, 1:] - out[:, :, :-1]
+        upper *= self.fracs[0, cols][grid_axes]
+        upper += out[:, :, :-1]
+        return upper
 
 
 def same_nodes(a: Grid, b: Grid) -> bool:

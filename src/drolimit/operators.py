@@ -29,8 +29,16 @@ import numpy as np
 
 from .dual import AmbiguitySpec, solve_batch
 from .errors import InputError
-from .fields import CompactWindow, Grid, ScalarField, Stencil, same_nodes, sup_distance
-from .models import ReferenceModel, law, psi
+from .fields import (
+    CompactWindow,
+    Grid,
+    ScalarField,
+    ShiftStencil,
+    Stencil,
+    same_nodes,
+    sup_distance,
+)
+from .models import BROWNIAN, ReferenceModel, law, psi
 
 Array = np.ndarray
 
@@ -116,6 +124,11 @@ class _StepKernel:
     steps of a composition: quadrature weights, the distinct candidate costs,
     and the stencil of the evaluation points (flowed nodes + atoms + offsets).
 
+    For Brownian actions ``psi(x) = x + b dt``, so every node sees the same
+    shifts ``b dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
+    Q * C shifts.  Ornstein-Uhlenbeck flows scale the nodes, so their stencil
+    is a ``Stencil`` of all N * Q * C points.
+
     ``_radius_offsets`` sorts the offsets by cost, so candidates of equal cost
     form runs; ``apply`` takes the max over each run before the dual solve.
     That is exact: for one cost c, max_k fl(g_k - lam c) = fl(max_k g_k - lam c),
@@ -130,9 +143,20 @@ class _StepKernel:
         offs, costs = _radius_offsets(
             radius, cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
         )
-        # the stencil's index (4 bytes) and d offsets (8 bytes each) per point,
-        # bounded by the (d + 1) * 8 bytes of the points plus one value each
-        need = cfg.grid.num_nodes * len(meas.weights) * len(costs) * (cfg.grid.dim + 1) * 8
+        starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
+        ends = np.append(starts[1:], len(costs))
+        shift = cfg.model.family == BROWNIAN
+        # the bytes one apply holds, at most: the run maxima, their transposed
+        # copy and ``solve_batch``'s (N, Q, D) temporary, plus for shift
+        # stencils d + 1 arrays of the largest run's rows, and for point
+        # stencils the index (4 bytes) and d offsets (8 each) of every point
+        # and its interpolated value
+        n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
+        need = 3 * 8 * n * q * len(starts)
+        if shift:
+            need += (d + 1) * 8 * n * q * int(np.max(ends - starts))
+        else:
+            need += (4 + 8 * d + 8) * n * q * len(costs)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise InputError(
@@ -140,17 +164,22 @@ class _StepKernel:
                 f" the {have / 1e9:.1f} GB of physical memory; lower grid.n,"
                 " numerics.quad_order or numerics.cand_per_side"
             )
-        base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
-        near = base[:, None, :] + meas.atoms[None, :, :]             # (N, Q, d)
-        # candidate-major (C, N, Q), so that each run of equal cost is one
-        # contiguous block: a max over whole blocks is about 10x faster than
-        # ``np.maximum.reduceat`` over the last axis of (N, Q, C).  One
-        # candidate's points at a time, so that building holds them only once.
-        self.stencil = Stencil.from_blocks(
-            cfg.grid, (len(offs),) + near.shape[:2], (near + off for off in offs)
-        )
-        starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
-        self.runs = list(zip(starts, np.append(starts[1:], len(costs))))
+        if shift:
+            flow = psi(cfg.model, action, dt, np.zeros(d))
+            self.stencil = ShiftStencil(
+                cfg.grid, (flow + meas.atoms)[None, :, :] + offs[:, None, :]
+            )
+        else:
+            base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
+            near = base[:, None, :] + meas.atoms[None, :, :]             # (N, Q, d)
+            # candidate-major (C, N, Q), so that each run of equal cost is one
+            # contiguous block: a max over whole blocks is about 10x faster than
+            # ``np.maximum.reduceat`` over the last axis of (N, Q, C).  One
+            # candidate's points at a time, so that building holds them only once.
+            self.stencil = Stencil.from_blocks(
+                cfg.grid, (len(offs),) + near.shape[:2], (near + off for off in offs)
+            )
+        self.runs = list(zip(starts, ends))
         self.costs = costs[starts]
         self.weights = meas.weights
         self.radius = radius
@@ -165,6 +194,13 @@ class _StepKernel:
     def _run_max(self, values: Array) -> Array:
         """The (N, Q, D) max of the interpolated values over each of the D
         runs of equal cost, in the C order that ``solve_batch`` takes."""
+        if isinstance(self.stencil, ShiftStencil):
+            windows = self.stencil.windows(values)
+            merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
+            for k, (start, end) in enumerate(self.runs):
+                np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
+            merged = merged.reshape(merged.shape[:2] + (-1,))
+            return np.ascontiguousarray(merged.transpose(2, 1, 0))
         g = self.stencil.apply(values)
         merged = np.empty((len(self.runs),) + g.shape[1:])
         for k, (start, end) in enumerate(self.runs):

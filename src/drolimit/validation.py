@@ -9,6 +9,7 @@ hard-coded mid-computation.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -143,6 +144,30 @@ def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
 
 
 # ----------------------------------------------------------------------
+# parameter ranges, also checked by the CLI before it writes any output
+
+def validate_pairs(pairs) -> None:
+    """Refuse semigroup pairs that are not two numbers or have s + t > 1."""
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, numbers.Real) for v in pair)):
+            raise InputError(f"semigroup pairs must be [s, t] number pairs, got {pair!r}")
+        if pair[0] + pair[1] > 1.0 + 1e-12:
+            raise InputError("semigroup pairs must satisfy s + t <= 1")
+
+
+def validate_horizon(horizon: float) -> None:
+    if horizon > 1.0 + 1e-12:
+        raise InputError("cross-check horizons are limited to T <= 1")
+
+
+def validate_experiments(names) -> None:
+    for name in names:
+        if not isinstance(name, str) or name not in _CERTIFIABLE:
+            raise InputError(f"unknown certifiable experiment {name!r}")
+
+
+# ----------------------------------------------------------------------
 # limit checks: sensitivity, generator, semigroup
 
 def check_sensitivity(
@@ -243,9 +268,8 @@ def check_semigroup(
     measured = []
     thresholds = {}
     threshold = gap_factor * stop_tol + extra_slack
+    validate_pairs(pairs)
     for s, t in pairs:
-        if s + t > 1.0 + 1e-12:
-            raise InputError("semigroup pairs must satisfy s + t <= 1")
         joint = scaling_limit(cfg, s + t, f, max_level=max_level, stop_tol=stop_tol, window=window)
         inner = scaling_limit(cfg, s, f, max_level=max_level, stop_tol=stop_tol, window=window)
         outer = scaling_limit(cfg, t, inner.field, max_level=max_level, stop_tol=stop_tol, window=window)
@@ -466,8 +490,7 @@ def cross_check_pde(
 ) -> CheckReport:
     """Window gap between the scaling limit and the PDE solution at the
     horizon; optionally both against a closed-form reference."""
-    if horizon > 1.0 + 1e-12:
-        raise InputError("cross-check horizons are limited to T <= 1")
+    validate_horizon(horizon)
     t0 = time.perf_counter()
     scheme = scheme or PdeScheme()
     lim = scaling_limit(cfg, horizon, u0, max_level=max_level, stop_tol=stop_tol, window=window)
@@ -608,9 +631,8 @@ def refinement_certificates(
     fine = refined_config(cfg)
     measured = []
     thresholds = {}
+    validate_experiments(experiments)
     for name in experiments:
-        if name not in _CERTIFIABLE:
-            raise InputError(f"unknown certifiable experiment {name!r}")
         check, tol = _CERTIFIABLE[name]
         base = base_reports.get(name) if base_reports else None
         if base is None:

@@ -62,6 +62,14 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ("properties", ("experiment.parameters.trials=2.5",),
          "error: experiment.parameters.trials"),
         ("certify", TWO_D, "error: certify runs on 1-d grids only"),
+        ("certify", ('experiment.parameters.experiments=["foo"]',),
+         "error: experiment.parameters.experiments: unknown certifiable experiment 'foo'"),
+        ("crosscheck", ("experiment.parameters.horizon=2.0",),
+         "error: experiment.parameters.horizon: cross-check horizons are limited to T <= 1"),
+        ("semigroup", ("experiment.parameters.pairs=[[0.25, 0.25], [0.75, 0.5]]",),
+         "error: experiment.parameters.pairs: semigroup pairs must satisfy s + t <= 1"),
+        ("semigroup", ("experiment.parameters.pairs=[[0.5]]",),
+         "error: experiment.parameters.pairs: semigroup pairs must be [s, t] number pairs"),
     ]
     for i, (subcommand, overrides, message) in enumerate(cases):
         out = tmp_path / f"bad{i}"
@@ -77,6 +85,22 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
 def test_readme_limit_example(tmp_path):
     # the README's `drolimit limit` example converges with the defaults
     assert run_cli(["limit", "--set", "experiment.parameters.t=0.25", "--out", str(tmp_path)]) == 0
+
+
+def test_whole_section_override_keeps_defaults(tmp_path):
+    # an override that replaces a section, or a nested one, gets the keys it
+    # leaves out from the defaults, as a config file does
+    cfg = load_config(None, ['ambiguity={"m":1.0}', 'grid.window={"lo":[-3.0]}'])
+    assert cfg["ambiguity"] == {"m": 1.0, "p": 2.0}
+    assert cfg["grid"]["window"] == {"lo": [-3.0], "hi": [4.0]}
+    out = tmp_path / "pde"
+    code = run_cli(
+        ["pde", "--out", str(out), "--set", 'ambiguity={"m":0.25}',
+         "--set", "experiment.parameters.horizon=0.05"] + SMALL
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["ambiguity"] == {"m": 0.25, "p": 2.0}
 
 
 def test_bad_config_file(tmp_path, capsys):

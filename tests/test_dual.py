@@ -296,3 +296,18 @@ def test_ulp_level_batch_terminates():
         k = np.random.default_rng(seed).integers(0, 8, (64, 16, costs.size))
         value = solve_batch(1.0 - k * 2.0 ** -53, costs, weights, radius, 2.0)
         assert np.all(np.abs(value - 1.0) <= 1e-15)
+
+
+def test_solve_batch_ignores_memory_layout():
+    # the stay column's product with the weights takes BLAS or not by the
+    # column's layout; Fortran order and a transposed view give the C bits
+    t = 2.0 ** -4
+    weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
+    radius = AmbiguitySpec(m=0.5).radius(t)
+    _, costs = _radius_offsets(radius, 4.0, 16, 1, 2.0)
+    gvals = np.random.default_rng(3).standard_normal((513, 16, costs.size))
+    transposed = np.ascontiguousarray(gvals.transpose(2, 1, 0)).transpose(2, 1, 0)
+    for r in (radius, 0.0):
+        expected = solve_batch(gvals, costs, weights, r, 2.0)
+        for other in (np.asfortranarray(gvals), transposed):
+            assert np.array_equal(solve_batch(other, costs, weights, r, 2.0), expected)

@@ -24,6 +24,7 @@ from drolimit import (
     sup_distance,
 )
 from drolimit.dual import solve_batch
+from drolimit.fields import ShiftStencil, Stencil
 from drolimit.operators import _StepKernel, _radius_offsets
 from drolimit.validation import named_field, non_robust_config, normal_cdf
 
@@ -36,6 +37,11 @@ def grid():
 @pytest.fixture(scope="module")
 def window():
     return CompactWindow((-4.0,), (4.0,))
+
+
+# Brownian kernels against ``eval``: both interpolate the same points, up to
+# the rounding of the positions (|x| <= 16, slopes <= 1)
+SHIFT_TOL = 1e-14
 
 
 def cfg_for(grid, m=0.5, drifts=((0.0,),), sigma=1.0, **kw):
@@ -108,15 +114,17 @@ def test_reference_step_heat_identity(grid, window):
 
 
 def test_dro_step_zero_m_equals_reference(grid):
+    # Brownian kernels interpolate at node + shift with the shift rounded
+    # once, not at each rounded point, so they agree up to rounding
     f = named_field(grid, "tanh")
     for drifts in (((0.0,),), ((-0.5,), (0.5,))):
         cfg = cfg_for(grid, m=0.0, drifts=drifts)
-        assert np.array_equal(dro_step(cfg, 0.3, f).values, reference_loop(cfg, 0.3, f).values)
+        diff = dro_step(cfg, 0.3, f).values - reference_loop(cfg, 0.3, f).values
+        assert np.max(np.abs(diff)) <= SHIFT_TOL
     # the m = 0 config of a robust one gives the same step
     robust = cfg_for(grid, m=0.5, drifts=((-0.5,), (0.5,)))
-    assert np.array_equal(
-        dro_step(non_robust_config(robust), 0.3, f).values, reference_loop(robust, 0.3, f).values
-    )
+    diff = dro_step(non_robust_config(robust), 0.3, f).values - reference_loop(robust, 0.3, f).values
+    assert np.max(np.abs(diff)) <= SHIFT_TOL
 
 
 def test_dro_step_constant_passthrough(grid):
@@ -265,35 +273,114 @@ def test_two_dimensional_smoke():
     assert np.all(rob.values >= out.values - 1e-12)
 
 
+def kernel_points(cfg, act, t):
+    """Every (node, atom, candidate) point of one step, (N, Q, C, d), and the
+    sorted candidate costs."""
+    meas = law(cfg.model, act, t, cfg.quad_order)
+    offs, costs = _radius_offsets(
+        cfg.ambiguity.radius(t), cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
+    )
+    base = psi(cfg.model, act, t, cfg.grid.nodes())
+    return base[:, None, None, :] + meas.atoms[None, :, None, :] + offs[None, None, :, :], costs
+
+
+def kernel_values(kernel, f):
+    """The kernel's interpolated values before the run max, (N, Q, C)."""
+    st = kernel.stencil
+    if isinstance(st, ShiftStencil):
+        rows = st.rows(st.windows(f.values), 0, st.cells.shape[1])
+        return rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 1, 0)
+    return st.apply(f.values).transpose(1, 2, 0)
+
+
+def test_shift_stencil_matches_eval(grid):
+    # Brownian kernels with drift, atoms and candidates reaching past the box
+    # at t = 1: within rounding of ``eval`` at the per-point positions, and
+    # exactly the boundary value wherever the clamp decides alone
+    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    cfg2 = OperatorConfig(
+        model=brownian_model([[0.5, -0.3], [-0.7, 0.2]], np.eye(2), dim=2),
+        ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3,
+    )
+    f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
+    cfg1 = cfg_for(grid, drifts=((0.3,), (-0.7,)))
+    for cfg, f in [(cfg1, named_field(grid, "tanh")), (cfg2, f2)]:
+        lo, hi = np.array(cfg.grid.lo), np.array(cfg.grid.hi)
+        for t in (1.0, 2.0 ** -4, 2.0 ** -8):
+            for act in cfg.model.actions:
+                kernel = _StepKernel(cfg, act, t)
+                assert isinstance(kernel.stencil, ShiftStencil)
+                pts, _ = kernel_points(cfg, act, t)
+                values = kernel_values(kernel, f)
+                assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
+                # past the box on every axis, by more than rounding
+                low = np.all(pts < lo - 1e-9, axis=-1)
+                high = np.all(pts > hi + 1e-9, axis=-1)
+                if t == 1.0:
+                    assert low.any() and high.any()
+                assert np.all(values[low] == f.values.flat[0])
+                assert np.all(values[high] == f.values.flat[-1])
+
+
+def test_shift_onto_nodes_reproduces_node_values(grid):
+    # sigma = 0 leaves one atom, and 0.7 * (3 h / 0.7) / h rounds to
+    # 2.9999999999999996 cells: snapped to 3, the step is an exact shift
+    h = grid.spacing[0]
+    cfg = cfg_for(grid, m=0.0, drifts=((0.7,),), sigma=0.0)
+    f = named_field(grid, "tanh")
+    out = dro_step(cfg, 3 * h / 0.7, f).values
+    assert np.array_equal(out[:-3], f.values[3:])
+    assert np.all(out[-3:] == f.values[-1])
+
+
 def test_merged_costs_match_unmerged_solve(grid):
     # the kernel's max over each run of equal cost, solved over the distinct
-    # costs, equals the solve over all candidates at all points, bitwise
+    # costs, equals the solve over all its unmerged values, bitwise; those
+    # equal ``eval`` at the points bitwise for point stencils (OU) and
+    # within rounding for shift stencils (Brownian)
     g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
     model2 = brownian_model([[0.5, 0.0], [-0.5, 0.0]], np.eye(2), dim=2)
     cfg2 = OperatorConfig(
         model=model2, ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3
     )
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
-    for cfg, f in [(cfg_for(grid), named_field(grid, "tanh")), (cfg2, f2)]:
+    ou = ReferenceModel(
+        ORNSTEIN_UHLENBECK,
+        [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), kappa=np.array([0.2]))],
+    )
+    cfg_ou = OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid)
+    cases = [(cfg_for(grid), named_field(grid, "tanh")), (cfg2, f2), (cfg_ou, named_field(grid, "sin"))]
+    for cfg, f in cases:
         for t in (1.0, 2.0 ** -4):
             for act in cfg.model.actions:
                 kernel = _StepKernel(cfg, act, t)
-                meas = law(cfg.model, act, t, cfg.quad_order)
-                offs, costs = _radius_offsets(
-                    kernel.radius, cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
-                )
-                base = psi(cfg.model, act, t, cfg.grid.nodes())
-                pts = base[:, None, None, :] + meas.atoms[None, :, None, :] + offs[None, None, :, :]
-                full = f.eval(pts)
+                pts, costs = kernel_points(cfg, act, t)
+                values = kernel_values(kernel, f)
                 assert kernel.costs.size < costs.size
-                expected = solve_batch(full, costs, meas.weights, kernel.radius, kernel.p)
+                expected = solve_batch(values, costs, kernel.weights, kernel.radius, kernel.p)
                 assert np.array_equal(kernel.apply(f), expected)
+                if cfg is cfg_ou:
+                    assert isinstance(kernel.stencil, Stencil)
+                    assert np.array_equal(values, f.eval(pts))
+                else:
+                    assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
 
 
 def test_step_refuses_field_on_other_grid(grid):
     other = Grid.line(-8.0, 8.0, 257)
     with pytest.raises(InputError, match="different grids"):
         dro_step(cfg_for(grid), 0.25, ScalarField.constant(other, 1.0))
+
+
+def test_two_dimensional_default_step_builds():
+    # 4225 nodes x 256 atoms x 797 candidates (98 distinct costs): a shift
+    # stencil holds the merged values, not the 862M evaluation points
+    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (65, 65))
+    model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
+    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2)
+    kernel = _StepKernel(cfg, "a0", 0.25)
+    assert kernel.stencil.cells.shape == (2, 797, 256)
+    assert kernel.costs.size == 98
 
 
 def test_two_dimensional_step_refused_beyond_memory():

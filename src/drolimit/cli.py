@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import time
 import traceback
 from dataclasses import replace
 from typing import List, Optional
@@ -30,7 +31,7 @@ from .config import (
 from .errors import ConfigError, InputError, ModelError
 from .fields import save_csv
 from .operators import scaling_limit
-from .pde import cfl_time_step, solve
+from .pde import cfl_time_step, snapshot_schedule, solve
 from .validation import CheckReport, named_field
 
 
@@ -86,8 +87,6 @@ def _run_semigroup(cfg, op, params, args) -> List[CheckReport]:
 
 
 def _run_limit(cfg, op, params, args) -> List[CheckReport]:
-    import time
-
     t0 = time.perf_counter()
     horizon = float(params["t"])
     res = scaling_limit(
@@ -115,8 +114,6 @@ def _run_limit(cfg, op, params, args) -> List[CheckReport]:
 
 
 def _run_pde(cfg, op, params, args) -> List[CheckReport]:
-    import time
-
     t0 = time.perf_counter()
     scheme = build_scheme(cfg)
     horizon = float(params["horizon"])
@@ -237,11 +234,25 @@ _SUBCOMMANDS = {
 }
 
 
-# subcommand -> {parameter: its range check}, run before any output
+# subcommand -> {parameter: its range check on all parameters}, run before any output
 _RANGES = {
-    "semigroup": {"pairs": val.validate_pairs},
-    "crosscheck": {"horizon": val.validate_horizon},
-    "certify": {"experiments": val.validate_experiments},
+    "sensitivity": {"t_list": lambda p: val.validate_times(p["t_list"])},
+    "generator": {
+        "t_list": lambda p: val.validate_times(p["t_list"]),
+        "stop_tol": lambda p: val.validate_nonnegative(p["stop_tol"]),
+    },
+    "semigroup": {"pairs": lambda p: val.validate_pairs(p["pairs"])},
+    "limit": {"t": lambda p: val.validate_nonnegative(p["t"])},
+    "pde": {
+        "horizon": lambda p: snapshot_schedule(p["horizon"]),
+        "snapshots": lambda p: snapshot_schedule(p["horizon"], p["snapshots"]),
+    },
+    "crosscheck": {"horizon": lambda p: val.validate_horizon(p["horizon"])},
+    "properties": {
+        "trials": lambda p: val.validate_trials(p["trials"]),
+        "dual_trials": lambda p: val.validate_trials(p["dual_trials"]),
+    },
+    "certify": {"experiments": lambda p: val.validate_experiments(p["experiments"])},
 }
 
 
@@ -256,8 +267,8 @@ def _parameters(subcommand: str, cfg: dict, grid) -> dict:
     params = {**defaults, **given}
     for key, validate in _RANGES.get(subcommand, {}).items():
         try:
-            validate(params[key])
-        except InputError as e:
+            validate(params)
+        except (InputError, TypeError, ValueError) as e:
             raise ConfigError(f"experiment.parameters.{key}: {e}") from e
     if "function" in params:
         try:

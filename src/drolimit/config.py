@@ -12,7 +12,7 @@ from .dual import AmbiguitySpec
 from .errors import ConfigError
 from .fields import CompactWindow, Grid
 from .models import Action, BROWNIAN, ReferenceModel
-from .operators import OperatorConfig
+from .operators import MAX_LEVEL, OperatorConfig
 from .pde import PdeScheme
 
 DEFAULT_CONFIG: Dict[str, Any] = {
@@ -47,10 +47,11 @@ _ACTION_KEYS = dict.fromkeys(["label", "drift", "sigma", "theta", "kappa"])
 
 def check_values(values, defaults: dict, path: str) -> None:
     """Refuse a key with no default, a non-object where the default is an
-    object, a non-number where it is a number, a fraction where it is an int,
-    and a non-string where it is a string, naming the key.  A nonempty
-    default object is checked recursively; an empty one
-    (``experiment.parameters``) only has to be an object."""
+    object, a non-list where it is a list, a non-number where it is a number,
+    a fraction where it is an int, and a non-string where it is a string,
+    naming the key.  A nonempty default object is checked recursively, an
+    empty one (``experiment.parameters``) only has to be an object, and list
+    items are checked against the default's first item unless it is an object."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path} must be an object, got {values!r}")
     for key, value in values.items():
@@ -61,6 +62,11 @@ def check_values(values, defaults: dict, path: str) -> None:
         if isinstance(default, dict):
             if default or not isinstance(value, dict):
                 check_values(value, default, name)
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            if default and not isinstance(default[0], dict):
+                check_values(dict(enumerate(value)), dict.fromkeys(range(len(value)), default[0]), name)
         elif isinstance(default, (int, float)) and (
             isinstance(value, bool) or not isinstance(value, (int, float))
         ):
@@ -80,6 +86,13 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("ambiguity.m must be nonnegative")
     if not amb.get("p", 2.0) > 1:
         raise ConfigError("ambiguity.p must exceed 1")
+    # the ranges that ``law``, ``scaling_limit`` and ``PdeScheme`` check
+    num = cfg.get("numerics", {})
+    for key, lo, hi in (("quad_order", 4, 64), ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
+        if not lo <= num.get(key, lo) <= hi:
+            raise ConfigError(f"numerics.{key} must lie in [{lo}, {hi}], got {num[key]!r}")
+    if not 0 < num.get("cfl_safety", 1) <= 1:
+        raise ConfigError(f"numerics.cfl_safety must lie in (0, 1], got {num['cfl_safety']!r}")
 
 
 def merge_defaults(cfg: dict, defaults: dict = DEFAULT_CONFIG) -> dict:
@@ -134,21 +147,11 @@ def _apply_override(cfg: dict, item: str) -> None:
 
 
 def build_model(cfg: dict) -> ReferenceModel:
-    section = cfg["model"]
-    family = section["family"]
-    grid_dim = int(cfg["grid"]["dim"])
-    actions = []
-    for spec in section["actions"]:
-        actions.append(
-            Action(
-                label=str(spec.get("label", f"a{len(actions)}")),
-                drift=np.asarray(spec["drift"], float) if "drift" in spec else None,
-                sigma=np.asarray(spec["sigma"], float) if "sigma" in spec else None,
-                theta=np.asarray(spec["theta"], float) if "theta" in spec else None,
-                kappa=np.asarray(spec["kappa"], float) if "kappa" in spec else None,
-            )
-        )
-    return ReferenceModel(family, actions, dim=grid_dim)
+    actions = [
+        Action(label=str(spec.get("label", f"a{i}")), **{k: v for k, v in spec.items() if k != "label"})
+        for i, spec in enumerate(cfg["model"]["actions"])
+    ]
+    return ReferenceModel(cfg["model"]["family"], actions, dim=int(cfg["grid"]["dim"]))
 
 
 def build_grid(cfg: dict) -> Grid:

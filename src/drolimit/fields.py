@@ -9,6 +9,7 @@ convergence diagnostics elsewhere in the package are measured on an interior
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -74,12 +75,13 @@ class Grid:
     def num_nodes(self) -> int:
         return int(np.prod(self.n))
 
+    def mesh(self) -> tuple:
+        """Per axis, that coordinate of every node, shaped like the values."""
+        return np.meshgrid(*self.axes, indexing="ij")
+
     def nodes(self) -> Array:
         """All node coordinates as an (num_nodes, dim) array in C order."""
-        if self.dim == 1:
-            return self.axes[0][:, None]
-        xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return np.stack(self.mesh(), -1).reshape(-1, self.dim)
 
     def refined(self) -> "Grid":
         """The same box with every spacing halved (the old nodes are kept)."""
@@ -128,9 +130,7 @@ class CompactWindow:
             (ax >= lo - 1e-12) & (ax <= hi + 1e-12)
             for ax, lo, hi in zip(grid.axes, self.lo, self.hi)
         ]
-        if grid.dim == 1:
-            return masks[0]
-        return masks[0][:, None] & masks[1][None, :]
+        return functools.reduce(np.logical_and.outer, masks)
 
 
 class ScalarField:
@@ -139,9 +139,7 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: Array):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            values = values.reshape(grid.shape)
+        values = np.asarray(values, dtype=float).reshape(grid.shape)
         if not np.all(np.isfinite(values)):
             raise InputError("field values must be finite")
         self.grid = grid
@@ -149,11 +147,7 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        if grid.dim == 1:
-            vals = fn(grid.axes[0])
-        else:
-            xx, yy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-            vals = fn(xx, yy)
+        vals = fn(*grid.mesh())
         return cls(grid, np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).copy())
 
     @classmethod
@@ -352,10 +346,7 @@ def same_nodes(a: Grid, b: Grid) -> bool:
 def sup_distance(f: ScalarField, g: ScalarField, window: Optional[CompactWindow] = None) -> float:
     if f.grid is not g.grid and not same_nodes(f.grid, g.grid):
         raise InputError("fields live on different grids")
-    diff = f.values - g.values
-    if window is None:
-        return float(np.max(np.abs(diff)))
-    return float(np.max(np.abs(diff[window.mask(f.grid)])))
+    return ScalarField(f.grid, f.values - g.values).sup_norm(window)
 
 
 def gradient_fd(field: ScalarField) -> tuple:
@@ -390,20 +381,15 @@ def lipschitz_estimate(field: ScalarField) -> float:
 
 
 def csv_columns(grid: Grid) -> list:
-    return ["x", "value"] if grid.dim == 1 else ["x", "y", "value"]
+    return ["x", "y"][: grid.dim] + ["value"]
 
 
 def write_rows(writer, field: ScalarField, prefix: Sequence[str] = ()) -> None:
     """Write one ``*prefix, x[, y], value`` row per node in C order, every
     number by ``repr`` so that the file round-trips exactly."""
-    g = field.grid
-    if g.dim == 1:
-        for x, v in zip(g.axes[0], field.values):
-            writer.writerow([*prefix, repr(float(x)), repr(float(v))])
-    else:
-        for i, x in enumerate(g.axes[0]):
-            for j, y in enumerate(g.axes[1]):
-                writer.writerow([*prefix, repr(float(x)), repr(float(y)), repr(float(field.values[i, j]))])
+    rows = np.column_stack([field.grid.nodes(), field.values.ravel()])
+    for row in rows.tolist():
+        writer.writerow([*prefix, *map(repr, row)])
 
 
 def save_csv(field: ScalarField, path) -> None:
@@ -415,28 +401,22 @@ def save_csv(field: ScalarField, path) -> None:
 
 
 def load_csv(path) -> ScalarField:
+    """Read a ``save_csv`` file back.  Its rows must be the nodes of a
+    uniform grid in C order, within 1e-9 of the spacing on every axis."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    if header[:2] == ["x", "value"]:
-        xs = np.array([float(r[0]) for r in data])
-        vs = np.array([float(r[1]) for r in data])
-        grid = _grid_from_axis(xs)
-        return ScalarField(grid, vs)
-    if header[:3] == ["x", "y", "value"]:
-        xs = np.array([float(r[0]) for r in data])
-        ys = np.array([float(r[1]) for r in data])
-        vs = np.array([float(r[2]) for r in data])
-        ax0 = np.unique(xs)
-        ax1 = np.unique(ys)
-        grid = Grid.box((ax0[0], ax1[0]), (ax0[-1], ax1[-1]), (len(ax0), len(ax1)))
-        return ScalarField(grid, vs.reshape(len(ax0), len(ax1)))
-    raise InputError(f"unrecognized field CSV header: {header}")
-
-
-def _grid_from_axis(xs: Array) -> Grid:
-    n = len(xs)
-    spac = np.diff(xs)
-    if n < _MIN_POINTS or not np.allclose(spac, spac[0], rtol=1e-9, atol=1e-12):
-        raise InputError("CSV nodes are not a uniform grid")
-    return Grid.line(float(xs[0]), float(xs[-1]), n)
+        header, *rows = list(csv.reader(fh)) or [[]]
+    dim = len(header) - 1
+    if header != ["x", "y"][:dim] + ["value"]:
+        raise InputError(f"unrecognized field CSV header: {header}")
+    try:
+        data = np.array(rows, dtype=float).reshape(-1, dim + 1)
+        pts = data[:, :dim]
+        n = [len(np.unique(column)) for column in pts.T]
+        grid = Grid(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)), tuple(n))
+    except ValueError as e:
+        raise InputError(f"unreadable field CSV rows: {e}") from None
+    if grid.num_nodes != len(pts) or np.any(
+        np.abs(grid.nodes() - pts) > 1e-9 * np.asarray(grid.spacing)
+    ):
+        raise InputError("CSV rows are not the nodes of a uniform grid in C order")
+    return ScalarField(grid, data[:, dim])

@@ -1,20 +1,22 @@
 """Controlled reference Markov families with Gaussian transition laws.
 
-Two built-in families, both of the form X_t = psi_t(x) + Y_t with Y_t a
-centered Gaussian:
+Both built-in families are Ornstein-Uhlenbeck processes, of the form
+X_t = psi_t(x) + Y_t with Y_t a centered Gaussian:
 
-* Brownian motion with drift:  psi_t(x) = x + b t,  Cov(Y_t) = sigma sigma^T t.
-* Ornstein-Uhlenbeck:          psi_t(x) = e^{-theta t} x + int_0^t e^{-theta s} kappa ds,
-                               Cov(Y_t) = int_0^t e^{-theta s} sigma sigma^T e^{-theta s} ds,
-  with theta symmetric positive semi-definite.
+    psi_t(x) = e^{-theta t} x + int_0^t e^{-theta s} kappa ds,
+    Cov(Y_t) = int_0^t e^{-theta s} sigma sigma^T e^{-theta s} ds,
 
-Both flows are 1-Lipschitz in x, and both laws are represented for quadrature
-as tensor Gauss-Hermite discretizations (exact Cholesky/eigen mapping of the
-covariance), which the rest of the package consumes as finite measures.
+with theta symmetric positive semi-definite.  Brownian motion with drift b
+is the case theta = 0, kappa = b (psi_t(x) = x + b t, Cov(Y_t) =
+sigma sigma^T t), and its actions are stored in that form.  The flows are
+1-Lipschitz in x, and the laws are represented for quadrature as tensor
+Gauss-Hermite discretizations (exact eigen mapping of the covariance), which
+the rest of the package consumes as finite measures.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,8 +75,8 @@ class Action:
     label: str
     drift: Optional[Array] = None       # b(a), Brownian family
     sigma: Optional[Array] = None       # diffusion matrix, both families
-    theta: Optional[Array] = None       # mean-reversion matrix, OU family
-    kappa: Optional[Array] = None       # pull vector, OU family
+    theta: Optional[Array] = None       # mean-reversion matrix; 0 for Brownian
+    kappa: Optional[Array] = None       # pull vector; b(a) for Brownian
 
 
 class ReferenceModel:
@@ -94,24 +96,23 @@ class ReferenceModel:
             if a.label in self._by_label:
                 raise ModelError(f"duplicate action label {a.label!r}")
             self._by_label[a.label] = a
-        # eigendecompositions of theta are reused by psi/law for the OU family
-        self._theta_eig = {}
-        if family == ORNSTEIN_UHLENBECK:
-            for a in self.actions:
-                self._theta_eig[a.label] = np.linalg.eigh(a.theta)
+        # eigendecompositions of theta, reused by psi and covariance
+        self._theta_eig = {a.label: np.linalg.eigh(a.theta) for a in self.actions}
 
     def _validate_action(self, a: Action) -> None:
         d = self.dim
         a.sigma = _square(a.sigma, d, "sigma")
         if self.family == BROWNIAN:
-            a.drift = _vector(a.drift, d, "drift")
+            # x + b t is the affine flow with kappa = b and theta = 0
+            a.drift = a.kappa = _vector(a.drift, d, "drift")
+            a.theta = np.zeros((d, d))
         else:
             a.theta = _square(a.theta, d, "theta")
             a.kappa = _vector(a.kappa, d, "kappa")
-            if not np.allclose(a.theta, a.theta.T, atol=1e-10):
-                raise ModelError(f"theta for action {a.label!r} is not symmetric")
-            if np.linalg.eigvalsh(a.theta).min() < -1e-10:
-                raise ModelError(f"theta for action {a.label!r} is not PSD")
+        if not np.allclose(a.theta, a.theta.T, atol=1e-10):
+            raise ModelError(f"theta for action {a.label!r} is not symmetric")
+        if np.linalg.eigvalsh(a.theta).min() < -1e-10:
+            raise ModelError(f"theta for action {a.label!r} is not PSD")
 
     def action(self, a) -> Action:
         if isinstance(a, Action):
@@ -159,9 +160,8 @@ def _exp_decay_integral(lam: Array, t: float) -> Array:
     """Entrywise int_0^t e^{-lam s} ds, stable near lam t = 0."""
     a = lam * t
     small = np.abs(a) < 1e-10
-    out = np.where(small, t * (1.0 - 0.5 * a), np.divide(
+    return np.where(small, t * (1.0 - 0.5 * a), np.divide(
         -np.expm1(-a), np.where(small, 1.0, lam)))
-    return out
 
 
 def _points(x, d: int):
@@ -190,14 +190,11 @@ def psi(model: ReferenceModel, a, t: float, x) -> Array:
         raise InputError(f"time must be nonnegative, got {t}")
     act = model.action(a)
     pts, out_shape = _points(x, model.dim)
-    if model.family == BROWNIAN:
-        out = pts + act.drift * t
-    else:
-        lam, q = model._theta_eig[act.label]
-        decay = np.exp(-np.clip(lam, 0.0, None) * t)
-        flow = (q * decay) @ q.T
-        pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.kappa))
-        out = pts @ flow.T + pull
+    lam, q = model._theta_eig[act.label]
+    decay = np.exp(-np.clip(lam, 0.0, None) * t)
+    flow = (q * decay) @ q.T
+    pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.kappa))
+    out = pts @ flow.T + pull
     return out.reshape(out_shape)
 
 
@@ -207,8 +204,6 @@ def covariance(model: ReferenceModel, a, t: float) -> Array:
         raise InputError(f"time must be nonnegative, got {t}")
     act = model.action(a)
     ssT = act.sigma @ act.sigma.T
-    if model.family == BROWNIAN:
-        return ssT * t
     lam, q = model._theta_eig[act.label]
     lam = np.clip(lam, 0.0, None)
     m = q.T @ ssT @ q
@@ -246,13 +241,8 @@ def law(model: ReferenceModel, a, t: float, quad_order: int = 16) -> DiscreteMea
         else:
             axes_nodes.append(np.zeros(1))
             axes_wts.append(np.ones(1))
-    if d == 1:
-        z = axes_nodes[0][:, None]
-        w = axes_wts[0].copy()
-    else:
-        za, zb = np.meshgrid(axes_nodes[0], axes_nodes[1], indexing="ij")
-        z = np.column_stack([za.ravel(), zb.ravel()])
-        w = np.outer(axes_wts[0], axes_wts[1]).ravel()
+    z = np.stack(np.meshgrid(*axes_nodes, indexing="ij"), -1).reshape(-1, d)
+    w = functools.reduce(np.multiply.outer, axes_wts).ravel()
     atoms = z @ evecs.T
     w = w / w.sum()
     return DiscreteMeasure(atoms, w)

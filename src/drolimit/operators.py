@@ -38,9 +38,11 @@ from .fields import (
     same_nodes,
     sup_distance,
 )
-from .models import BROWNIAN, ReferenceModel, law, psi
+from .models import ReferenceModel, law, psi
 
 Array = np.ndarray
+
+MAX_LEVEL = 10  # each dyadic level doubles the cost of the one before
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,9 @@ def _radius_offsets(radius: float, reach: float, per_side: int, dim: int, p: flo
     span = reach * radius
     step = span / per_side
     line = step * np.arange(-per_side, per_side + 1)  # exact 0 at the center
-    if dim == 1:
-        offs = line[:, None]
-    else:
-        xx, yy = np.meshgrid(line, line, indexing="ij")
-        offs = np.column_stack([xx.ravel(), yy.ravel()])
-        offs = offs[np.linalg.norm(offs, axis=1) <= span * (1 + 1e-12)]
+    offs = np.stack(np.meshgrid(*[line] * dim, indexing="ij"), -1).reshape(-1, dim)
+    # the disk; in 1-d every offset, as |per_side * step| <= span up to rounding
+    offs = offs[np.linalg.norm(offs, axis=1) <= span * (1 + 1e-12)]
     costs = np.linalg.norm(offs, axis=1) ** p
     order = np.argsort(costs, kind="stable")
     return offs[order], costs[order]
@@ -124,9 +123,10 @@ class _StepKernel:
     steps of a composition: quadrature weights, the distinct candidate costs,
     and the stencil of the evaluation points (flowed nodes + atoms + offsets).
 
-    For Brownian actions ``psi(x) = x + b dt``, so every node sees the same
-    shifts ``b dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
-    Q * C shifts.  Ornstein-Uhlenbeck flows scale the nodes, so their stencil
+    For actions with theta = 0 (Brownian motion among them) the flow is the
+    translation ``psi(x) = x + kappa dt``, so every node sees the same shifts
+    ``kappa dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
+    Q * C shifts.  Flows with theta != 0 scale the nodes, so their stencil
     is a ``Stencil`` of all N * Q * C points.
 
     ``_radius_offsets`` sorts the offsets by cost, so candidates of equal cost
@@ -145,7 +145,7 @@ class _StepKernel:
         )
         starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
         ends = np.append(starts[1:], len(costs))
-        shift = cfg.model.family == BROWNIAN
+        shift = not np.any(cfg.model.action(action).theta)
         # the bytes one apply holds, at most: the run maxima, their transposed
         # copy and ``solve_batch``'s (N, Q, D) temporary, plus for shift
         # stencils d + 1 arrays of the largest run's rows, and for point
@@ -274,8 +274,8 @@ def scaling_limit(
     they define the same composition.  Non-convergence within ``max_level``
     is reported in the result, not raised.
     """
-    if max_level > 10:
-        raise InputError("max_level > 10 doubles cost per level; refusing")
+    if not 0 <= max_level <= MAX_LEVEL:
+        raise InputError(f"max_level must lie in [0, {MAX_LEVEL}]; each level doubles the cost")
     if not stop_tol >= 0:
         raise InputError("stop_tol must be nonnegative")
     if t == 0.0:

@@ -5,8 +5,8 @@ Initial-value form:
     dv/dt = inf_a [ 1/2 tr(sigma(a) sigma(a)^T D^2 v) + <b(a, x), grad v> ]
             + m * ||grad v||
 
-with b(a, x) = b(a) for the Brownian family and -theta(a) x + kappa(a) for
-the Ornstein-Uhlenbeck family.  Diffusion uses centered second differences,
+with the affine drift b(a, x) = kappa(a) - theta(a) x (the constant b(a) for
+Brownian motion, theta = 0).  Diffusion uses centered second differences,
 drift is upwinded by sign, and the gradient-magnitude source uses the
 monotone Godunov selector per axis
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .fields import Grid, ScalarField, csv_columns, gradient_fd, write_rows
-from .models import BROWNIAN
 from .operators import OperatorConfig
 
 Array = np.ndarray
@@ -71,26 +70,17 @@ class SpaceTimeField:
 
 
 def _drift_arrays(cfg: OperatorConfig) -> List[List[Array]]:
-    """Per action, per axis drift values on the grid (constants broadcast)."""
-    grid = cfg.grid
-    model = cfg.model
+    """Per action, per axis the drift kappa - theta x at every node."""
+    coords = cfg.grid.mesh()
     out = []
-    if grid.dim == 1:
-        coords = [grid.axes[0]]
-    else:
-        xx, yy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-        coords = [xx, yy]
-    for act in model.actions:
-        if model.family == BROWNIAN:
-            out.append([np.full(grid.shape, act.drift[ax]) for ax in range(grid.dim)])
-        else:
-            per_axis = []
-            for ax in range(grid.dim):
-                vals = np.full(grid.shape, act.kappa[ax], dtype=float)
-                for ax2 in range(grid.dim):
-                    vals -= act.theta[ax, ax2] * coords[ax2]
-                per_axis.append(vals)
-            out.append(per_axis)
+    for act in cfg.model.actions:
+        per_axis = []
+        for ax in range(cfg.grid.dim):
+            vals = np.full(cfg.grid.shape, act.kappa[ax])
+            for theta, c in zip(act.theta[ax], coords):
+                vals -= theta * c
+            per_axis.append(vals)
+        out.append(per_axis)
     return out
 
 
@@ -100,11 +90,10 @@ def _diffusion_diagonals(cfg: OperatorConfig) -> List[Array]:
     out = []
     for act in cfg.model.actions:
         ssT = act.sigma @ act.sigma.T
-        if cfg.grid.dim == 2:
-            off = abs(ssT[0, 1])
-            if off > 1e-12 * max(1.0, abs(ssT).max()):
-                raise ConfigError("2-d solver requires diagonal sigma sigma^T")
-        out.append(np.diag(ssT).copy())
+        diag = np.diag(ssT).copy()
+        if np.abs(ssT - np.diag(diag)).max() > 1e-12 * max(1.0, abs(ssT).max()):
+            raise ConfigError("2-d solver requires diagonal sigma sigma^T")
+        out.append(diag)
     return out
 
 
@@ -191,6 +180,17 @@ def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Opt
     return ScalarField(grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
 
 
+def snapshot_schedule(horizon: float, snapshot_times: Optional[Sequence[float]] = None) -> List[float]:
+    """The distinct snapshot times and the horizon, ascending; InputError
+    unless the horizon is nonnegative and every time lies in [0, horizon]."""
+    if not horizon >= 0:
+        raise InputError("horizon must be nonnegative")
+    snaps = sorted(set(float(s) for s in (snapshot_times or [])) | {float(horizon)})
+    if snaps[0] < 0 or snaps[-1] > horizon + 1e-12:
+        raise InputError("snapshot times must lie in [0, horizon]")
+    return snaps
+
+
 def solve(
     cfg: OperatorConfig,
     scheme: PdeScheme,
@@ -203,11 +203,7 @@ def solve(
     Snapshot times are hit exactly by shortening the step that would
     overshoot them (shorter steps keep the CFL bound).
     """
-    if horizon < 0:
-        raise InputError("horizon must be nonnegative")
-    snaps = sorted(set(float(s) for s in (snapshot_times or [])) | {float(horizon)})
-    if snaps and (snaps[0] < 0 or snaps[-1] > horizon + 1e-12):
-        raise InputError("snapshot times must lie in [0, horizon]")
+    snaps = snapshot_schedule(horizon, snapshot_times)
     dt = cfl_time_step(cfg, scheme)
     if not np.isfinite(dt):
         dt = horizon if horizon > 0 else 1.0

@@ -127,7 +127,7 @@ def fourier_field(grid: Grid, rng: np.random.Generator, max_wavenumber: int = 8)
         x = grid.axes[0]
         vals = sum(a * np.cos(k * 2 * np.pi / width * x + p) for a, k, p in zip(amps, ks, phases))
     else:
-        xx, yy = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
+        xx, yy = grid.mesh()
         dirs = rng.standard_normal((n_modes, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         vals = sum(
@@ -147,11 +147,13 @@ def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
 # parameter ranges, also checked by the CLI before it writes any output
 
 def validate_pairs(pairs) -> None:
-    """Refuse semigroup pairs that are not two numbers or have s + t > 1."""
+    """Refuse semigroup pairs other than two numbers s, t >= 0 with s + t <= 1."""
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(v, numbers.Real) for v in pair)):
             raise InputError(f"semigroup pairs must be [s, t] number pairs, got {pair!r}")
+        if min(pair) < 0:
+            raise InputError(f"semigroup pairs must be nonnegative, got {pair!r}")
         if pair[0] + pair[1] > 1.0 + 1e-12:
             raise InputError("semigroup pairs must satisfy s + t <= 1")
 
@@ -159,6 +161,23 @@ def validate_pairs(pairs) -> None:
 def validate_horizon(horizon: float) -> None:
     if horizon > 1.0 + 1e-12:
         raise InputError("cross-check horizons are limited to T <= 1")
+    validate_nonnegative(horizon)
+
+
+def validate_nonnegative(value: float) -> None:
+    if not value >= 0:
+        raise InputError(f"must be nonnegative, got {value!r}")
+
+
+def validate_times(ts) -> None:
+    """Refuse an empty list of times or one that is not positive."""
+    if not ts or not min(ts) > 0:
+        raise InputError(f"need one or more positive times, got {list(ts)!r}")
+
+
+def validate_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials!r}")
 
 
 def validate_experiments(names) -> None:
@@ -186,9 +205,8 @@ def check_sensitivity(
     grid slack.
     """
     t0 = time.perf_counter()
+    validate_times(t_list)
     ts = sorted(set(float(t) for t in t_list), reverse=True)
-    if any(t <= 0 for t in ts):
-        raise InputError("sensitivity times must be positive")
     m = cfg.ambiguity.m
     grad = gradient_norm(f)
     target = m * grad.values
@@ -229,9 +247,8 @@ def check_generator(
     quantity under test.
     """
     t0 = time.perf_counter()
+    validate_times(t_list)
     ts = sorted(set(float(t) for t in t_list), reverse=True)
-    if any(t <= 0 for t in ts):
-        raise InputError("generator times must be positive")
     target_field = generator_apply(cfg, f)
     mask = window.mask(cfg.grid) if window is not None else np.ones(cfg.grid.shape, bool)
     errors = []
@@ -301,8 +318,7 @@ def check_operator_properties(
     homogeneity, subadditivity, order sandwich) on the first
     ``structural_trials`` trials.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
+    validate_trials(trials)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     grid = cfg.grid
@@ -415,6 +431,7 @@ def check_dual_oracle(
 ) -> CheckReport:
     """Strong-duality solver against the lattice enumeration oracle on random
     small instances; the oracle's lattice resolution is granted per instance."""
+    validate_trials(trials)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     radii = [0.0, 0.1, 0.5, 2.0]

@@ -70,6 +70,41 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: experiment.parameters.pairs: semigroup pairs must satisfy s + t <= 1"),
         ("semigroup", ("experiment.parameters.pairs=[[0.5]]",),
          "error: experiment.parameters.pairs: semigroup pairs must be [s, t] number pairs"),
+        ("semigroup", ("experiment.parameters.pairs=[[-0.5, 0.25]]",),
+         "error: experiment.parameters.pairs: semigroup pairs must be nonnegative"),
+        ("semigroup", ("experiment.parameters.pairs=[0.5]",),
+         "error: experiment.parameters.pairs.0 must be a list"),
+        ("sensitivity", ("experiment.parameters.t_list=[0.1, -0.05]",),
+         "error: experiment.parameters.t_list: need one or more positive times"),
+        ("sensitivity", ('experiment.parameters.t_list=["a"]',),
+         "error: experiment.parameters.t_list.0 must be a number"),
+        ("sensitivity", ("experiment.parameters.t_list=0.1",),
+         "error: experiment.parameters.t_list must be a list"),
+        ("generator", ("experiment.parameters.t_list=[0.1, 0.0]",),
+         "error: experiment.parameters.t_list: need one or more positive times"),
+        ("generator", ("experiment.parameters.stop_tol=-1",),
+         "error: experiment.parameters.stop_tol: must be nonnegative"),
+        ("properties", ("experiment.parameters.trials=0",),
+         "error: experiment.parameters.trials: need at least one trial"),
+        ("properties", ("experiment.parameters.dual_trials=0",),
+         "error: experiment.parameters.dual_trials: need at least one trial"),
+        ("pde", ("experiment.parameters.horizon=-1",),
+         "error: experiment.parameters.horizon: horizon must be nonnegative"),
+        ("pde", ("experiment.parameters.snapshots=[2.0]",),
+         "error: experiment.parameters.snapshots: snapshot times must lie in [0, horizon]"),
+        ("pde", ('experiment.parameters.snapshots=["a"]',),
+         "error: experiment.parameters.snapshots: could not convert"),
+        ("limit", ("experiment.parameters.t=-1",),
+         "error: experiment.parameters.t: must be nonnegative"),
+        ("crosscheck", ("experiment.parameters.horizon=-0.5",),
+         "error: experiment.parameters.horizon: must be nonnegative"),
+        ("limit", ("numerics.max_level=11",), "error: numerics.max_level must lie in [0, 10]"),
+        ("limit", ("numerics.max_level=-1",), "error: numerics.max_level must lie in [0, 10]"),
+        ("limit", ("numerics.stop_tol=-1",), "error: numerics.stop_tol must lie in [0, inf]"),
+        ("limit", ("numerics.quad_order=2",), "error: numerics.quad_order must lie in [4, 64]"),
+        ("pde", ("numerics.cfl_safety=2",), "error: numerics.cfl_safety must lie in (0, 1]"),
+        ("limit", ('grid.lo=["a"]',), "error: grid.lo.0 must be a number"),
+        ("limit", ("grid.n=[12.5]",), "error: grid.n.0 must be an integer"),
     ]
     for i, (subcommand, overrides, message) in enumerate(cases):
         out = tmp_path / f"bad{i}"

@@ -27,6 +27,21 @@ def test_grid_nodes_exact():
     assert g.axes[0][256] == 0.0
 
 
+def test_grid_mesh_and_nodes_c_order():
+    # the last axis varies fastest, in the mesh and in the node list alike
+    g = Grid.box((-1.0, 0.0), (1.0, 2.0), (9, 11))
+    xx, yy = g.mesh()
+    assert xx.shape == yy.shape == g.shape
+    assert np.array_equal(xx[:, 0], g.axes[0]) and np.array_equal(yy[0], g.axes[1])
+    nodes = g.nodes()
+    assert nodes.shape == (99, 2)
+    assert np.array_equal(nodes[:11, 1], g.axes[1]) and np.all(nodes[:11, 0] == -1.0)
+    assert np.array_equal(nodes[::11, 0], g.axes[0])
+    line = Grid.line(-1.0, 1.0, 9)
+    assert np.array_equal(line.mesh()[0], line.axes[0])
+    assert np.array_equal(line.nodes(), line.axes[0][:, None])
+
+
 def test_grid_refined():
     # same box, every spacing halved, every old node kept exactly
     g = Grid.box((-1.0, 0.0), (1.3, 2.0), (9, 11))
@@ -161,6 +176,8 @@ def test_csv_roundtrip_1d(tmp_path):
     back = load_csv(path)
     assert back.grid.n == g.n
     assert np.allclose(back.values, f.values, atol=0, rtol=0)
+    save_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_csv_roundtrip_2d(tmp_path):
@@ -171,6 +188,40 @@ def test_csv_roundtrip_2d(tmp_path):
     back = load_csv(path)
     assert back.grid.n == g.n
     assert np.allclose(back.values, f.values)
+    assert np.array_equal(back.values, f.values)
+    save_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_load_csv_refuses_rows_off_the_grid(tmp_path):
+    g = Grid.box((-1.0, 0.0), (1.0, 2.0), (9, 11))
+    xx, yy = g.mesh()
+    vals = xx + 10.0 * yy
+
+    def write(name, rows):
+        path = tmp_path / name
+        path.write_text("x,y,value\n" + "".join(f"{x!r},{y!r},{v!r}\n" for x, y, v in rows))
+        return path
+
+    c_order = list(zip(xx.ravel().tolist(), yy.ravel().tolist(), vals.ravel().tolist()))
+    assert np.array_equal(load_csv(write("c.csv", c_order)).values, vals)
+    # one column of nodes (x = 0.25) moved a third of a cell off the grid
+    h = g.spacing[0]
+    moved = [(x + h / 3 if x == 0.25 else x, y, v) for x, y, v in c_order]
+    with pytest.raises(InputError, match="uniform grid in C order"):
+        load_csv(write("moved.csv", moved))
+    # the nodes of the grid, but y-major: read in C order they would land on
+    # the wrong nodes
+    y_major = list(zip(xx.T.ravel().tolist(), yy.T.ravel().tolist(), vals.T.ravel().tolist()))
+    with pytest.raises(InputError, match="uniform grid in C order"):
+        load_csv(write("ymajor.csv", y_major))
+    # and 1-d rows out of order
+    line = [(x, 0.0) for x in np.linspace(0.0, 1.0, 9).tolist()]
+    line[2], line[3] = line[3], line[2]
+    path = tmp_path / "line.csv"
+    path.write_text("x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in line))
+    with pytest.raises(InputError, match="uniform grid in C order"):
+        load_csv(path)
 
 
 def test_bilinear_affine_exact_and_clamped():

@@ -16,6 +16,7 @@ from drolimit import (
     ScalarField,
     brownian_model,
     compose,
+    covariance,
     dro_step,
     dyadic_partition,
     law,
@@ -365,6 +366,37 @@ def test_merged_costs_match_unmerged_solve(grid):
                     assert np.array_equal(values, f.eval(pts))
                 else:
                     assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
+
+
+def test_brownian_is_ou_with_zero_theta(grid):
+    # drift b is the OU flow with theta = 0 and kappa = b: the same flow,
+    # covariance, law and step, bitwise, both through a shift stencil
+    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
+    cases = [
+        (grid, [0.3], [[0.9]], named_field(grid, "tanh")),
+        (g2, [0.3, -0.2], [[0.9, 0.0], [0.0, 0.7]], f2),
+    ]
+    for g, b, sigma, f in cases:
+        d = g.dim
+        bm = brownian_model([b], sigma, dim=d)
+        ou = ReferenceModel(
+            ORNSTEIN_UHLENBECK,
+            [Action("a0", sigma=np.array(sigma), theta=np.zeros((d, d)), kappa=np.array(b))],
+            dim=d,
+        )
+        cfgs = [
+            OperatorConfig(model=m, ambiguity=AmbiguitySpec(m=0.4), grid=g, quad_order=8, cand_per_side=4)
+            for m in (bm, ou)
+        ]
+        for t in (0.25, 2.0 ** -5):
+            assert np.array_equal(psi(bm, "a0", t, g.nodes()), psi(ou, "a0", t, g.nodes()))
+            assert np.array_equal(covariance(bm, "a0", t), covariance(ou, "a0", t))
+            mu, nu = law(bm, "a0", t, 8), law(ou, "a0", t, 8)
+            assert np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights)
+            assert np.array_equal(dro_step(cfgs[0], t, f).values, dro_step(cfgs[1], t, f).values)
+            for cfg in cfgs:
+                assert isinstance(_StepKernel(cfg, "a0", t).stencil, ShiftStencil)
 
 
 def test_step_refuses_field_on_other_grid(grid):

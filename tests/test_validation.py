@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drolimit import AmbiguitySpec, CompactWindow, Grid, OperatorConfig, brownian_model
+from drolimit import AmbiguitySpec, CompactWindow, Grid, InputError, OperatorConfig, brownian_model
 from drolimit.operators import dro_step
 from drolimit.validation import (
     check_dual_oracle,
@@ -129,6 +129,14 @@ def test_check_dual_oracle_small():
     rep = check_dual_oracle(trials=50, seed=0)
     assert rep.passed
     assert dict(rep.measured)["excess_over_resolution"] <= 1e-6
+
+
+def test_checks_refuse_zero_trials(grid):
+    # zero trials would pass on no evidence, with -inf as the worst gap
+    with pytest.raises(InputError, match="at least one trial"):
+        check_dual_oracle(trials=0)
+    with pytest.raises(InputError, match="at least one trial"):
+        check_operator_properties(cfg_for(grid), trials=0)
 
 
 def test_check_dual_oracle_deterministic():

@@ -1,0 +1,127 @@
+"""Run the same experiments on this checkout's src/ and on a git revision's,
+and compare what they write.
+
+    python3 tools/compare_outputs.py REV
+
+REV's ``src/`` is extracted with ``git archive`` into a temporary directory;
+the other side is ``src/`` as it stands in this checkout.  Each side runs,
+with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots,
+``crosscheck``, ``properties --seed 1`` and ``all`` on the default config,
+and the ``game-2d`` workload of this checkout's ``perfbench/worker.py`` at
+seed 29.  The two sides run side by side, one process each.
+
+Every output file except ``timings.json`` is compared byte for byte.  For a
+file that differs, the largest absolute difference between its numbers is
+printed, with how many of them differ.  Exits 0 when every exit code and
+every file agree, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = {
+    "limit": ["limit"],
+    "pde": ["pde", "--set", "experiment.parameters.snapshots=[0.1, 0.25]"],
+    "crosscheck": ["crosscheck"],
+    "properties": ["properties", "--seed", "1"],
+    "all": ["all"],
+}
+GAME_SEED = 29
+SKIP = {"timings.json"}
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|NaN|inf|nan)")
+
+
+def _env(src: Path) -> dict:
+    threads = dict.fromkeys(
+        ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"], "1"
+    )
+    return {**os.environ, **threads, "PYTHONPATH": str(src)}
+
+
+def _run_side(src: Path, out: Path) -> dict:
+    """Run every experiment with ``src`` on the path, each into its own
+    directory under ``out``; their exit codes."""
+    codes = {}
+    for name, args in RUNS.items():
+        cmd = [sys.executable, "-m", "drolimit.cli", *args, "--out", str(out / name), "--quiet"]
+        codes[name] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
+    worker = ROOT / "perfbench" / "worker.py"
+    cmd = [sys.executable, str(worker), "game-2d", str(GAME_SEED), str(out / "game-2d"),
+           str(out.parent / f"{out.name}-worker.json"), "plain"]  # timings, not compared
+    codes["game-2d"] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
+    return codes
+
+
+def _extract_src(rev: str, dest: Path) -> Path:
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _numbers_diff(a: str, b: str):
+    """(largest absolute difference, differing numbers, numbers) between two
+    texts that differ only in their numbers, or None if their words differ."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    pairs = list(zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+    diffs = [abs(float(x) - float(y)) for x, y in pairs if x != y]
+    return max(diffs, default=0.0), len(diffs), len(pairs)
+
+
+def compare(old: Path, new: Path) -> bool:
+    """Print one line per output file; True if every file is identical."""
+    same = True
+    files = sorted({p.relative_to(side) for side in (old, new) for p in side.rglob("*")
+                    if p.is_file() and p.name not in SKIP})
+    for rel in files:
+        a, b = old / rel, new / rel
+        if not (a.exists() and b.exists()):
+            print(f"{rel}: only in {'new' if b.exists() else 'old'}")
+            same = False
+        elif a.read_bytes() == b.read_bytes():
+            print(f"{rel}: identical")
+        else:
+            same = False
+            diff = _numbers_diff(a.read_text(), b.read_text())
+            if diff is None:
+                print(f"{rel}: DIFFERS beyond its numbers")
+            else:
+                print(f"{rel}: DIFFERS, max abs diff {diff[0]:.3g} in {diff[1]} of {diff[2]} numbers")
+    return same
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        old_src = _extract_src(argv[0], tmp / "rev")
+        sides = {"old": (old_src, tmp / "old"), "new": (ROOT / "src", tmp / "new")}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {k: pool.submit(_run_side, src, out) for k, (src, out) in sides.items()}
+            codes = {k: f.result() for k, f in futures.items()}
+        same = codes["old"] == codes["new"]
+        for name in codes["old"]:
+            print(f"exit codes {name}: old {codes['old'][name]}, new {codes['new'][name]}")
+        return 0 if compare(tmp / "old", tmp / "new") and same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

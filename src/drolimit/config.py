@@ -11,7 +11,7 @@ import numpy as np
 from .dual import AmbiguitySpec
 from .errors import ConfigError
 from .fields import CompactWindow, Grid
-from .models import Action, BROWNIAN, ReferenceModel
+from .models import Action, BROWNIAN, ORNSTEIN_UHLENBECK, ReferenceModel
 from .operators import MAX_LEVEL, OperatorConfig
 from .pde import PdeScheme
 
@@ -41,8 +41,12 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     "output": {"directory": "out"},
 }
 
-# the keys an action may set; none has a default
-_ACTION_KEYS = dict.fromkeys(["label", "drift", "sigma", "theta", "kappa"])
+# per family, the keys an action may set, each with a value of its type; none
+# is a default: ``ReferenceModel`` requires every key but the label
+_ACTION_KEYS = {
+    BROWNIAN: {"label": "", "drift": [0.0], "sigma": [[0.0]]},
+    ORNSTEIN_UHLENBECK: {"label": "", "sigma": [[0.0]], "theta": [[0.0]], "kappa": [0.0]},
+}
 
 
 def check_values(values, defaults: dict, path: str) -> None:
@@ -79,8 +83,11 @@ def check_values(values, defaults: dict, path: str) -> None:
 
 def validate_config(cfg: dict) -> None:
     check_values(cfg, DEFAULT_CONFIG, "")
-    for i, act in enumerate(cfg.get("model", {}).get("actions", [])):
-        check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
+    model = cfg.get("model", {})
+    keys = _ACTION_KEYS.get(model.get("family"))
+    if keys:  # an unknown family is refused by name while the model is built
+        for i, act in enumerate(model.get("actions", [])):
+            check_values(act, keys, f"model.actions[{i}]")
     amb = cfg.get("ambiguity", {})
     if amb.get("m", 0.0) < 0:
         raise ConfigError("ambiguity.m must be nonnegative")

@@ -56,17 +56,6 @@ class DiscreteMeasure:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    def mean(self) -> Array:
-        return self.weights @ self.atoms
-
-    def covariance(self) -> Array:
-        c = self.atoms - self.mean()
-        return (c * self.weights[:, None]).T @ c
-
-    def moment(self, p: float) -> float:
-        """E ||y||^p under the measure."""
-        return float(self.weights @ np.linalg.norm(self.atoms, axis=1) ** p)
-
 
 @dataclass(eq=False)
 class Action:

@@ -60,10 +60,6 @@ class Partition:
             raise InputError("partition times must be strictly increasing")
 
     @property
-    def horizon(self) -> float:
-        return self.times[-1]
-
-    @property
     def gaps(self) -> Tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.times, self.times[1:]))
 

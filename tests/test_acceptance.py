@@ -84,7 +84,7 @@ def game_report():
 
 def test_criterion_01_dual_oracle_equivalence():
     t0 = time.perf_counter()
-    rep = check_dual_oracle(trials=200, seed=0, grid_steps=8, tol=1e-6)
+    rep = check_dual_oracle(trials=200, seed=0)
     vals = dict(rep.measured)
     ok = rep.passed
     announce(
@@ -123,14 +123,14 @@ def test_criterion_04_refinement_monotonicity():
     t0 = time.perf_counter()
     # stated configuration: the first six comparisons hold at the default grid
     rep_default = check_refinement_monotonicity(
-        base_cfg(0.5), named_field(GRID, "tanh"), t=1.0, levels=6, window=WINDOW, tol=1e-8
+        base_cfg(0.5), named_field(GRID, "tanh"), t=1.0, levels=6, window=WINDOW
     )
     # comparison n=6 (levels 6 -> 7) needs the doubled grid: at 513 nodes the
     # per-stage resampling bias (~h^2/dt) overtakes the shrinking true margin
     fine_grid = Grid.line(-8.0, 8.0, 1025)
     rep_fine = check_refinement_monotonicity(
         base_cfg(0.5, grid=fine_grid), named_field(fine_grid, "tanh"),
-        t=1.0, levels=7, window=WINDOW, tol=1e-8,
+        t=1.0, levels=7, window=WINDOW,
     )
     ok = rep_default.passed and rep_fine.passed
     announce(
@@ -148,8 +148,7 @@ def test_criterion_05_sensitivity_limit():
     cfg = base_cfg(1.0)
     f = named_field(GRID, "sin")
     rep = check_sensitivity(
-        cfg, f, t_list=(0.2, 0.1, 0.05, 0.025), window=WINDOW,
-        final_factor=0.05, decrease_slack=0.10, grid_slack=0.0,
+        cfg, f, t_list=(0.2, 0.1, 0.05, 0.025), window=WINDOW, final_factor=0.05,
     )
     vals = dict(rep.measured)
     decreasing = vals["max_increase_ratio"] <= 0.10
@@ -182,8 +181,7 @@ def test_criterion_06_generator_identity():
     cfg = base_cfg(0.5)
     f = named_field(GRID, "cos")
     rep = check_generator(
-        cfg, f, t_list=(0.2, 0.1, 0.05), window=WINDOW, stop_tol=2e-5,
-        max_level=6, final_factor=0.1,
+        cfg, f, t_list=(0.2, 0.1, 0.05), window=WINDOW, stop_tol=2e-5, final_factor=0.1,
     )
     vals = dict(rep.measured)
     gate = rep.thresholds["final_error"]
@@ -203,8 +201,7 @@ def test_criterion_07_semigroup_property():
     cfg = base_cfg(0.5)
     f = named_field(GRID, "tanh")
     rep = check_semigroup(
-        cfg, f, pairs=((0.25, 0.25),), window=WINDOW, stop_tol=1e-3,
-        max_level=8, gap_factor=5.0, extra_slack=1e-3,
+        cfg, f, pairs=((0.25, 0.25),), window=WINDOW, stop_tol=1e-3, max_level=8,
     )
     gap = dict(rep.measured)["gap_s=0.25_t=0.25"]
     announce(
@@ -261,7 +258,6 @@ def test_criterion_11_refinement_certificates(heat_report, cdf_report, game_repo
             "cdf_anchor": cdf_report,
             "game_crosscheck": game_report,
         },
-        factor=0.5,
     )
     vals = dict(rep.measured)
     announce(

@@ -43,6 +43,15 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         # sigma of the wrong shape is a ModelError raised while building the model
         ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]',),
          "error: sigma"),
+        # action values are type-checked, and keys foreign to the family refused
+        ("limit", ('model.actions=[{"label":"a0","drift":["a"],"sigma":[[1.0]]}]',),
+         "error: model.actions[0].drift.0 must be a number"),
+        ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0]],"theta":[[1.0]]}]',),
+         "error: unknown configuration key model.actions[0].theta"),
+        ("limit", ("model.family=ornstein_uhlenbeck",
+                   'model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0]],'
+                   '"theta":[[1.0]],"kappa":[0.2]}]'),
+         "error: unknown configuration key model.actions[0].drift"),
         ("limit", ('grid.window={"lo":[-7.9],"hi":[4.0]}',), "error: window"),
         ("limit", ('ambiguity.m="abc"',), "error: ambiguity.m"),
         ("limit", ('numerics.quad_order="x"',), "error: numerics.quad_order"),

@@ -72,7 +72,7 @@ def test_partition_validation():
     with pytest.raises(InputError):
         Partition((0.0, 1.0, 1.0))
     p = Partition((0.0, 0.5, 2.0))
-    assert p.horizon == 2.0 and p.gaps == (0.5, 1.5)
+    assert p.times[-1] == 2.0 and p.gaps == (0.5, 1.5)
     assert Partition((0.0,)).gaps == ()
 
 

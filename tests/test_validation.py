@@ -183,6 +183,7 @@ def test_refinement_certificate_heat(grid, window):
     )
     assert rep.passed
     assert dict(rep.measured)["change_heat_anchor"] <= 2.5e-3
+    assert rep.thresholds["change_heat_anchor"] == 2.5e-3
 
 
 def test_report_serialization(grid, window):

@@ -6,9 +6,11 @@ and compare what they write.
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory;
 the other side is ``src/`` as it stands in this checkout.  Each side runs,
 with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots,
-``crosscheck``, ``properties --seed 1`` and ``all`` on the default config,
-and the ``game-2d`` workload of this checkout's ``perfbench/worker.py`` at
-seed 29.  The two sides run side by side, one process each.
+``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
+``properties --seed 1`` and ``all`` on the default config, ``limit`` on a
+one-action Ornstein-Uhlenbeck model at t = 1/4, and the ``game-2d`` workload
+of this checkout's ``perfbench/worker.py`` at seed 29.  The two sides run
+side by side, one process each.
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
 file that differs, the largest absolute difference between its numbers is
@@ -34,6 +36,14 @@ RUNS = {
     "limit": ["limit"],
     "pde": ["pde", "--set", "experiment.parameters.snapshots=[0.1, 0.25]"],
     "crosscheck": ["crosscheck"],
+    "sensitivity": ["sensitivity"],
+    "generator": ["generator"],
+    "semigroup": ["semigroup"],
+    "limit-ou": [
+        "limit", "--set", "model.family=ornstein_uhlenbeck",
+        "--set", 'model.actions=[{"label": "a0", "sigma": [[1.0]], "theta": [[1.0]], "kappa": [0.2]}]',
+        "--set", "experiment.parameters.t=0.25",
+    ],
     "properties": ["properties", "--seed", "1"],
     "all": ["all"],
 }

@@ -172,22 +172,39 @@ class ScalarField:
 _BLOCK = 1 << 14  # points per block, so that temporaries stay in cache
 
 
+def _cells(u: Array) -> tuple:
+    """The cells and cell fractions of positions ``u`` in cell units, with
+    ``u = cells + fracs`` and ``0 <= fracs < 1``, once ``u`` is snapped to a
+    node within 1e-12 cells so that node queries reproduce node values
+    bitwise."""
+    near = np.rint(u)
+    u = np.where(np.abs(u - near) < 1e-12, near, u)
+    cells = np.floor(u)
+    return cells, u - cells
+
+
+def _padded(values: Array, pad) -> tuple:
+    """The edge-padded values and their steps along the last axis, both as
+    wide as the steps.  Past the box every step is exactly 0, so that
+    ``a + f (b - a)`` there is exactly the boundary value: the padding
+    reproduces the clamped extension exactly."""
+    padded = np.pad(values, pad, mode="edge")
+    return padded[..., :-1], np.diff(padded, axis=-1)
+
+
 class Stencil:
     """Where fixed points fall on a grid, found once and applied to any field
     on that grid by gathers and arithmetic.
 
-    Per point it stores a node index and the offsets inside that node's cell.
-    In 1-d the index is the left node ``j`` and the offset ``x - x_j``, and
-    ``apply`` computes ``slope[j] * (x - x_j) + f_j``, the arithmetic of
-    NumPy's ``interp``; points left of the box get ``j = 0``, points right of
-    it or on the last node ``j = n - 1``, both with offset 0, and the slope
-    past the last node is 0.  In 2-d the index is the flat ``i * n1 + j`` of
-    the lower-left node and the offsets are the fractions ``fx``, ``fy`` of
-    the cell, clipped to the box and snapped to a node within 1e-12 cells so
-    that node queries reproduce node values bitwise.
+    Per point it stores ``index``, the flat lower corner of its cell in the
+    values padded by one node, and ``fracs`` (d, P), its cell fractions.  The
+    rule is ``ShiftStencil``'s: positions in cells from ``lo``, clipped to
+    [-1, n - 1] and located by ``_cells``, then ``a + f (b - a)`` on the
+    edge-padded values along the last axis, in 2-d in the cell's row and the
+    row above, then between the two.
     """
 
-    __slots__ = ("grid", "shape", "index", "offsets")
+    __slots__ = ("grid", "shape", "index", "fracs")
 
     def __init__(self, grid: Grid, points):
         pts = np.asarray(points, dtype=float)
@@ -207,8 +224,12 @@ class Stencil:
         self.grid = grid
         self.shape = tuple(shape)
         size = int(np.prod(shape))
-        self.index = np.empty(size, np.int32 if grid.num_nodes < 2**31 else np.intp)
-        self.offsets = np.empty((grid.dim, size))
+        n = np.asarray(grid.n)
+        # flat strides of the padded values: n[0] + 2 rows of n[-1] + 1
+        strides = np.array([n[-1] + 1, 1][-grid.dim:])
+        self.index = np.empty(size, np.int32 if (n[0] + 2) * strides[0] < 2**31 else np.intp)
+        self.fracs = np.empty((grid.dim, size))
+        lo, h = np.asarray(grid.lo)[:, None], np.asarray(grid.spacing)[:, None]
         s = 0
         for blk in blocks:
             flat = np.asarray(blk, dtype=float).reshape(-1, grid.dim)
@@ -216,61 +237,54 @@ class Stencil:
             for part in np.array_split(flat, range(_BLOCK, len(flat), _BLOCK)):
                 if not np.all(np.isfinite(part)):
                     raise InputError("evaluation points must be finite")
+                # one row per axis, so that every operation runs along the points
+                u = (np.ascontiguousarray(part.T) - lo) / h
+                cells, fracs = _cells(np.clip(u, -1.0, n[:, None] - 1.0))
                 sl = slice(s, s + len(part))
-                if grid.dim == 1:
-                    self._locate_line(part[:, 0], sl)
-                else:
-                    self._locate_box(part, sl)
+                self.index[sl] = strides @ (cells + 1)
+                self.fracs[:, sl] = fracs
                 s += len(part)
         if s != size:
             raise InputError(f"blocks hold {s} points, not the {size} of shape {self.shape}")
 
-    def _locate_line(self, x: Array, sl: slice) -> None:
-        axis = self.grid.axes[0]
-        j = np.searchsorted(axis, x, side="right") - 1
-        np.clip(j, 0, len(axis) - 1, out=j)
-        off = x - axis[j]
-        off[(off < 0) | (j == len(axis) - 1)] = 0.0
-        self.index[sl] = j
-        self.offsets[0, sl] = off
+    def windows(self, values: Array) -> tuple:
+        """The values padded by one node and their steps along the last axis,
+        both flat."""
+        return tuple(a.ravel() for a in _padded(values, 1))
 
-    def _locate_box(self, pts: Array, sl: slice) -> None:
-        g = self.grid
-        cell = []
-        for axis in range(2):
-            u = np.clip((pts[:, axis] - g.lo[axis]) / g.spacing[axis], 0.0, g.n[axis] - 1)
-            # snap float wobble so node queries reproduce node values bitwise
-            near = np.rint(u)
-            np.copyto(u, near, where=np.abs(u - near) < 1e-12)
-            i = np.minimum(np.floor(u), g.n[axis] - 2)
-            self.offsets[axis, sl] = u - i
-            cell.append(i.astype(self.index.dtype))
-        self.index[sl] = cell[0] * g.n[1] + cell[1]
+    def rows(self, windows: tuple, start: int, end: int) -> Array:
+        """Interpolated values at the points ``start:end`` along the first
+        axis of ``shape``."""
+        size = int(np.prod(self.shape[1:]))
+        out = self._interpolate(windows, start * size, end * size)
+        return out.reshape((-1,) + self.shape[1:])
 
     def apply(self, values: Array) -> Array:
         """Interpolated values at the points, shaped like the points, from the
         values of a field on the stencil's grid."""
-        out = np.empty(self.index.shape[0])
-        if self.grid.dim == 1:
-            slope = np.append(np.diff(values) / np.diff(self.grid.axes[0]), 0.0)
-        else:
-            values = values.ravel()
-            n1 = self.grid.n[1]
-        for s in range(0, out.shape[0], _BLOCK):
-            sl = slice(s, s + _BLOCK)
+        return self._interpolate(self.windows(values), 0, self.index.size).reshape(self.shape)
+
+    def _interpolate(self, windows: tuple, start: int, end: int) -> Array:
+        """Interpolated values at the flat points ``start:end``, a block at a
+        time, so that the temporaries stay in cache."""
+        vals, steps = windows
+        out = np.empty(end - start)
+        for s in range(start, end, _BLOCK):
+            sl = slice(s, min(s + _BLOCK, end))
             k = self.index[sl]
-            if self.grid.dim == 1:
-                out[sl] = slope[k] * self.offsets[0, sl] + values[k]
-            else:
-                fx, fy = self.offsets[0, sl], self.offsets[1, sl]
-                gx, gy = 1 - fx, 1 - fy
-                out[sl] = (
-                    values[k] * gx * gy
-                    + values[k + n1] * fx * gy
-                    + values[k + 1] * gx * fy
-                    + values[k + n1 + 1] * fx * fy
-                )
-        return out.reshape(self.shape)
+            lower = out[s - start:sl.stop - start]
+            np.multiply(steps[k], self.fracs[-1, sl], out=lower)
+            lower += vals[k]
+            if self.grid.dim == 2:
+                # the same in the row above, then between the two rows
+                k = k + (self.grid.n[1] + 1)
+                upper = steps[k]
+                upper *= self.fracs[-1, sl]
+                upper += vals[k]
+                upper -= lower
+                upper *= self.fracs[0, sl]
+                lower += upper
+        return out
 
 
 class ShiftStencil:
@@ -279,11 +293,10 @@ class ShiftStencil:
 
     ``shifts`` has shape (C, Q, d).  Per shift and axis it stores the integer
     cell shift ``k`` and the fraction ``f`` of ``shift / spacing = k + f``,
-    snapped to a node within 1e-12 cells as ``Stencil`` snaps.  ``rows`` reads
+    located by ``_cells`` as ``Stencil`` locates its points.  ``rows`` reads
     the edge-padded values through sliding windows, so that the values at
     ``node + shift`` for all nodes are one shifted window, and interpolates
-    them as ``a + f (b - a)``: past the box ``b - a`` is exactly 0, so the
-    padding reproduces the clamped extension exactly.
+    them as ``Stencil`` does, ``a + f (b - a)``.
     """
 
     __slots__ = ("grid", "cells", "fracs", "pad")
@@ -292,10 +305,8 @@ class ShiftStencil:
         u = np.asarray(shifts, dtype=float) / np.asarray(grid.spacing)
         if not np.all(np.isfinite(u)):
             raise InputError("shifts must be finite")
-        near = np.rint(u)
-        np.copyto(u, near, where=np.abs(u - near) < 1e-12)
-        cells = np.floor(u)
-        self.fracs = np.moveaxis(u - cells, -1, 0)  # (d, C, Q)
+        cells, fracs = _cells(u)
+        self.fracs = np.moveaxis(fracs, -1, 0)  # (d, C, Q)
         # a shift past the whole box clamps every node the same way, so
         # shifts beyond n cells need no more padding than n cells
         n = np.asarray(grid.n)
@@ -310,10 +321,8 @@ class ShiftStencil:
         """Sliding windows over the edge-padded values and over their steps
         along the last axis; window ``k`` is the field shifted by ``k`` cells,
         in 2-d with one more row, the upper neighbour of the last."""
-        padded = np.pad(values, self.pad, mode="edge")
-        steps = np.diff(padded, axis=-1)
         shape = self.grid.shape if self.grid.dim == 1 else (self.grid.n[0] + 1, self.grid.n[1])
-        return sliding_window_view(padded, shape), sliding_window_view(steps, shape)
+        return tuple(sliding_window_view(a, shape) for a in _padded(values, self.pad))
 
     def rows(self, windows: tuple, start: int, end: int) -> Array:
         """Interpolated values at ``node + shift`` for the shifts

@@ -123,7 +123,8 @@ class _StepKernel:
     translation ``psi(x) = x + kappa dt``, so every node sees the same shifts
     ``kappa dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
     Q * C shifts.  Flows with theta != 0 scale the nodes, so their stencil
-    is a ``Stencil`` of all N * Q * C points.
+    is a ``Stencil`` of all C * Q * N points.  Both stencils give the values
+    of one run of candidates at a time through ``rows``.
 
     ``_radius_offsets`` sorts the offsets by cost, so candidates of equal cost
     form runs; ``apply`` takes the max over each run before the dual solve.
@@ -143,16 +144,13 @@ class _StepKernel:
         ends = np.append(starts[1:], len(costs))
         shift = not np.any(cfg.model.action(action).theta)
         # the bytes one apply holds, at most: the run maxima, their transposed
-        # copy and ``solve_batch``'s (N, Q, D) temporary, plus for shift
-        # stencils d + 1 arrays of the largest run's rows, and for point
-        # stencils the index (4 bytes) and d offsets (8 each) of every point
-        # and its interpolated value
+        # copy and ``solve_batch``'s (N, Q, D) temporary, and d + 1 arrays of
+        # the largest run's rows; point stencils add the index (4 bytes) and
+        # d fractions (8 each) of every point
         n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
-        need = 3 * 8 * n * q * len(starts)
-        if shift:
-            need += (d + 1) * 8 * n * q * int(np.max(ends - starts))
-        else:
-            need += (4 + 8 * d + 8) * n * q * len(costs)
+        need = 3 * 8 * n * q * len(starts) + (d + 1) * 8 * n * q * int(np.max(ends - starts))
+        if not shift:
+            need += (4 + 8 * d) * n * q * len(costs)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise InputError(
@@ -167,13 +165,12 @@ class _StepKernel:
             )
         else:
             base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
-            near = base[:, None, :] + meas.atoms[None, :, :]             # (N, Q, d)
-            # candidate-major (C, N, Q), so that each run of equal cost is one
-            # contiguous block: a max over whole blocks is about 10x faster than
-            # ``np.maximum.reduceat`` over the last axis of (N, Q, C).  One
-            # candidate's points at a time, so that building holds them only once.
+            near = meas.atoms[:, None, :] + base[None, :, :]             # (Q, N, d)
+            # (C, Q, *grid.shape), so that each run of equal cost is one
+            # contiguous block of rows; one candidate's points at a time, so
+            # that building holds them only once
             self.stencil = Stencil.from_blocks(
-                cfg.grid, (len(offs),) + near.shape[:2], (near + off for off in offs)
+                cfg.grid, (len(offs), q) + cfg.grid.shape, (near + off for off in offs)
             )
         self.runs = list(zip(starts, ends))
         self.costs = costs[starts]
@@ -190,19 +187,12 @@ class _StepKernel:
     def _run_max(self, values: Array) -> Array:
         """The (N, Q, D) max of the interpolated values over each of the D
         runs of equal cost, in the C order that ``solve_batch`` takes."""
-        if isinstance(self.stencil, ShiftStencil):
-            windows = self.stencil.windows(values)
-            merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
-            for k, (start, end) in enumerate(self.runs):
-                np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
-            merged = merged.reshape(merged.shape[:2] + (-1,))
-            return np.ascontiguousarray(merged.transpose(2, 1, 0))
-        g = self.stencil.apply(values)
-        merged = np.empty((len(self.runs),) + g.shape[1:])
+        windows = self.stencil.windows(values)
+        merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
-            np.max(g[start:end], axis=0, out=merged[k])
-        del g  # freed before the transposed copy, which bounds the peak memory
-        return np.ascontiguousarray(merged.transpose(1, 2, 0))
+            np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
+        merged = merged.reshape(merged.shape[:2] + (-1,))
+        return np.ascontiguousarray(merged.transpose(2, 1, 0))
 
 
 def dro_step(

@@ -252,6 +252,20 @@ def test_sensitivity_subcommand(tmp_path):
     assert len(lines) == 5
 
 
+def test_error_tables_keep_every_digit_of_t(tmp_path):
+    # the t column is the report's t_list, not t as the error labels round it
+    for name in ("sensitivity", "generator"):
+        out = tmp_path / name
+        run_cli(
+            [name, "--out", str(out), "--set", "ambiguity.m=0.0",
+             "--set", "experiment.parameters.t_list=[0.0123456789, 0.2]"] + SMALL
+        )
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["t", "0.2", "0.0123456789"]
+        report = json.loads((out / "report.json").read_text())
+        assert report[0]["parameters"]["t_list"] == [0.2, 0.0123456789]
+
+
 def test_generator_subcommand_default_grid(tmp_path):
     # the coarse test grid cannot resolve the small-t quotient, so this one
     # runs at the default resolution (m=0 keeps it cheap: no dual solves)

@@ -15,7 +15,7 @@ from drolimit import (
     save_csv,
     sup_distance,
 )
-from drolimit.fields import Stencil
+from drolimit.fields import ShiftStencil, Stencil
 
 
 def test_grid_nodes_exact():
@@ -237,53 +237,91 @@ def test_bilinear_affine_exact_and_clamped():
     assert np.array_equal(f.eval(nodes).reshape(g.shape), f.values)
 
 
+def one_rule(g, values, pts):
+    """The stencils' rule written out: the position in cells from ``lo``,
+    snapped to a node within 1e-12 cells, floored to its cell, the cell
+    clipped to [-1, n - 1] in values edge-padded by one node, then
+    ``a + f (b - a)`` along the last axis and, in 2-d, the same between the
+    cell's row and the row above."""
+    u = (np.reshape(pts, (-1, g.dim)) - g.lo) / g.spacing
+    near = np.rint(u)
+    u = np.where(np.abs(u - near) < 1e-12, near, u)
+    cells = np.floor(u)
+    f = u - cells
+    i = np.clip(cells, -1, np.array(g.n) - 1).astype(int) + 1
+    v = np.pad(values, 1, mode="edge")
+
+    def lerp(a, b, t):
+        return a + t * (b - a)
+
+    if g.dim == 1:
+        return lerp(v[i[:, 0]], v[i[:, 0] + 1], f[:, 0])
+    lower = lerp(v[i[:, 0], i[:, 1]], v[i[:, 0], i[:, 1] + 1], f[:, 1])
+    upper = lerp(v[i[:, 0] + 1, i[:, 1]], v[i[:, 0] + 1, i[:, 1] + 1], f[:, 1])
+    return lerp(lower, upper, f[:, 0])
+
+
 def test_stencil_matches_np_interp_1d():
     g = Grid.line(-2.0, 3.0, 41)
     f = ScalarField.from_function(g, lambda x: np.sin(2 * x) + 0.1 * x ** 2)
     rng = np.random.default_rng(5)
+    on_nodes = rng.integers(0, 41, 50)
     pts = np.concatenate([
         rng.uniform(-4.0, 5.0, 500),            # both sides of the box
-        g.axes[0][rng.integers(0, 41, 50)],     # exactly on nodes
+        g.axes[0][on_nodes],                    # exactly on nodes
         [-2.0, 3.0, -2.5, 3.5],                 # both ends, and beyond them
     ])
-    assert np.array_equal(Stencil(g, pts).apply(f.values), np.interp(pts, g.axes[0], f.values))
+    out = Stencil(g, pts).apply(f.values)
+    assert np.array_equal(out, one_rule(g, f.values, pts))
+    assert np.max(np.abs(out - np.interp(pts, g.axes[0], f.values))) <= 1e-15
+    # node values, and both clamps, exactly
+    assert np.array_equal(out[500:550], f.values[on_nodes])
+    assert np.array_equal(out[550:], f.values[[0, -1, 0, -1]])
+    assert np.all(out[pts < -2.0] == f.values[0]) and np.all(out[pts > 3.0] == f.values[-1])
     # shaped points, with and without the trailing axis of length 1
     shaped = pts[:552].reshape(6, 92)
-    assert np.array_equal(f.eval(shaped), np.interp(shaped, g.axes[0], f.values))
-    assert np.array_equal(f.eval(shaped[..., None]), np.interp(shaped, g.axes[0], f.values))
+    expected = one_rule(g, f.values, shaped).reshape(6, 92)
+    assert np.array_equal(f.eval(shaped), expected)
+    assert np.array_equal(f.eval(shaped[..., None]), expected)
     # a 0-d scalar gives a float
     value = f.eval(0.3)
-    assert isinstance(value, float) and value == np.interp(0.3, g.axes[0], f.values)
+    assert isinstance(value, float) and value == one_rule(g, f.values, 0.3)[0]
+    assert abs(value - np.interp(0.3, g.axes[0], f.values)) <= 1e-15
 
 
 def test_stencil_matches_bilinear_2d():
     g = Grid.box((-2.0, -3.0), (2.0, 3.0), (16, 24))
     f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y) + 0.2 * x * y)
     rng = np.random.default_rng(6)
-    nodes = g.nodes()[rng.integers(0, g.num_nodes, 60)]
+    on_nodes = rng.integers(0, g.num_nodes, 60)
+    nodes = g.nodes()[on_nodes]
     pts = np.concatenate([
         rng.uniform((-3.0, -4.0), (3.0, 4.0), (400, 2)),    # clamped outside
         nodes + rng.uniform(-1e-13, 1e-13, nodes.shape),    # snapped to nodes
         [[2.0, 3.0], [-2.0, -3.0], [9.0, -9.0]],
     ])
-    # the clip-and-snap bilinear rule, written out
-    cell, frac = [], []
-    for axis in range(2):
-        u = np.clip((pts[:, axis] - g.lo[axis]) / g.spacing[axis], 0.0, g.n[axis] - 1)
-        i0 = np.minimum(np.floor(u).astype(int), g.n[axis] - 2)
-        near = np.rint(u)
-        snap = np.abs(u - near) < 1e-12
-        i_snap = np.minimum(near.astype(int), g.n[axis] - 2)
-        cell.append(np.where(snap, i_snap, i0))
-        frac.append(np.where(snap, near - i_snap, u - i0))
-    (i, j), (fx, fy), v = cell, frac, f.values
-    expected = (
-        v[i, j] * (1 - fx) * (1 - fy)
-        + v[i + 1, j] * fx * (1 - fy)
-        + v[i, j + 1] * (1 - fx) * fy
-        + v[i + 1, j + 1] * fx * fy
-    )
-    assert np.array_equal(Stencil(g, pts).apply(f.values), expected)
+    out = Stencil(g, pts).apply(f.values)
+    assert np.array_equal(out, one_rule(g, f.values, pts))
+    assert np.array_equal(out[400:460], f.values.flat[on_nodes])
+    assert np.array_equal(out[460:], f.values[[-1, 0, -1], [-1, 0, 0]])
+
+
+def test_stencil_at_shifted_nodes_matches_shift_stencil():
+    # on a dyadic grid, with shifts that are multiples of 1/64 (some past the
+    # whole box), every point node + shift is exact, so both stencils locate
+    # it alike and interpolate it to the same bits
+    rng = np.random.default_rng(8)
+    for g in (Grid.line(-4.0, 4.0, 33), Grid.box((-4.0, -4.0), (4.0, 4.0), (33, 33))):
+        shifts = rng.integers(-700, 701, (5, 3, g.dim)) / 64.0
+        shifts[0, 0] = 9.5
+        shifts[0, 1] = -10.0
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        pts = (shifts[:, :, None, :] + g.nodes()).reshape(shifts.shape[:2] + g.shape + (g.dim,))
+        point, shift = Stencil(g, pts), ShiftStencil(g, shifts)
+        expected = shift.rows(shift.windows(f.values), 0, 5)
+        assert np.array_equal(point.rows(point.windows(f.values), 0, 5), expected)
+        assert np.array_equal(point.rows(point.windows(f.values), 2, 4), expected[2:4])
+        assert np.array_equal(point.apply(f.values), expected)
 
 
 def test_stencil_reused_across_fields():

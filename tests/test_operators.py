@@ -288,10 +288,8 @@ def kernel_points(cfg, act, t):
 def kernel_values(kernel, f):
     """The kernel's interpolated values before the run max, (N, Q, C)."""
     st = kernel.stencil
-    if isinstance(st, ShiftStencil):
-        rows = st.rows(st.windows(f.values), 0, st.cells.shape[1])
-        return rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 1, 0)
-    return st.apply(f.values).transpose(1, 2, 0)
+    rows = st.rows(st.windows(f.values), 0, kernel.runs[-1][1])
+    return rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 1, 0)
 
 
 def test_shift_stencil_matches_eval(grid):

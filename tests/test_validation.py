@@ -159,7 +159,7 @@ def test_cross_check_pde_heat(grid, window):
     ref = lambda x: math.exp(-0.25) * np.cos(x)
     rep = cross_check_pde(
         cfg, u0, 0.5, window=window, stop_tol=1e-4, tol=5e-3,
-        reference=ref, reference_tol=5e-3,
+        reference=ref,
     )
     assert rep.passed
     vals = dict(rep.measured)

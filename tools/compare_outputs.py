@@ -8,7 +8,9 @@ the other side is ``src/`` as it stands in this checkout.  Each side runs,
 with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots,
 ``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
 ``properties --seed 1`` and ``all`` on the default config, ``limit`` on a
-one-action Ornstein-Uhlenbeck model at t = 1/4, and the ``game-2d`` workload
+one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
+2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
+3 candidates per side, 5 trials of each check), and the ``game-2d`` workload
 of this checkout's ``perfbench/worker.py`` at seed 29.  The two sides run
 side by side, one process each.
 
@@ -45,6 +47,16 @@ RUNS = {
         "--set", "experiment.parameters.t=0.25",
     ],
     "properties": ["properties", "--seed", "1"],
+    # the only run whose steps go through the 2-d point stencil
+    "properties-ou-2d": [
+        "properties", "--seed", "1", "--set", "model.family=ornstein_uhlenbeck",
+        "--set", 'model.actions=[{"label": "a0", "sigma": [[1.0, 0.0], [0.0, 1.0]],'
+        ' "theta": [[1.0, 0.0], [0.0, 0.5]], "kappa": [0.2, 0.0]}]',
+        "--set", 'grid={"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [17, 17],'
+        ' "window": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]}}',
+        "--set", "numerics.quad_order=4", "--set", "numerics.cand_per_side=3",
+        "--set", "experiment.parameters.trials=5", "--set", "experiment.parameters.dual_trials=5",
+    ],
     "all": ["all"],
 }
 GAME_SEED = 29

@@ -125,8 +125,6 @@ def _run_pde(cfg, op, params, args) -> List[CheckReport]:
     summary = {
         "dt": dt,
         "steps": int(np.ceil(horizon / dt)) if np.isfinite(dt) else 0,
-        "cfl_bound": dt,
-        "cfl_margin": 0.0,
         "cfl_safety": scheme.cfl_safety,
         "horizon": horizon,
     }

@@ -16,6 +16,12 @@ nodes at once (exactly, by cutting planes on its pieces) and is the only
 minimizer of D in the package; ``wasserstein_sup`` runs it on one
 ``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
 as an independent primal oracle.
+
+Each evaluation of D is candidate-major: one loop over the candidates keeps
+the running max and the cost it pays on (atoms, nodes) arrays, and the sums
+over atoms run in a fixed order, so a node's value does not depend on which
+other nodes share its batch.  The batch therefore drops the nodes whose
+cutting planes have stopped, once at most half of it still runs.
 """
 
 from __future__ import annotations
@@ -207,10 +213,40 @@ def oracle_resolution(inst: DualInstance, grid_steps: int) -> float:
     return worst / grid_steps
 
 
+def _weighted_sum(a: Array, w: Array) -> Array:
+    """sum_k a[k] w[k] over the first axis, added in the order of k, so that
+    every column's bits depend on that column alone, not on how many other
+    columns share the call (a matrix-vector product may reorder its sums
+    with the batch size)."""
+    out = a[0] * w[0]
+    for k in range(1, len(w)):
+        out += a[k] * w[k]
+    return out
+
+
+def _best_candidates(g: Array, cols: Array, lam: Array) -> tuple:
+    """The (Q, M) max over candidates of g[d] - cost_d lam, for g of shape
+    (C, Q, M), and the cost each max pays.  ``cols[d]`` is candidate d's cost,
+    one number or a (Q, 1) column, and ``cols[0]`` is the free stay option.
+    A candidate replaces the max only where it is strictly larger, so of
+    equal maxima the first, cheapest one pays."""
+    mx = g[0].copy()
+    paid = np.zeros_like(mx)
+    cand = np.empty_like(mx)
+    better = np.empty(mx.shape, bool)
+    for d in range(1, len(g)):
+        np.subtract(g[d], cols[d] * lam, out=cand)
+        np.greater(cand, mx, out=better)
+        np.maximum(mx, cand, out=mx)
+        np.copyto(paid, cols[d], where=better)
+    return mx, paid
+
+
 def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: float) -> Array:
     """Exact vectorized dual minimization for a batch of instances sharing geometry.
 
-    gvals:   (N, Q, C) integrand values, one row of atoms per grid node
+    gvals:   (N, Q, C) integrand values, one row of atoms per grid node; the
+             transpose of a C-contiguous (C, Q, N) array is read without a copy
     costs:   (C,) transport costs ||z - y||^p shared by all atoms, or (Q, C)
              per atom; column 0 is the free stay option, and sorting the rest
              ascending makes ties resolve toward cheaper destinations
@@ -226,31 +262,31 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     Q (C - 1) + 1 passes are needed.  The reported value is the running
     minimum of all evaluated dual objectives, an upper bound on the LP value
     that is attained up to rounding.
+
+    A pass runs candidate by candidate on (Q, M) arrays of the M nodes in the
+    working set (``_best_candidates``), so it builds no (N, Q, C) tensor and
+    ties keep the cheaper cost.  Sums over atoms run in a fixed order
+    (``_weighted_sum``), so a node's value is the same bits in any batch;
+    that is what lets the working set shrink to the running nodes once at
+    most half of it still runs.
     """
-    # one contiguous copy of the stay column, so that the matrix-vector
-    # product (BLAS or not) and its last bits do not depend on the layout
-    stay = np.ascontiguousarray(gvals[:, :, 0])
     if radius <= 0.0 or gvals.shape[2] == 1:
-        return stay @ weights
+        return _weighted_sum(gvals[:, :, 0].T, weights)
     if np.any(costs[..., 0] != 0.0):
         raise InputError("costs[..., 0] must be the zero-cost stay option")
     rp = radius ** p
-    # the chosen cost per (node, atom) is one flat gather from the costs
-    # broadcast to (Q, C), whether they are shared or per atom
-    q, c = gvals.shape[1:]
-    flat_costs = np.broadcast_to(costs, (q, c)).ravel()
-    row_start = c * np.arange(q)
+    g = np.ascontiguousarray(gvals.transpose(2, 1, 0))  # (C, Q, N)
+    c, q, n = g.shape
+    # one (Q, 1) column of costs per candidate, or one shared number
+    cols = costs.T[:, :, None] if costs.ndim == 2 else costs
 
     def evaluate(lam: Array):
-        obj = gvals - lam[:, None, None] * costs
-        arg = obj.argmax(axis=2)
-        mx = np.take_along_axis(obj, arg[:, :, None], axis=2)[:, :, 0]
-        paid = flat_costs[arg + row_start]
-        val = lam * rp + mx @ weights
-        sub = rp - paid @ weights
+        mx, paid = _best_candidates(g, cols, lam)
+        val = lam * rp + _weighted_sum(mx, weights)
+        sub = rp - _weighted_sum(paid, weights)
         return val, sub
 
-    lam = np.zeros(gvals.shape[0])
+    lam = np.zeros(n)
     best, sub = evaluate(lam)
     active = sub < 0  # lambda* = 0 where the budget is slack at 0
     # supporting lines a + s lam: the left one at the last point with a
@@ -258,20 +294,32 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     # lam r^p + sum_i w_i max{g_ic : cost_ic = 0}, a lower bound for every lam
     # that D reaches for large lam.  Columns past 0 with a zero cost are
     # gathered only where some exist, and enter as a gain over column 0.
-    a_r = stay @ weights
-    free = np.broadcast_to(costs, (q, c)) == 0.0
-    cols = np.flatnonzero(free[:, 1:].any(axis=0)) + 1
-    if cols.size:
-        gain = np.where(free[:, cols], gvals[:, :, cols] - gvals[:, :, :1], 0.0).max(axis=2)
-        a_r = a_r + np.maximum(gain, 0.0) @ weights
+    a_r = _weighted_sum(g[0], weights)
+    free = np.broadcast_to(costs, (q, c)).T == 0.0  # (C, Q)
+    extra = np.flatnonzero(free[1:].any(axis=1)) + 1
+    if extra.size:
+        gain = np.where(free[extra, :, None], g[extra] - g[0], 0.0).max(axis=0)
+        a_r = a_r + _weighted_sum(np.maximum(gain, 0.0), weights)
     a_l, s_l, lo = best.copy(), sub, lam
     s_r, hi = np.full_like(lam, rp), np.full_like(lam, np.inf)
+    # the nodes of the working set; ``best`` holds their running minima
+    nodes, out = np.arange(n), np.empty(n)
     for _ in range(q * (c - 1) + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (a_l - a_r) / (s_r - s_l)
         active &= (cross > lo) & (cross < hi)
-        if not active.any():
-            return best
+        running = np.count_nonzero(active)
+        if not running:
+            break
+        if 2 * running <= active.size:
+            # the stopped nodes leave the working set
+            keep = np.flatnonzero(active)
+            out[nodes] = best
+            g = g[:, :, keep]
+            nodes, best, active, cross, lam, a_l, s_l, lo, a_r, s_r, hi = (
+                x[keep] for x in (nodes, best, active, cross, lam, a_l, s_l, lo, a_r, s_r, hi)
+            )
+        # stopped nodes still in the working set keep their last, finite lambda
         lam = np.where(active, cross, lam)
         val, sub = evaluate(lam)
         np.minimum(best, val, out=best, where=active)
@@ -282,4 +330,5 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
         a_r, s_r, hi = np.where(right, a, a_r), np.where(right, sub, s_r), np.where(right, lam, hi)
     if active.any():
         raise DataError("batch dual cutting planes did not terminate")
-    return best
+    out[nodes] = best
+    return out

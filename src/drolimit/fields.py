@@ -176,11 +176,15 @@ def _cells(u: Array) -> tuple:
     """The cells and cell fractions of positions ``u`` in cell units, with
     ``u = cells + fracs`` and ``0 <= fracs < 1``, once ``u`` is snapped to a
     node within 1e-12 cells so that node queries reproduce node values
-    bitwise."""
-    near = np.rint(u)
-    u = np.where(np.abs(u - near) < 1e-12, near, u)
-    cells = np.floor(u)
-    return cells, u - cells
+    bitwise.  ``u`` must be the caller's own working array: it is snapped
+    and floored in place and returned as the fractions."""
+    cells = np.rint(u)
+    gap = np.subtract(u, cells)
+    np.abs(gap, out=gap)
+    np.copyto(u, cells, where=gap < 1e-12)
+    np.floor(u, out=cells)
+    u -= cells
+    return cells, u
 
 
 def _padded(values: Array, pad) -> tuple:
@@ -237,12 +241,16 @@ class Stencil:
             for part in np.array_split(flat, range(_BLOCK, len(flat), _BLOCK)):
                 if not np.all(np.isfinite(part)):
                     raise InputError("evaluation points must be finite")
-                # one row per axis, so that every operation runs along the points
-                u = (np.ascontiguousarray(part.T) - lo) / h
-                cells, fracs = _cells(np.clip(u, -1.0, n[:, None] - 1.0))
+                # located in place in the stencil's own fractions, one row
+                # per axis, so that a block allocates only the cells
                 sl = slice(s, s + len(part))
-                self.index[sl] = strides @ (cells + 1)
-                self.fracs[:, sl] = fracs
+                u = self.fracs[:, sl]
+                np.subtract(part.T, lo, out=u)
+                u /= h
+                np.clip(u, -1.0, n[:, None] - 1.0, out=u)
+                cells, _ = _cells(u)
+                cells += 1
+                self.index[sl] = strides @ cells
                 s += len(part)
         if s != size:
             raise InputError(f"blocks hold {s} points, not the {size} of shape {self.shape}")

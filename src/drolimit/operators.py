@@ -130,6 +130,9 @@ class _StepKernel:
     form runs; ``apply`` takes the max over each run before the dual solve.
     That is exact: for one cost c, max_k fl(g_k - lam c) = fl(max_k g_k - lam c),
     and ties still resolve toward the cheapest cost because the runs ascend.
+    The run maxima are held run by run, (D, Q, N), the order in which
+    ``solve_batch`` loops over candidates, so the dual solve copies nothing
+    but the nodes still running once at most half of them run.
     """
 
     __slots__ = ("weights", "costs", "runs", "stencil", "radius", "p")
@@ -143,12 +146,13 @@ class _StepKernel:
         starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
         ends = np.append(starts[1:], len(costs))
         shift = not np.any(cfg.model.action(action).theta)
-        # the bytes one apply holds, at most: the run maxima, their transposed
-        # copy and ``solve_batch``'s (N, Q, D) temporary, and d + 1 arrays of
-        # the largest run's rows; point stencils add the index (4 bytes) and
-        # d fractions (8 each) of every point
+        # the bytes one apply holds, at most: the (D, Q, N) run maxima (8 per
+        # value) and the at most half of them that ``solve_batch`` gathers
+        # when its running nodes shrink (4 more), its four (Q, N) temporaries,
+        # and d + 1 arrays of the largest run's rows; point stencils add the
+        # index (4 bytes) and d fractions (8 each) of every point
         n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
-        need = 3 * 8 * n * q * len(starts) + (d + 1) * 8 * n * q * int(np.max(ends - starts))
+        need = 12 * n * q * len(starts) + 8 * n * q * (4 + (d + 1) * int(np.max(ends - starts)))
         if not shift:
             need += (4 + 8 * d) * n * q * len(costs)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -186,13 +190,15 @@ class _StepKernel:
 
     def _run_max(self, values: Array) -> Array:
         """The (N, Q, D) max of the interpolated values over each of the D
-        runs of equal cost, in the C order that ``solve_batch`` takes."""
+        runs of equal cost, as the transposed view of a C-contiguous
+        (D, Q, N) array: one (Q, N) block per run, the candidate-major layout
+        that ``solve_batch`` reads without a copy."""
         windows = self.stencil.windows(values)
         merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
             np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
         merged = merged.reshape(merged.shape[:2] + (-1,))
-        return np.ascontiguousarray(merged.transpose(2, 1, 0))
+        return merged.transpose(2, 1, 0)
 
 
 def dro_step(

@@ -237,6 +237,7 @@ def test_pde_subcommand(tmp_path):
     )
     assert code == 0
     summary = json.loads((out / "pde_summary.json").read_text())
+    assert set(summary) == {"dt", "steps", "cfl_safety", "horizon"}
     assert summary["horizon"] == 0.25
     assert (out / "pde_snapshots.csv").exists()
 

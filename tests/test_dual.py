@@ -13,8 +13,9 @@ from drolimit import (
     law,
     wasserstein_sup,
 )
-from drolimit.dual import oracle_resolution, solve_batch
-from drolimit.operators import _radius_offsets
+from drolimit.dual import _best_candidates, oracle_resolution, solve_batch
+from drolimit.fields import Grid
+from drolimit.operators import OperatorConfig, _radius_offsets, _StepKernel
 
 
 def delta_instance(integrand, radius, candidates, p=2.0):
@@ -311,3 +312,61 @@ def test_solve_batch_ignores_memory_layout():
         expected = solve_batch(gvals, costs, weights, r, 2.0)
         for other in (np.asfortranarray(gvals), transposed):
             assert np.array_equal(solve_batch(other, costs, weights, r, 2.0), expected)
+
+
+def tanh_step(t):
+    """One default 1-d step on tanh (513 nodes, 16 atoms, 17 distinct costs):
+    its kernel and the run maxima, the (N, Q, D) view of a (D, Q, N) array."""
+    grid = Grid.line(-8.0, 8.0, 513)
+    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
+    kernel = _StepKernel(cfg, "a0", t)
+    return kernel, kernel._run_max(np.tanh(grid.axes[0]))
+
+
+def test_any_subset_of_nodes_gives_the_full_batch_bits():
+    # sums over atoms run in a fixed order and stopped nodes leave the
+    # working set, so a node's value does not depend on the rest of its batch
+    rng = np.random.default_rng(19)
+    cases = []
+    for t in (2.0 ** -8, 1.0):
+        kernel, view = tanh_step(t)
+        cases.append((np.ascontiguousarray(view), kernel.costs, kernel.weights, kernel.radius))
+    # per-atom costs rounded to 0.1: ties and second free columns in some rows
+    costs = np.round(rng.uniform(0.0, 0.6, (5, 7)), 1)
+    costs[:, 0] = 0.0
+    w = rng.random(5)
+    cases.append((rng.standard_normal((300, 5, 7)), costs, w / w.sum(), 0.3))
+    for gvals, costs, w, radius in cases:
+        n = len(gvals)
+        full = solve_batch(gvals, costs, w, radius, 2.0)
+        subsets = [[i] for i in rng.choice(n, 20, replace=False)]
+        subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 7, 100, n // 2, n - 1)]
+        for rows in subsets:
+            assert np.array_equal(solve_batch(gvals[rows], costs, w, radius, 2.0), full[rows])
+
+
+def test_equal_maxima_pay_the_cheaper_cost():
+    # at lam = 0 candidates 1 and 2 tie at 1; at lam = 4 candidate 1 ties the
+    # stay value at 1 - 4 * 0.25 = 0: the first, cheaper candidate pays
+    g = np.array([0.0, 1.0, 1.0])[:, None, None] * np.ones((3, 2, 2))
+    lam = np.array([0.0, 4.0])
+    costs = np.array([0.0, 0.25, 1.0])
+    for cols in (costs, np.tile(costs, (2, 1)).T[:, :, None]):
+        mx, paid = _best_candidates(g, cols, lam)
+        assert np.array_equal(mx, [[1.0, 0.0]] * 2)
+        assert np.array_equal(paid, [[0.25, 0.0]] * 2)
+    # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
+    value = solve_batch(g[:, :1, :1].T, costs, np.ones(1), radius=0.125, p=2.0)
+    assert value[0] == 0.0625
+
+
+def test_kernel_view_reads_as_its_contiguous_copy():
+    # the kernel hands over (D, Q, N) run maxima as an (N, Q, D) view; a
+    # C-contiguous (N, Q, D) copy of it gives the same bits
+    kernel, view = tanh_step(2.0 ** -4)
+    assert view.transpose(2, 1, 0).flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    assert not np.shares_memory(copy, view)
+    for r in (kernel.radius, 0.0):
+        expected = solve_batch(copy, kernel.costs, kernel.weights, r, kernel.p)
+        assert np.array_equal(solve_batch(view, kernel.costs, kernel.weights, r, kernel.p), expected)

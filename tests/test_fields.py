@@ -324,6 +324,35 @@ def test_stencil_at_shifted_nodes_matches_shift_stencil():
         assert np.array_equal(point.apply(f.values), expected)
 
 
+def test_stencil_locates_in_place_without_touching_the_points():
+    # the position in cells from lo, clipped to [-1, n - 1], snapped to a node
+    # within 1e-12 cells and floored, written out of place: the stencil's
+    # in-place blocks give the same index and fractions, bitwise, over
+    # several blocks, and leave the caller's points and shifts as they were
+    rng = np.random.default_rng(9)
+    for g in (Grid.line(-4.0, 4.0, 65), Grid.box((-4.0, -4.0), (4.0, 5.0), (33, 41))):
+        nodes = g.nodes()[rng.integers(0, g.num_nodes, 20000)]
+        pts = np.concatenate([
+            rng.uniform(-6.0, 7.0, (20000, g.dim)),                     # past the box too
+            nodes + rng.uniform(-1e-12, 1e-12, nodes.shape) * g.spacing,  # snapped to nodes
+            [[1e3] * g.dim, [-1e3] * g.dim],
+        ])
+        u = (pts.T - np.array(g.lo)[:, None]) / np.array(g.spacing)[:, None]
+        u = np.clip(u, -1.0, np.array(g.n)[:, None] - 1.0)
+        near = np.rint(u)
+        u = np.where(np.abs(u - near) < 1e-12, near, u)
+        cells = np.floor(u)
+        index = np.array([g.n[-1] + 1, 1][-g.dim:]) @ (cells + 1)
+        given = pts.copy()
+        for st in (Stencil(g, pts), Stencil.from_blocks(g, (len(pts),), np.array_split(pts, 3))):
+            assert np.array_equal(st.index, index)
+            assert np.array_equal(st.fracs, u - cells)
+        assert np.array_equal(pts, given)
+        shifts = pts[:30].reshape(5, 6, g.dim)
+        ShiftStencil(g, shifts)
+        assert np.array_equal(shifts, given[:30].reshape(5, 6, g.dim))
+
+
 def test_stencil_reused_across_fields():
     for g, pts in [
         (Grid.line(0.0, 1.0, 17), np.linspace(-0.2, 1.2, 57)),

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -424,6 +425,40 @@ def test_two_dimensional_step_refused_beyond_memory():
     )
     with pytest.raises(InputError, match="GB of evaluation points"):
         dro_step(cfg, 0.25, ScalarField.constant(g2, 1.0))
+
+
+def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
+    # one apply holds 12 bytes per run max (the (D, Q, N) maxima, and the
+    # half of them that the dual solve may gather), four (Q, N) temporaries
+    # and d + 1 arrays of the largest run's rows; a point stencil (OU) adds
+    # 4 + 8 d bytes per point
+    ou = ReferenceModel(
+        ORNSTEIN_UHLENBECK,
+        [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[1.0]]), kappa=np.array([0.0]))],
+    )
+    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    cfg2 = OperatorConfig(
+        model=brownian_model([[0.5, 0.0]], np.eye(2), dim=2), ambiguity=AmbiguitySpec(m=0.25),
+        grid=g2, quad_order=4, cand_per_side=3,
+    )
+    nq, nq2 = 513 * 16, 289 * 16
+    cases = [
+        # 33 candidates in 17 runs of at most 2
+        (cfg_for(grid), 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
+        (OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid),
+         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 12 * nq * 33),
+        # 29 lattice points in the disk, 7 runs of at most 8
+        (cfg2, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8)),
+    ]
+    for cfg, need in cases:
+        for have in (need, need - 1):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+            if have < need:
+                with pytest.raises(InputError, match="GB of evaluation points"):
+                    _StepKernel(cfg, "a0", 0.25)
+            else:
+                _StepKernel(cfg, "a0", 0.25)
 
 
 def test_config_validation(grid):

@@ -17,6 +17,12 @@ minimizer of D in the package; ``wasserstein_sup`` runs it on one
 ``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
 as an independent primal oracle.
 
+``solve_batch`` reads one cost row shared by all atoms, with column 0 the
+only free one.  The step kernels build that row from their offsets; a
+``DualInstance`` evaluates its integrand and costs once per atom, and
+``_tableau`` puts those rows on the distinct costs of all atoms, keeping
+each atom's largest value at each cost.
+
 Each evaluation of D is candidate-major: one loop over the candidates keeps
 the running max and the cost it pays on (atoms, nodes) arrays, and the sums
 over atoms run in a fixed order, so a node's value does not depend on which
@@ -26,6 +32,7 @@ cutting planes have stopped, once at most half of it still runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +70,13 @@ class AmbiguitySpec:
 
 class DualInstance:
     """One discrete worst-case problem: source atoms, candidate destinations,
-    an integrand, a radius, and the transport order p."""
+    an integrand, a radius, and the transport order p.
+
+    Candidate set i is a (k, d) array that contains source atom i.  The
+    integrand and the costs ||z - y_i||^p are evaluated once per atom, into
+    ``values[i]`` and ``costs[i]`` in the order of the candidates; the stay
+    option (the cheapest candidate) costs exactly 0.
+    """
 
     def __init__(
         self,
@@ -83,71 +96,59 @@ class DualInstance:
         self.radius = float(radius)
         self.p = float(p)
         self.integrand = integrand
-        self.candidates = []
+        self.candidates, self.values, self.costs = [], [], []
         d = source.dim
         for i, z in enumerate(candidates):
-            z = np.atleast_2d(np.asarray(z, dtype=float))
-            if z.ndim == 2 and z.shape[1] != d and z.shape[0] == d and d > 1:
-                z = z.T
-            if d == 1 and z.shape[1] != 1:
-                z = z.reshape(-1, 1)
+            z = np.asarray(z, dtype=float)
+            if z.ndim != 2 or z.shape[1] != d:
+                raise InputError(f"candidate set {i} must be a (k, {d}) array, got shape {z.shape}")
             dist = np.linalg.norm(z - source.atoms[i], axis=1)
-            if dist.min() > _STAY_TOL:
+            if not np.any(dist <= _STAY_TOL):
                 raise InputError(
                     f"candidate set {i} does not contain its source atom"
                     " (zero-cost stay option required)"
                 )
-            self.candidates.append(z)
-
-    def _tableau(self):
-        """Padded (values, costs) arrays, candidates sorted by cost per atom.
-
-        Sorting ascending by cost makes argmax ties resolve toward the
-        cheaper destination, which keeps every downstream choice
-        deterministic.  Short rows are padded with copies of the free stay
-        option, which never change a row's max and keep every entry finite
-        (an infinite cost would give 0 * inf at lam = 0).
-        """
-        k = len(self.candidates)
-        cmax = max(z.shape[0] for z in self.candidates)
-        gvals = np.empty((k, cmax))
-        costs = np.zeros((k, cmax))
-        for i, z in enumerate(self.candidates):
-            c = np.linalg.norm(z - self.source.atoms[i], axis=1) ** self.p
-            order = np.argsort(c, kind="stable")
-            g = np.asarray(self.integrand(z), dtype=float).ravel()
+            g = np.asarray(integrand(z), dtype=float).ravel()
             if g.shape[0] != z.shape[0]:
                 raise DataError("integrand returned wrong number of values")
             if not np.all(np.isfinite(g)):
                 raise DataError("integrand returned non-finite values")
-            gvals[i, : z.shape[0]] = g[order]
-            gvals[i, z.shape[0] :] = g[order[0]]
-            costs[i, : z.shape[0]] = c[order]
-        costs[:, 0] = 0.0  # stay option is exactly free
-        return gvals, costs
+            c = dist ** self.p
+            c[np.argmin(c)] = 0.0  # the stay option is exactly free
+            self.candidates.append(z)
+            self.values.append(g)
+            self.costs.append(c)
+
+
+def _tableau(values: Sequence[Array], costs: Sequence[Array]) -> tuple:
+    """One shared cost row for per-atom rows of candidate values and costs.
+
+    Returns the distinct costs of all atoms, ascending from 0, and the
+    (atoms, costs) table of each atom's largest value at each cost.  Where an
+    atom has no candidate at a cost, its entry is the atom's best free value
+    (column 0): fl(g_0 - lam c) <= g_0, and a candidate replaces the running
+    max only where it is strictly larger, so that entry never changes the max.
+    """
+    levels = np.unique(np.concatenate(costs))
+    table = np.full((len(values), len(levels)), -np.inf)
+    for row, g, c in zip(table, values, costs):
+        np.maximum.at(row, np.searchsorted(levels, c), g)
+        row[row == -np.inf] = row[0]
+    return levels, table
 
 
 def wasserstein_sup(inst: DualInstance) -> float:
     """LP value of the instance: ``solve_batch`` on a batch of one node."""
-    gvals, costs = inst._tableau()
-    return float(solve_batch(gvals[None], costs, inst.source.weights, inst.radius, inst.p)[0])
+    levels, table = _tableau(inst.values, inst.costs)
+    return float(solve_batch(table[None], levels, inst.source.weights, inst.radius, inst.p)[0])
 
 
 def _simplex_lattice(k: int, steps: int) -> Array:
-    """All length-k nonnegative integer tuples summing to steps, as fractions."""
-    if k == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], steps, k)
-    return np.array(out, dtype=float) / steps
+    """All length-k nonnegative integer tuples summing to steps, as fractions,
+    in lexicographic order: stars and bars, the gaps between k - 1 bars
+    placed among steps + k - 1 slots."""
+    bars = np.array(list(itertools.combinations(range(steps + k - 1), k - 1)), dtype=float)
+    return (np.diff(bars, axis=1, prepend=-1.0, append=steps + k - 1.0) - 1.0) / steps
 
 
 def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
@@ -159,7 +160,7 @@ def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
     size, so it refuses anything beyond a few atoms and candidates.
     """
     natoms = inst.source.atoms.shape[0]
-    biggest = max(z.shape[0] for z in inst.candidates)
+    biggest = max(len(g) for g in inst.values)
     if natoms > 5 or biggest > 12:
         raise InputError(
             f"instance too large for the enumeration oracle"
@@ -173,15 +174,8 @@ def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
     per_atom_vals = []
     per_atom_costs = []
     n_plans = 1
-    for i, z in enumerate(inst.candidates):
-        g = np.asarray(inst.integrand(z), dtype=float).ravel()
-        if not np.all(np.isfinite(g)):
-            raise DataError("integrand returned non-finite values")
-        c = np.linalg.norm(z - inst.source.atoms[i], axis=1) ** inst.p
-        imin = int(np.argmin(c))
-        if c[imin] <= _STAY_TOL:
-            c[imin] = 0.0  # the stay option is exactly free
-        plans = _simplex_lattice(z.shape[0], grid_steps)
+    for i, (g, c) in enumerate(zip(inst.values, inst.costs)):
+        plans = _simplex_lattice(len(g), grid_steps)
         per_atom_vals.append(w[i] * plans @ g)
         per_atom_costs.append(w[i] * plans @ c)
         n_plans *= plans.shape[0]
@@ -193,9 +187,8 @@ def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
     for v, c in zip(per_atom_vals[1:], per_atom_costs[1:]):
         vals = np.add.outer(vals, v).ravel()
         cost = np.add.outer(cost, c).ravel()
+    # the plan that keeps every atom on its free stay option costs exactly 0
     feasible = cost <= rp * (1.0 + 1e-12) + 1e-15
-    if not feasible.any():
-        raise DataError("oracle found no feasible lattice plan (missing stay option?)")
     return float(vals[feasible].max())
 
 
@@ -207,9 +200,8 @@ def oracle_resolution(inst: DualInstance, grid_steps: int) -> float:
     max_i w_i * osc_i(g) / grid_steps.
     """
     worst = 0.0
-    for i, z in enumerate(inst.candidates):
-        g = np.asarray(inst.integrand(z), dtype=float).ravel()
-        worst = max(worst, float(inst.source.weights[i] * (g.max() - g.min())))
+    for wi, g in zip(inst.source.weights, inst.values):
+        worst = max(worst, float(wi * (g.max() - g.min())))
     return worst / grid_steps
 
 
@@ -224,21 +216,20 @@ def _weighted_sum(a: Array, w: Array) -> Array:
     return out
 
 
-def _best_candidates(g: Array, cols: Array, lam: Array) -> tuple:
-    """The (Q, M) max over candidates of g[d] - cost_d lam, for g of shape
-    (C, Q, M), and the cost each max pays.  ``cols[d]`` is candidate d's cost,
-    one number or a (Q, 1) column, and ``cols[0]`` is the free stay option.
-    A candidate replaces the max only where it is strictly larger, so of
-    equal maxima the first, cheapest one pays."""
+def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
+    """The (Q, M) max over candidates of g[d] - costs[d] lam, for g of shape
+    (C, Q, M), and the cost each max pays; ``costs[0]`` is the free stay
+    option.  A candidate replaces the max only where it is strictly larger,
+    so of equal maxima the first, cheapest one pays."""
     mx = g[0].copy()
     paid = np.zeros_like(mx)
     cand = np.empty_like(mx)
     better = np.empty(mx.shape, bool)
     for d in range(1, len(g)):
-        np.subtract(g[d], cols[d] * lam, out=cand)
+        np.subtract(g[d], costs[d] * lam, out=cand)
         np.greater(cand, mx, out=better)
         np.maximum(mx, cand, out=mx)
-        np.copyto(paid, cols[d], where=better)
+        np.copyto(paid, costs[d], where=better)
     return mx, paid
 
 
@@ -247,8 +238,9 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
 
     gvals:   (N, Q, C) integrand values, one row of atoms per grid node; the
              transpose of a C-contiguous (C, Q, N) array is read without a copy
-    costs:   (C,) transport costs ||z - y||^p shared by all atoms, or (Q, C)
-             per atom; column 0 is the free stay option, and sorting the rest
+    costs:   (C,) transport costs ||z - y||^p shared by all atoms; column 0
+             is the free stay option and the only free one (``_tableau``
+             puts per-atom rows on one such row), and sorting the rest
              ascending makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
 
@@ -270,18 +262,16 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     that is what lets the working set shrink to the running nodes once at
     most half of it still runs.
     """
+    if costs.shape != gvals.shape[2:] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
+        raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
     if radius <= 0.0 or gvals.shape[2] == 1:
         return _weighted_sum(gvals[:, :, 0].T, weights)
-    if np.any(costs[..., 0] != 0.0):
-        raise InputError("costs[..., 0] must be the zero-cost stay option")
     rp = radius ** p
     g = np.ascontiguousarray(gvals.transpose(2, 1, 0))  # (C, Q, N)
     c, q, n = g.shape
-    # one (Q, 1) column of costs per candidate, or one shared number
-    cols = costs.T[:, :, None] if costs.ndim == 2 else costs
 
     def evaluate(lam: Array):
-        mx, paid = _best_candidates(g, cols, lam)
+        mx, paid = _best_candidates(g, costs, lam)
         val = lam * rp + _weighted_sum(mx, weights)
         sub = rp - _weighted_sum(paid, weights)
         return val, sub
@@ -291,15 +281,9 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     active = sub < 0  # lambda* = 0 where the budget is slack at 0
     # supporting lines a + s lam: the left one at the last point with a
     # negative subgradient; the right one starts as the stay line
-    # lam r^p + sum_i w_i max{g_ic : cost_ic = 0}, a lower bound for every lam
-    # that D reaches for large lam.  Columns past 0 with a zero cost are
-    # gathered only where some exist, and enter as a gain over column 0.
+    # lam r^p + sum_i w_i g_i0, with column 0 the only free one, a lower
+    # bound for every lam that D reaches for large lam
     a_r = _weighted_sum(g[0], weights)
-    free = np.broadcast_to(costs, (q, c)).T == 0.0  # (C, Q)
-    extra = np.flatnonzero(free[1:].any(axis=1)) + 1
-    if extra.size:
-        gain = np.where(free[extra, :, None], g[extra] - g[0], 0.0).max(axis=0)
-        a_r = a_r + _weighted_sum(np.maximum(gain, 0.0), weights)
     a_l, s_l, lo = best.copy(), sub, lam
     s_r, hi = np.full_like(lam, rp), np.full_like(lam, np.inf)
     # the nodes of the working set; ``best`` holds their running minima

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,13 @@ from drolimit import (
     law,
     wasserstein_sup,
 )
-from drolimit.dual import _best_candidates, oracle_resolution, solve_batch
+from drolimit.dual import (
+    _best_candidates,
+    _simplex_lattice,
+    _tableau,
+    oracle_resolution,
+    solve_batch,
+)
 from drolimit.fields import Grid
 from drolimit.operators import OperatorConfig, _radius_offsets, _StepKernel
 
@@ -44,6 +51,70 @@ def test_stay_option_required():
     src = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
     with pytest.raises(InputError):
         DualInstance(src, [np.array([[1.0], [2.0]])], linear, 1.0)
+
+
+def test_candidate_sets_must_be_k_by_d():
+    # a flat set or a (d, k) array is refused, not reshaped or transposed
+    src1 = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
+    src2 = DiscreteMeasure(np.zeros((2, 2)), np.full(2, 0.5))
+    ok = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    for src, sets in (
+        (src1, [np.array([0.0, 1.0])]),
+        (src1, [np.zeros((1, 1, 1))]),
+        (src2, [ok, ok.T]),
+        (src2, [ok, ok[:, :1]]),
+    ):
+        with pytest.raises(InputError, match=f"candidate set {len(sets) - 1} must be"):
+            DualInstance(src, sets, lambda z: np.asarray(z)[:, 0], 0.1)
+    inst = DualInstance(src2, [ok, ok], lambda z: np.asarray(z)[:, 0], 0.1)
+    assert [g.tolist() for g in inst.values] == [[0.0, 0.5, 0.0]] * 2
+    assert [c.tolist() for c in inst.costs] == [[0.0, 0.25, 0.25]] * 2
+
+
+def test_free_candidate_counts_at_radius_zero():
+    # the cost of moving 1e-200 underflows to 0, so the second candidate is
+    # free: every radius, 0 included, and the oracle reach its value 1
+    src = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
+    step = lambda z: (np.asarray(z)[:, 0] > 0).astype(float)
+    cands = [np.array([[0.0], [1e-200]])]
+    for r in (0.0, 1e-300, 0.5):
+        inst = DualInstance(src, cands, step, r)
+        assert wasserstein_sup(inst) == 1.0
+        assert brute_force_sup(inst, 4) == 1.0
+        assert inst.costs[0].tolist() == [0.0, 0.0]
+
+
+def test_tableau_keeps_each_atoms_largest_value_per_cost():
+    values = [np.array([0.5, 2.0, 1.0, 3.0, 0.7]), np.array([1.0, -1.0])]
+    costs = [np.array([0.0, 0.25, 0.25, 1.0, 0.0]), np.array([0.0, 0.5])]
+    levels, table = _tableau(values, costs)
+    assert levels.tolist() == [0.0, 0.25, 0.5, 1.0]
+    # atom 0 has nothing at cost 0.5, atom 1 nothing at 0.25 or 1: each such
+    # entry is the atom's best free value
+    assert table.tolist() == [[0.7, 2.0, 0.7, 3.0], [1.0, 1.0, -1.0, 1.0]]
+
+
+def test_solve_batch_takes_one_cost_row_with_one_free_column():
+    g = np.ones((2, 3, 4))
+    w = np.full(3, 1 / 3)
+    for costs in (
+        np.array([0.0, 0.0, 0.25, 1.0]),       # a second free column
+        np.array([0.1, 0.2, 0.25, 1.0]),       # no free stay option
+        np.array([0.0, 0.2, np.nan, 1.0]),
+        np.tile([0.0, 0.2, 0.25, 1.0], (3, 1)),  # per-atom rows
+    ):
+        for r in (0.0, 0.3):
+            with pytest.raises(InputError):
+                solve_batch(g, costs, w, r, 2.0)
+
+
+def test_simplex_lattice_is_the_ordered_product_filter():
+    for k in range(1, 6):
+        for steps in range(1, 7):
+            rows = [v for v in itertools.product(range(steps + 1), repeat=k) if sum(v) == steps]
+            expected = np.array(rows, dtype=float) / steps
+            got = _simplex_lattice(k, steps)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def test_radius_zero_is_plain_expectation():
@@ -244,18 +315,6 @@ def test_batch_matches_scalar_path():
         assert batch[k] == pytest.approx(wasserstein_sup(inst), abs=1e-9)
 
 
-def test_batch_per_atom_costs_match_shared():
-    # (Q, C) costs with identical rows are the shared (C,) costs, bitwise
-    rng = np.random.default_rng(18)
-    w = rng.random(5)
-    w /= w.sum()
-    costs = np.array([0.0, 0.01, 0.01, 0.04, 0.04, 0.16, 0.16])
-    gvals = rng.standard_normal((9, 5, 7))
-    shared = solve_batch(gvals, costs, w, radius=0.2, p=2.0)
-    per_atom = solve_batch(gvals, np.tile(costs, (5, 1)), w, radius=0.2, p=2.0)
-    assert np.array_equal(shared, per_atom)
-
-
 def test_against_linear_program():
     # independent LP oracle on a mid-size instance
     rng = np.random.default_rng(17)
@@ -273,7 +332,8 @@ def test_second_zero_cost_column_matches_linear_program():
         w /= w.sum()
         costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
         costs[:, 0] = 0.0
-        value = solve_batch(gvals, costs, w, radius=0.1, p=2.0)[0]
+        levels, table = _tableau(gvals[0], costs)
+        value = solve_batch(table[None], levels, w, radius=0.1, p=2.0)[0]
         assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
@@ -331,11 +391,14 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     for t in (2.0 ** -8, 1.0):
         kernel, view = tanh_step(t)
         cases.append((np.ascontiguousarray(view), kernel.costs, kernel.weights, kernel.radius))
-    # per-atom costs rounded to 0.1: ties and second free columns in some rows
+    # per-atom costs rounded to 0.1, with ties and second free columns in
+    # some rows, put on one shared row by ``_tableau``
     costs = np.round(rng.uniform(0.0, 0.6, (5, 7)), 1)
     costs[:, 0] = 0.0
     w = rng.random(5)
-    cases.append((rng.standard_normal((300, 5, 7)), costs, w / w.sum(), 0.3))
+    tables = [_tableau(g, costs) for g in rng.standard_normal((300, 5, 7))]
+    levels = tables[0][0]
+    cases.append((np.stack([table for _, table in tables]), levels, w / w.sum(), 0.3))
     for gvals, costs, w, radius in cases:
         n = len(gvals)
         full = solve_batch(gvals, costs, w, radius, 2.0)
@@ -351,10 +414,9 @@ def test_equal_maxima_pay_the_cheaper_cost():
     g = np.array([0.0, 1.0, 1.0])[:, None, None] * np.ones((3, 2, 2))
     lam = np.array([0.0, 4.0])
     costs = np.array([0.0, 0.25, 1.0])
-    for cols in (costs, np.tile(costs, (2, 1)).T[:, :, None]):
-        mx, paid = _best_candidates(g, cols, lam)
-        assert np.array_equal(mx, [[1.0, 0.0]] * 2)
-        assert np.array_equal(paid, [[0.25, 0.0]] * 2)
+    mx, paid = _best_candidates(g, costs, lam)
+    assert np.array_equal(mx, [[1.0, 0.0]] * 2)
+    assert np.array_equal(paid, [[0.25, 0.0]] * 2)
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
     value = solve_batch(g[:, :1, :1].T, costs, np.ones(1), radius=0.125, p=2.0)
     assert value[0] == 0.0625

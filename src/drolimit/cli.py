@@ -59,8 +59,7 @@ def _cell(v):
 
 def _run_sensitivity(cfg, op, params, args) -> List[CheckReport]:
     report = val.check_sensitivity(
-        op, params["function"], t_list=params["t_list"], window=build_window(cfg),
-        final_factor=params["final_factor"],
+        op, params["function"], t_list=params["t_list"], window=build_window(cfg)
     )
     errors = [v for k, v in report.measured if k.startswith("error_t=")]
     rows = zip(report.parameters["t_list"], errors)
@@ -70,8 +69,7 @@ def _run_sensitivity(cfg, op, params, args) -> List[CheckReport]:
 
 def _run_generator(cfg, op, params, args) -> List[CheckReport]:
     report = val.check_generator(
-        op, params["function"], t_list=params["t_list"], window=build_window(cfg),
-        stop_tol=params["stop_tol"],
+        op, params["function"], t_list=params["t_list"], window=build_window(cfg)
     )
     errors = [v for k, v in report.measured if k.startswith("error_t=")]
     rows = zip(report.parameters["t_list"], errors)
@@ -143,7 +141,6 @@ def _run_crosscheck(cfg, op, params, args) -> List[CheckReport]:
         stop_tol=float(cfg["numerics"]["stop_tol"]),
         max_level=int(cfg["numerics"]["max_level"]),
         scheme=build_scheme(cfg),
-        tol=params["tol"],
     )
     if report.artifacts:
         save_csv(report.artifacts["limit"].field, os.path.join(args.out, "crosscheck_limit.csv"))
@@ -216,15 +213,12 @@ def _run_all(cfg, op, params, args) -> List[CheckReport]:
 
 # subcommand -> (runner, the experiment.parameters it reads, with their defaults)
 _SUBCOMMANDS = {
-    "sensitivity": (
-        _run_sensitivity,
-        {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025], "final_factor": 0.05},
-    ),
-    "generator": (_run_generator, {"function": "cos", "t_list": [0.2, 0.1, 0.05], "stop_tol": 2e-5}),
+    "sensitivity": (_run_sensitivity, {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025]}),
+    "generator": (_run_generator, {"function": "cos", "t_list": [0.2, 0.1, 0.05]}),
     "semigroup": (_run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]}),
     "limit": (_run_limit, {"function": "tanh", "t": 1.0}),
     "pde": (_run_pde, {"function": "cos", "horizon": 0.5, "snapshots": []}),
-    "crosscheck": (_run_crosscheck, {"function": "tanh", "horizon": 0.5, "tol": 0.02}),
+    "crosscheck": (_run_crosscheck, {"function": "tanh", "horizon": 0.5}),
     "properties": (_run_properties, {"trials": 100, "dual_trials": 200}),
     "certify": (
         _run_certify,
@@ -237,10 +231,7 @@ _SUBCOMMANDS = {
 # subcommand -> {parameter: its range check on all parameters}, run before any output
 _RANGES = {
     "sensitivity": {"t_list": lambda p: val.validate_times(p["t_list"])},
-    "generator": {
-        "t_list": lambda p: val.validate_times(p["t_list"]),
-        "stop_tol": lambda p: val.validate_nonnegative(p["stop_tol"]),
-    },
+    "generator": {"t_list": lambda p: val.validate_times(p["t_list"])},
     "semigroup": {"pairs": lambda p: val.validate_pairs(p["pairs"])},
     "limit": {"t": lambda p: val.validate_nonnegative(p["t"])},
     "pde": {

@@ -30,7 +30,6 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     },
     "numerics": {
         "quad_order": 16,
-        "reach_factor": 4.0,
         "cand_per_side": 16,
         "stop_tol": 1e-3,
         "max_level": 8,
@@ -178,7 +177,6 @@ def build_operator_config(cfg: dict) -> OperatorConfig:
         ambiguity=AmbiguitySpec(m=float(cfg["ambiguity"]["m"]), p=float(cfg["ambiguity"]["p"])),
         grid=build_grid(cfg),
         quad_order=int(num["quad_order"]),
-        reach_factor=float(num["reach_factor"]),
         cand_per_side=int(num["cand_per_side"]),
     )
 

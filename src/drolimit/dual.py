@@ -140,7 +140,8 @@ def _tableau(values: Sequence[Array], costs: Sequence[Array]) -> tuple:
 def wasserstein_sup(inst: DualInstance) -> float:
     """LP value of the instance: ``solve_batch`` on a batch of one node."""
     levels, table = _tableau(inst.values, inst.costs)
-    return float(solve_batch(table[None], levels, inst.source.weights, inst.radius, inst.p)[0])
+    gvals = table.T[:, :, None]  # (costs, atoms, one node)
+    return float(solve_batch(gvals, levels, inst.source.weights, inst.radius, inst.p)[0])
 
 
 def _simplex_lattice(k: int, steps: int) -> Array:
@@ -236,9 +237,9 @@ def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
 def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: float) -> Array:
     """Exact vectorized dual minimization for a batch of instances sharing geometry.
 
-    gvals:   (N, Q, C) integrand values, one row of atoms per grid node; the
-             transpose of a C-contiguous (C, Q, N) array is read without a copy
-    costs:   (C,) transport costs ||z - y||^p shared by all atoms; column 0
+    gvals:   (C, Q, N) integrand values, one (Q, N) block of atoms by grid
+             nodes per candidate
+    costs:   (C,) transport costs ||z - y||^p shared by all atoms; costs[0]
              is the free stay option and the only free one (``_tableau``
              puts per-atom rows on one such row), and sorting the rest
              ascending makes ties resolve toward cheaper destinations
@@ -256,18 +257,18 @@ def solve_batch(gvals: Array, costs: Array, weights: Array, radius: float, p: fl
     that is attained up to rounding.
 
     A pass runs candidate by candidate on (Q, M) arrays of the M nodes in the
-    working set (``_best_candidates``), so it builds no (N, Q, C) tensor and
-    ties keep the cheaper cost.  Sums over atoms run in a fixed order
+    working set (``_best_candidates``), so it builds no tensor beyond its input
+    and ties keep the cheaper cost.  Sums over atoms run in a fixed order
     (``_weighted_sum``), so a node's value is the same bits in any batch;
     that is what lets the working set shrink to the running nodes once at
     most half of it still runs.
     """
-    if costs.shape != gvals.shape[2:] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
+    if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
         raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
-    if radius <= 0.0 or gvals.shape[2] == 1:
-        return _weighted_sum(gvals[:, :, 0].T, weights)
+    if radius <= 0.0 or len(gvals) == 1:
+        return _weighted_sum(gvals[0], weights)
     rp = radius ** p
-    g = np.ascontiguousarray(gvals.transpose(2, 1, 0))  # (C, Q, N)
+    g = np.ascontiguousarray(gvals)
     c, q, n = g.shape
 
     def evaluate(lam: Array):

@@ -136,12 +136,9 @@ def _square(v, d: int, name: str) -> Array:
     return arr
 
 
-def brownian_model(drifts, sigma, dim: int = 1, labels=None) -> ReferenceModel:
-    """Convenience constructor: one action per drift vector, shared sigma."""
-    acts = []
-    for i, b in enumerate(drifts):
-        lab = labels[i] if labels else f"a{i}"
-        acts.append(Action(label=lab, drift=np.atleast_1d(b), sigma=sigma))
+def brownian_model(drifts, sigma, dim: int = 1) -> ReferenceModel:
+    """Convenience constructor: one action a<i> per drift vector, shared sigma."""
+    acts = [Action(label=f"a{i}", drift=np.atleast_1d(b), sigma=sigma) for i, b in enumerate(drifts)]
     return ReferenceModel(BROWNIAN, acts, dim=dim)
 
 

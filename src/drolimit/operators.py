@@ -12,7 +12,7 @@ dyadic partition sequence, whose values decrease node-wise as the mesh is
 refined.
 
 Candidate destinations for the inner worst case live on a lattice of offsets
-around each quadrature atom spanning [-reach * r, reach * r].  The lattice
+around each quadrature atom spanning [-REACH * r, REACH * r].  The lattice
 spacing is proportional to the radius r (a fixed number of points per side),
 so the relative quality of the inner maximization is scale-free along the
 dyadic refinement; resolution is controlled by ``cand_per_side`` and audited
@@ -43,6 +43,7 @@ from .models import ReferenceModel, law, psi
 Array = np.ndarray
 
 MAX_LEVEL = 10  # each dyadic level doubles the cost of the one before
+REACH = 4.0  # the candidate lattice spans this many radii on each side
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,21 @@ class OperatorConfig:
     ambiguity: AmbiguitySpec
     grid: Grid
     quad_order: int = 16
-    reach_factor: float = 4.0
     cand_per_side: int = 16
 
     def __post_init__(self):
         if self.model.dim != self.grid.dim:
             raise InputError("model and grid dimensions differ")
-        if self.reach_factor <= 0:
-            raise InputError("reach_factor must be positive")
         if self.cand_per_side < 1:
             raise InputError("cand_per_side must be >= 1")
 
 
-def _radius_offsets(radius: float, reach: float, per_side: int, dim: int, p: float):
+def _radius_offsets(radius: float, per_side: int, dim: int, p: float):
     """Candidate offsets around each atom and their transport costs, sorted
     by cost ascending so that index 0 is the free stay option."""
     if radius <= 0.0:
         return np.zeros((1, dim)), np.zeros(1)
-    span = reach * radius
+    span = REACH * radius
     step = span / per_side
     line = step * np.arange(-per_side, per_side + 1)  # exact 0 at the center
     offs = np.stack(np.meshgrid(*[line] * dim, indexing="ij"), -1).reshape(-1, dim)
@@ -140,9 +138,7 @@ class _StepKernel:
     def __init__(self, cfg: OperatorConfig, action, dt: float):
         meas = law(cfg.model, action, dt, cfg.quad_order)
         radius = cfg.ambiguity.radius(dt)
-        offs, costs = _radius_offsets(
-            radius, cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
-        )
+        offs, costs = _radius_offsets(radius, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p)
         starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
         ends = np.append(starts[1:], len(costs))
         shift = not np.any(cfg.model.action(action).theta)
@@ -189,16 +185,14 @@ class _StepKernel:
         return solve_batch(self._run_max(f.values), self.costs, self.weights, self.radius, self.p)
 
     def _run_max(self, values: Array) -> Array:
-        """The (N, Q, D) max of the interpolated values over each of the D
-        runs of equal cost, as the transposed view of a C-contiguous
-        (D, Q, N) array: one (Q, N) block per run, the candidate-major layout
-        that ``solve_batch`` reads without a copy."""
+        """The C-contiguous (D, Q, N) max of the interpolated values over each
+        of the D runs of equal cost: one (Q, N) block per run, the
+        candidate-major layout that ``solve_batch`` computes in."""
         windows = self.stencil.windows(values)
         merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
             np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
-        merged = merged.reshape(merged.shape[:2] + (-1,))
-        return merged.transpose(2, 1, 0)
+        return merged.reshape(merged.shape[:2] + (-1,))
 
 
 def dro_step(

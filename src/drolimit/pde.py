@@ -182,11 +182,12 @@ def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Opt
 
 def snapshot_schedule(horizon: float, snapshot_times: Optional[Sequence[float]] = None) -> List[float]:
     """The distinct snapshot times and the horizon, ascending; InputError
-    unless the horizon is nonnegative and every time lies in [0, horizon]."""
-    if not horizon >= 0:
-        raise InputError("horizon must be nonnegative")
+    unless the horizon is nonnegative and finite and every time lies in
+    [0, horizon]."""
+    if not 0 <= horizon < np.inf:
+        raise InputError("horizon must be nonnegative and finite")
     snaps = sorted(set(float(s) for s in (snapshot_times or [])) | {float(horizon)})
-    if snaps[0] < 0 or snaps[-1] > horizon + 1e-12:
+    if not all(0 <= s <= horizon + 1e-12 for s in snaps):
         raise InputError("snapshot times must lie in [0, horizon]")
     return snaps
 

@@ -147,9 +147,7 @@ def test_criterion_05_sensitivity_limit():
     t0 = time.perf_counter()
     cfg = base_cfg(1.0)
     f = named_field(GRID, "sin")
-    rep = check_sensitivity(
-        cfg, f, t_list=(0.2, 0.1, 0.05, 0.025), window=WINDOW, final_factor=0.05,
-    )
+    rep = check_sensitivity(cfg, f, t_list=(0.2, 0.1, 0.05, 0.025), window=WINDOW)
     vals = dict(rep.measured)
     decreasing = vals["max_increase_ratio"] <= 0.10
     final_ok = vals["final_error"] <= rep.thresholds["final_error"]
@@ -180,9 +178,7 @@ def test_criterion_06_generator_identity():
     t0 = time.perf_counter()
     cfg = base_cfg(0.5)
     f = named_field(GRID, "cos")
-    rep = check_generator(
-        cfg, f, t_list=(0.2, 0.1, 0.05), window=WINDOW, stop_tol=2e-5, final_factor=0.1,
-    )
+    rep = check_generator(cfg, f, t_list=(0.2, 0.1, 0.05), window=WINDOW)
     vals = dict(rep.measured)
     gate = rep.thresholds["final_error"]
     final_ok = vals["final_error"] <= gate

@@ -91,8 +91,31 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: experiment.parameters.t_list must be a list"),
         ("generator", ("experiment.parameters.t_list=[0.1, 0.0]",),
          "error: experiment.parameters.t_list: need one or more positive times"),
+        # the generator's stop tolerance, the gates and the candidate reach
+        # are constants, not settings
         ("generator", ("experiment.parameters.stop_tol=-1",),
-         "error: experiment.parameters.stop_tol: must be nonnegative"),
+         "error: unknown configuration key experiment.parameters.stop_tol"),
+        ("sensitivity", ("experiment.parameters.final_factor=1.0",),
+         "error: unknown configuration key experiment.parameters.final_factor"),
+        ("crosscheck", ("experiment.parameters.tol=1.0",),
+         "error: unknown configuration key experiment.parameters.tol"),
+        ("limit", ("numerics.reach_factor=NaN",),
+         "error: unknown configuration key numerics.reach_factor"),
+        # non-finite numbers are refused with the other out-of-range values
+        ("semigroup", ("experiment.parameters.pairs=[[0.25, NaN]]",),
+         "error: experiment.parameters.pairs: semigroup pairs must be nonnegative and finite"),
+        ("sensitivity", ("experiment.parameters.t_list=[0.1, NaN]",),
+         "error: experiment.parameters.t_list: need one or more positive times, all finite"),
+        ("sensitivity", ("experiment.parameters.t_list=[0.1, Infinity]",),
+         "error: experiment.parameters.t_list: need one or more positive times, all finite"),
+        ("generator", ("experiment.parameters.t_list=[0.1, NaN]",),
+         "error: experiment.parameters.t_list: need one or more positive times, all finite"),
+        ("pde", ("experiment.parameters.snapshots=[NaN]",),
+         "error: experiment.parameters.snapshots: snapshot times must lie in [0, horizon]"),
+        ("pde", ("experiment.parameters.horizon=Infinity",),
+         "error: experiment.parameters.horizon: horizon must be nonnegative and finite"),
+        ("limit", ("experiment.parameters.t=Infinity",),
+         "error: experiment.parameters.t: must be nonnegative and finite"),
         ("properties", ("experiment.parameters.trials=0",),
          "error: experiment.parameters.trials: need at least one trial"),
         ("properties", ("experiment.parameters.dual_trials=0",),
@@ -196,8 +219,7 @@ def test_crosscheck_heat_exit_zero(tmp_path):
         ["crosscheck", "--out", out,
          "--set", "ambiguity.m=0.0",
          "--set", "experiment.parameters.function=\"cos\"",
-         "--set", "experiment.parameters.horizon=0.5",
-         "--set", "experiment.parameters.tol=5e-3"] + SMALL
+         "--set", "experiment.parameters.horizon=0.5"] + SMALL
     )
     assert code == 0
     report = json.loads((tmp_path / "xc" / "report.json").read_text())
@@ -206,11 +228,9 @@ def test_crosscheck_heat_exit_zero(tmp_path):
 
 
 def test_failing_check_exit_one(tmp_path):
+    # a stop tolerance of 0 is never met, so the limit does not converge
     out = str(tmp_path / "fail")
-    code = run_cli(
-        ["crosscheck", "--out", out,
-         "--set", "experiment.parameters.tol=1e-12"] + SMALL
-    )
+    code = run_cli(["limit", "--out", out] + SMALL + ["--set", "numerics.stop_tol=0"])
     assert code == 1
 
 

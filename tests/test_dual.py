@@ -95,7 +95,7 @@ def test_tableau_keeps_each_atoms_largest_value_per_cost():
 
 
 def test_solve_batch_takes_one_cost_row_with_one_free_column():
-    g = np.ones((2, 3, 4))
+    g = np.ones((4, 3, 2))
     w = np.full(3, 1 / 3)
     for costs in (
         np.array([0.0, 0.0, 0.25, 1.0]),       # a second free column
@@ -302,11 +302,11 @@ def test_batch_matches_scalar_path():
             return np.sin(z + shift) + 0.3 * np.cos(2 * (z + shift))
         return fn
 
-    gvals = np.empty((len(shifts), 6, len(offsets)))
+    gvals = np.empty((len(offsets), 6, len(shifts)))
     for k, s in enumerate(shifts):
         fn = integrand_at(s)
         for i in range(6):
-            gvals[k, i] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
+            gvals[:, i, k] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
     batch = solve_batch(gvals, costs, w, radius=0.25, p=2.0)
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
@@ -333,7 +333,7 @@ def test_second_zero_cost_column_matches_linear_program():
         costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
         costs[:, 0] = 0.0
         levels, table = _tableau(gvals[0], costs)
-        value = solve_batch(table[None], levels, w, radius=0.1, p=2.0)[0]
+        value = solve_batch(table.T[:, :, None], levels, w, radius=0.1, p=2.0)[0]
         assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
@@ -341,7 +341,7 @@ def test_closed_form_single_atom():
     # one atom moving to 0.7 at cost 0.49 under the budget 0.16: the optimal
     # plan moves the share 0.16 / 0.49 of the mass, gaining 0.8 on it
     value = solve_batch(
-        np.array([[[0.3, 1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0
+        np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0
     )
     assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
 
@@ -352,31 +352,29 @@ def test_ulp_level_batch_terminates():
     t = 2.0 ** -6
     weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
     radius = AmbiguitySpec(m=0.5).radius(t)
-    _, costs = _radius_offsets(radius, 4.0, 16, 1, 2.0)
+    _, costs = _radius_offsets(radius, 16, 1, 2.0)
     for seed in range(20):
-        k = np.random.default_rng(seed).integers(0, 8, (64, 16, costs.size))
+        k = np.random.default_rng(seed).integers(0, 8, (costs.size, 16, 64))
         value = solve_batch(1.0 - k * 2.0 ** -53, costs, weights, radius, 2.0)
         assert np.all(np.abs(value - 1.0) <= 1e-15)
 
 
 def test_solve_batch_ignores_memory_layout():
     # the stay column's product with the weights takes BLAS or not by the
-    # column's layout; Fortran order and a transposed view give the C bits
+    # column's layout; Fortran order gives the C bits
     t = 2.0 ** -4
     weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
     radius = AmbiguitySpec(m=0.5).radius(t)
-    _, costs = _radius_offsets(radius, 4.0, 16, 1, 2.0)
-    gvals = np.random.default_rng(3).standard_normal((513, 16, costs.size))
-    transposed = np.ascontiguousarray(gvals.transpose(2, 1, 0)).transpose(2, 1, 0)
+    _, costs = _radius_offsets(radius, 16, 1, 2.0)
+    gvals = np.random.default_rng(3).standard_normal((costs.size, 16, 513))
     for r in (radius, 0.0):
         expected = solve_batch(gvals, costs, weights, r, 2.0)
-        for other in (np.asfortranarray(gvals), transposed):
-            assert np.array_equal(solve_batch(other, costs, weights, r, 2.0), expected)
+        assert np.array_equal(solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0), expected)
 
 
 def tanh_step(t):
     """One default 1-d step on tanh (513 nodes, 16 atoms, 17 distinct costs):
-    its kernel and the run maxima, the (N, Q, D) view of a (D, Q, N) array."""
+    its kernel and its (D, Q, N) run maxima."""
     grid = Grid.line(-8.0, 8.0, 513)
     cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
     kernel = _StepKernel(cfg, "a0", t)
@@ -389,8 +387,8 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     rng = np.random.default_rng(19)
     cases = []
     for t in (2.0 ** -8, 1.0):
-        kernel, view = tanh_step(t)
-        cases.append((np.ascontiguousarray(view), kernel.costs, kernel.weights, kernel.radius))
+        kernel, run_max = tanh_step(t)
+        cases.append((run_max, kernel.costs, kernel.weights, kernel.radius))
     # per-atom costs rounded to 0.1, with ties and second free columns in
     # some rows, put on one shared row by ``_tableau``
     costs = np.round(rng.uniform(0.0, 0.6, (5, 7)), 1)
@@ -398,14 +396,14 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     w = rng.random(5)
     tables = [_tableau(g, costs) for g in rng.standard_normal((300, 5, 7))]
     levels = tables[0][0]
-    cases.append((np.stack([table for _, table in tables]), levels, w / w.sum(), 0.3))
+    cases.append((np.stack([table.T for _, table in tables], axis=2), levels, w / w.sum(), 0.3))
     for gvals, costs, w, radius in cases:
-        n = len(gvals)
+        n = gvals.shape[2]
         full = solve_batch(gvals, costs, w, radius, 2.0)
         subsets = [[i] for i in rng.choice(n, 20, replace=False)]
         subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 7, 100, n // 2, n - 1)]
         for rows in subsets:
-            assert np.array_equal(solve_batch(gvals[rows], costs, w, radius, 2.0), full[rows])
+            assert np.array_equal(solve_batch(gvals[:, :, rows], costs, w, radius, 2.0), full[rows])
 
 
 def test_equal_maxima_pay_the_cheaper_cost():
@@ -418,17 +416,5 @@ def test_equal_maxima_pay_the_cheaper_cost():
     assert np.array_equal(mx, [[1.0, 0.0]] * 2)
     assert np.array_equal(paid, [[0.25, 0.0]] * 2)
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
-    value = solve_batch(g[:, :1, :1].T, costs, np.ones(1), radius=0.125, p=2.0)
+    value = solve_batch(g[:, :1, :1], costs, np.ones(1), radius=0.125, p=2.0)
     assert value[0] == 0.0625
-
-
-def test_kernel_view_reads_as_its_contiguous_copy():
-    # the kernel hands over (D, Q, N) run maxima as an (N, Q, D) view; a
-    # C-contiguous (N, Q, D) copy of it gives the same bits
-    kernel, view = tanh_step(2.0 ** -4)
-    assert view.transpose(2, 1, 0).flags.c_contiguous
-    copy = np.ascontiguousarray(view)
-    assert not np.shares_memory(copy, view)
-    for r in (kernel.radius, 0.0):
-        expected = solve_batch(copy, kernel.costs, kernel.weights, r, kernel.p)
-        assert np.array_equal(solve_batch(view, kernel.costs, kernel.weights, r, kernel.p), expected)

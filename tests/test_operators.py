@@ -276,21 +276,21 @@ def test_two_dimensional_smoke():
 
 
 def kernel_points(cfg, act, t):
-    """Every (node, atom, candidate) point of one step, (N, Q, C, d), and the
+    """Every (candidate, atom, node) point of one step, (C, Q, N, d), and the
     sorted candidate costs."""
     meas = law(cfg.model, act, t, cfg.quad_order)
     offs, costs = _radius_offsets(
-        cfg.ambiguity.radius(t), cfg.reach_factor, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
+        cfg.ambiguity.radius(t), cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
     )
     base = psi(cfg.model, act, t, cfg.grid.nodes())
-    return base[:, None, None, :] + meas.atoms[None, :, None, :] + offs[None, None, :, :], costs
+    return base[None, None, :, :] + meas.atoms[None, :, None, :] + offs[:, None, None, :], costs
 
 
 def kernel_values(kernel, f):
-    """The kernel's interpolated values before the run max, (N, Q, C)."""
+    """The kernel's interpolated values before the run max, (C, Q, N)."""
     st = kernel.stencil
     rows = st.rows(st.windows(f.values), 0, kernel.runs[-1][1])
-    return rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 1, 0)
+    return rows.reshape(rows.shape[:2] + (-1,))
 
 
 def test_shift_stencil_matches_eval(grid):

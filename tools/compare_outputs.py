@@ -16,13 +16,15 @@ side by side, one process each.
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
 file that differs, the largest absolute difference between its numbers is
-printed, with how many of them differ.  Exits 0 when every exit code and
-every file agree, 1 otherwise.
+printed, with how many of them differ; for a JSON file that differs beyond
+its numbers, the key paths found on only one side.  Exits 0 when every exit
+code and every file agree, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import re
 import subprocess
@@ -106,6 +108,21 @@ def _numbers_diff(a: str, b: str):
     return max(diffs, default=0.0), len(diffs), len(pairs)
 
 
+def _key_paths(obj, prefix: str = "") -> set:
+    """The dotted path of every key in a JSON value, list items by index."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return set()
+    paths = set()
+    for key, value in items:
+        path = f"{prefix}.{key}" if prefix else str(key)
+        paths |= {path} | _key_paths(value, path)
+    return paths
+
+
 def compare(old: Path, new: Path) -> bool:
     """Print one line per output file; True if every file is identical."""
     same = True
@@ -122,7 +139,13 @@ def compare(old: Path, new: Path) -> bool:
             same = False
             diff = _numbers_diff(a.read_text(), b.read_text())
             if diff is None:
-                print(f"{rel}: DIFFERS beyond its numbers")
+                line = f"{rel}: DIFFERS beyond its numbers"
+                if rel.suffix == ".json":
+                    old_keys = _key_paths(json.loads(a.read_text()))
+                    new_keys = _key_paths(json.loads(b.read_text()))
+                    line += "".join(f"; {k} only in old" for k in sorted(old_keys - new_keys))
+                    line += "".join(f"; {k} only in new" for k in sorted(new_keys - old_keys))
+                print(line)
             else:
                 print(f"{rel}: DIFFERS, max abs diff {diff[0]:.3g} in {diff[1]} of {diff[2]} numbers")
     return same

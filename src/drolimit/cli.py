@@ -31,7 +31,7 @@ from .config import (
 from .errors import ConfigError, InputError, ModelError
 from .fields import save_csv
 from .operators import scaling_limit
-from .pde import cfl_time_step, snapshot_schedule, solve
+from .pde import cfl_time_step, snapshot_schedule, solve, time_step
 from .validation import CheckReport, named_field
 
 
@@ -228,37 +228,42 @@ _SUBCOMMANDS = {
 }
 
 
-# subcommand -> {parameter: its range check on all parameters}, run before any output
+# subcommand -> {parameter: its range check on all parameters, the config and
+# the operator}, run before any output; ``limit`` and ``pde`` bound the steps
+# a run takes (operators.MAX_GAPS, pde.MAX_STEPS)
 _RANGES = {
-    "sensitivity": {"t_list": lambda p: val.validate_times(p["t_list"])},
-    "generator": {"t_list": lambda p: val.validate_times(p["t_list"])},
-    "semigroup": {"pairs": lambda p: val.validate_pairs(p["pairs"])},
-    "limit": {"t": lambda p: val.validate_nonnegative(p["t"])},
+    "sensitivity": {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
+    "generator": {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
+    "semigroup": {"pairs": lambda p, cfg, op: val.validate_pairs(p["pairs"])},
+    "limit": {
+        "t": lambda p, cfg, op: val.validate_limit_time(p["t"], cfg["numerics"]["max_level"]),
+    },
     "pde": {
-        "horizon": lambda p: snapshot_schedule(p["horizon"]),
-        "snapshots": lambda p: snapshot_schedule(p["horizon"], p["snapshots"]),
+        "horizon": lambda p, cfg, op: time_step(op, build_scheme(cfg), p["horizon"]),
+        "snapshots": lambda p, cfg, op: snapshot_schedule(p["horizon"], p["snapshots"]),
     },
-    "crosscheck": {"horizon": lambda p: val.validate_horizon(p["horizon"])},
+    "crosscheck": {"horizon": lambda p, cfg, op: val.validate_horizon(p["horizon"])},
     "properties": {
-        "trials": lambda p: val.validate_trials(p["trials"]),
-        "dual_trials": lambda p: val.validate_trials(p["dual_trials"]),
+        "trials": lambda p, cfg, op: val.validate_trials(p["trials"]),
+        "dual_trials": lambda p, cfg, op: val.validate_trials(p["dual_trials"]),
     },
-    "certify": {"experiments": lambda p: val.validate_experiments(p["experiments"])},
+    "certify": {"experiments": lambda p, cfg, op: val.validate_experiments(p["experiments"])},
 }
 
 
-def _parameters(subcommand: str, cfg: dict, grid) -> dict:
+def _parameters(subcommand: str, cfg: dict, op) -> dict:
     """The subcommand's experiment.parameters over its defaults, with the
     ``function`` name replaced by its field; ConfigError if it cannot run."""
     defaults = _SUBCOMMANDS[subcommand][1]
     given = cfg["experiment"]["parameters"]
     check_values(given, defaults, "experiment.parameters")
+    grid = op.grid
     if subcommand != "properties" and grid.dim != 1:
         raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
     params = {**defaults, **given}
     for key, validate in _RANGES.get(subcommand, {}).items():
         try:
-            validate(params)
+            validate(params, cfg, op)
         except (InputError, TypeError, ValueError) as e:
             raise ConfigError(f"experiment.parameters.{key}: {e}") from e
     if "function" in params:
@@ -287,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, args.overrides)
         op = build_operator_config(cfg)
         build_window(cfg).validate_for(op.grid)
-        params = _parameters(args.subcommand, cfg, op.grid)
+        params = _parameters(args.subcommand, cfg, op)
     except (ConfigError, InputError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -43,6 +43,9 @@ from .models import ReferenceModel, law, psi
 Array = np.ndarray
 
 MAX_LEVEL = 10  # each dyadic level doubles the cost of the one before
+# the most gaps a dyadic partition may have: t <= 64 at MAX_LEVEL; one
+# composition of that many default 1-d steps takes minutes
+MAX_GAPS = 2 ** 16
 REACH = 4.0  # the candidate lattice spans this many radii on each side
 
 
@@ -66,12 +69,15 @@ class Partition:
 
 
 def dyadic_partition(t: float, level: int) -> Partition:
-    """{0, 2^-n, 2*2^-n, ..., k 2^-n, t} with k the largest k 2^-n < t."""
+    """{0, 2^-n, 2*2^-n, ..., k 2^-n, t} with k the largest k 2^-n < t;
+    InputError beyond MAX_GAPS gaps."""
     if t < 0 or level < 0:
         raise InputError("need t >= 0 and level >= 0")
     if t == 0.0:
         return Partition((0.0,))
     step = 2.0 ** (-level)
+    if not t <= MAX_GAPS * step:
+        raise InputError(f"t = {t!r} needs more than {MAX_GAPS} dyadic gaps at level {level}")
     k = int(np.floor(t / step))
     if k * step >= t:
         k -= 1
@@ -131,9 +137,15 @@ class _StepKernel:
     The run maxima are held run by run, (D, Q, N), the order in which
     ``solve_batch`` loops over candidates, so the dual solve copies nothing
     but the nodes still running once at most half of them run.
+
+    ``lam`` holds the (N,) multipliers the last apply stopped at (None before
+    the first), and the next apply opens its dual brackets around them: the
+    steps of one composition differ by O(dt), so each node's multiplier
+    barely moves.  An apply's output thus depends on the kernel's earlier
+    applies, but only in rounding; ``compose`` builds its kernels per call.
     """
 
-    __slots__ = ("weights", "costs", "runs", "stencil", "radius", "p")
+    __slots__ = ("weights", "costs", "runs", "stencil", "radius", "p", "lam")
 
     def __init__(self, cfg: OperatorConfig, action, dt: float):
         meas = law(cfg.model, action, dt, cfg.quad_order)
@@ -177,12 +189,16 @@ class _StepKernel:
         self.weights = meas.weights
         self.radius = radius
         self.p = cfg.ambiguity.p
+        self.lam = None
 
     def apply(self, f: ScalarField) -> Array:
         grid = self.stencil.grid
         if f.grid is not grid and not same_nodes(f.grid, grid):
             raise InputError("the field and the step live on different grids")
-        return solve_batch(self._run_max(f.values), self.costs, self.weights, self.radius, self.p)
+        out, self.lam = solve_batch(
+            self._run_max(f.values), self.costs, self.weights, self.radius, self.p, self.lam
+        )
+        return out
 
     def _run_max(self, values: Array) -> Array:
         """The C-contiguous (D, Q, N) max of the interpolated values over each

@@ -32,6 +32,10 @@ from .operators import OperatorConfig
 
 Array = np.ndarray
 
+# the most explicit steps one solve may take: a horizon of about 800 on the
+# default grid, marched in minutes
+MAX_STEPS = 2 ** 20
+
 
 @dataclass
 class PdeScheme:
@@ -180,12 +184,23 @@ def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Opt
     return ScalarField(grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
 
 
-def snapshot_schedule(horizon: float, snapshot_times: Optional[Sequence[float]] = None) -> List[float]:
-    """The distinct snapshot times and the horizon, ascending; InputError
-    unless the horizon is nonnegative and finite and every time lies in
-    [0, horizon]."""
+def time_step(cfg: OperatorConfig, scheme: PdeScheme, horizon: float) -> float:
+    """The step ``solve`` marches with: the CFL bound, or the horizon where
+    no bound applies.  InputError unless the horizon is nonnegative and
+    finite and takes at most MAX_STEPS of them."""
     if not 0 <= horizon < np.inf:
         raise InputError("horizon must be nonnegative and finite")
+    dt = cfl_time_step(cfg, scheme)
+    if not np.isfinite(dt):
+        return horizon if horizon > 0 else 1.0
+    if horizon > MAX_STEPS * dt:
+        raise InputError(f"horizon {horizon!r} takes more than {MAX_STEPS} time steps of {dt:.3g}")
+    return dt
+
+
+def snapshot_schedule(horizon: float, snapshot_times: Optional[Sequence[float]] = None) -> List[float]:
+    """The distinct snapshot times and the horizon, ascending; InputError
+    unless every time lies in [0, horizon]."""
     snaps = sorted(set(float(s) for s in (snapshot_times or [])) | {float(horizon)})
     if not all(0 <= s <= horizon + 1e-12 for s in snaps):
         raise InputError("snapshot times must lie in [0, horizon]")
@@ -204,10 +219,8 @@ def solve(
     Snapshot times are hit exactly by shortening the step that would
     overshoot them (shorter steps keep the CFL bound).
     """
+    dt = time_step(cfg, scheme, horizon)
     snaps = snapshot_schedule(horizon, snapshot_times)
-    dt = cfl_time_step(cfg, scheme)
-    if not np.isfinite(dt):
-        dt = horizon if horizon > 0 else 1.0
     times: List[float] = []
     fields: List[ScalarField] = []
     t = 0.0

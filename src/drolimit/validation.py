@@ -170,6 +170,13 @@ def validate_nonnegative(value: float) -> None:
         raise InputError(f"must be nonnegative and finite, got {value!r}")
 
 
+def validate_limit_time(t: float, max_level: int) -> None:
+    """Refuse a horizon that is negative or not finite, or whose dyadic
+    partition at ``max_level`` has more than ``operators.MAX_GAPS`` gaps."""
+    validate_nonnegative(t)
+    dyadic_partition(t, max_level)
+
+
 def validate_times(ts) -> None:
     """Refuse an empty list of times or one that is not positive and finite."""
     if not ts or not all(0 < t < math.inf for t in ts):

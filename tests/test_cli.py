@@ -137,6 +137,14 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ("pde", ("numerics.cfl_safety=2",), "error: numerics.cfl_safety must lie in (0, 1]"),
         ("limit", ('grid.lo=["a"]',), "error: grid.lo.0 must be a number"),
         ("limit", ("grid.n=[12.5]",), "error: grid.n.0 must be an integer"),
+        # a finite horizon that would run without bound: too many dyadic gaps
+        # or explicit time steps
+        ("limit", ("experiment.parameters.t=1e300", "grid.n=[65]"),
+         "error: experiment.parameters.t: t = 1e+300 needs more than 65536 dyadic gaps at level 8"),
+        ("limit", ("experiment.parameters.t=65", "numerics.max_level=10"),
+         "error: experiment.parameters.t: t = 65 needs more than 65536 dyadic gaps at level 10"),
+        ("pde", ("experiment.parameters.horizon=1e300", "grid.n=[65]"),
+         "error: experiment.parameters.horizon: horizon 1e+300 takes more than 1048576 time steps"),
     ]
     for i, (subcommand, overrides, message) in enumerate(cases):
         out = tmp_path / f"bad{i}"

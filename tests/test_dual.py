@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,37 @@ def lp_rows(values, costs, w, budget):
     return -res.fun
 
 
+def exact_lp(values, costs, w, budget):
+    """The primal transport LP in exact rational arithmetic, for rows of
+    candidate values and costs per atom: each atom's (cost, value) points
+    reduce to their upper concave hull from the best free point, and the
+    hull's segments are bought in order of gain per unit cost until the
+    budget runs out (a fractional knapsack).  It shares no code and no
+    rounding with the dual solver."""
+    total, segments = Fraction(0), []
+    for wi, g, c in zip(map(Fraction, w), values, costs):
+        hull = []
+        for pt in sorted(zip(map(Fraction, c), map(Fraction, g))):
+            if hull and hull[-1][0] == pt[0]:
+                hull.pop()  # of equal costs the larger value sorts last
+            while len(hull) >= 2 and (
+                (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append(pt)
+        total += wi * hull[0][1]
+        for (c0, g0), (c1, g1) in zip(hull, hull[1:]):
+            if g1 > g0:
+                segments.append(((g1 - g0) / (c1 - c0), wi * (c1 - c0), wi * (g1 - g0)))
+    left = Fraction(budget)
+    for _, cost, gain in sorted(segments, key=lambda s: s[0], reverse=True):
+        if cost >= left:
+            return float(total + gain * left / cost)
+        total, left = total + gain, left - cost
+    return float(total)
+
+
 def test_batch_matches_scalar_path():
     # shared offsets: every row of the operator-facing batch (shared costs)
     # equals the LP value and the scalar path (per-atom costs, batch of one)
@@ -307,7 +339,7 @@ def test_batch_matches_scalar_path():
         fn = integrand_at(s)
         for i in range(6):
             gvals[:, i, k] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
-    batch = solve_batch(gvals, costs, w, radius=0.25, p=2.0)
+    batch, _ = solve_batch(gvals, costs, w, radius=0.25, p=2.0)
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
@@ -333,29 +365,40 @@ def test_second_zero_cost_column_matches_linear_program():
         costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
         costs[:, 0] = 0.0
         levels, table = _tableau(gvals[0], costs)
-        value = solve_batch(table.T[:, :, None], levels, w, radius=0.1, p=2.0)[0]
+        value = solve_batch(table.T[:, :, None], levels, w, radius=0.1, p=2.0)[0][0]
         assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
 def test_closed_form_single_atom():
     # one atom moving to 0.7 at cost 0.49 under the budget 0.16: the optimal
-    # plan moves the share 0.16 / 0.49 of the mass, gaining 0.8 on it
-    value = solve_batch(
-        np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0
-    )
-    assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
+    # plan moves the share 0.16 / 0.49 of the mass, gaining 0.8 on it.  The
+    # first crossing is the kink lam* = 0.8 / 0.49 itself, so a stay line
+    # taken through a point at a huge guess, off by its rounding, would stop
+    # the solve off the minimizer
+    lam_star = 0.8 / 0.49
+    for guess in (None, 0.0, lam_star, 1e-12 * lam_star, 1e12 * lam_star):
+        value, _ = solve_batch(
+            np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0,
+            guess=None if guess is None else np.array([guess]),
+        )
+        assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
 
 
-def test_ulp_level_batch_terminates():
-    # values within 8 ulps of 1 make D flat up to rounding; the solve must
-    # still stop on the bracket, at the value 1
+def ulp_level_batch(seed):
+    """(C, Q, N) values within 8 ulps of 1 on the costs, weights and radius
+    of a default step at t = 2^-6: D is flat up to rounding."""
     t = 2.0 ** -6
     weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
     radius = AmbiguitySpec(m=0.5).radius(t)
     _, costs = _radius_offsets(radius, 16, 1, 2.0)
+    k = np.random.default_rng(seed).integers(0, 8, (costs.size, 16, 64))
+    return 1.0 - k * 2.0 ** -53, costs, weights, radius
+
+
+def test_ulp_level_batch_terminates():
+    # the solve must still stop on the bracket, at the value 1
     for seed in range(20):
-        k = np.random.default_rng(seed).integers(0, 8, (costs.size, 16, 64))
-        value = solve_batch(1.0 - k * 2.0 ** -53, costs, weights, radius, 2.0)
+        value, _ = solve_batch(*ulp_level_batch(seed), 2.0)
         assert np.all(np.abs(value - 1.0) <= 1e-15)
 
 
@@ -369,7 +412,8 @@ def test_solve_batch_ignores_memory_layout():
     gvals = np.random.default_rng(3).standard_normal((costs.size, 16, 513))
     for r in (radius, 0.0):
         expected = solve_batch(gvals, costs, weights, r, 2.0)
-        assert np.array_equal(solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0), expected)
+        got = solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def tanh_step(t):
@@ -384,7 +428,7 @@ def tanh_step(t):
 def test_any_subset_of_nodes_gives_the_full_batch_bits():
     # sums over atoms run in a fixed order and stopped nodes leave the
     # working set, so a node's value does not depend on the rest of its batch
-    rng = np.random.default_rng(19)
+    rng, guesses = np.random.default_rng(19), np.random.default_rng(31)
     cases = []
     for t in (2.0 ** -8, 1.0):
         kernel, run_max = tanh_step(t)
@@ -399,11 +443,72 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     cases.append((np.stack([table.T for _, table in tables], axis=2), levels, w / w.sum(), 0.3))
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
-        full = solve_batch(gvals, costs, w, radius, 2.0)
+        lam_star = solve_batch(gvals, costs, w, radius, 2.0)[1]
         subsets = [[i] for i in rng.choice(n, 20, replace=False)]
         subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 7, 100, n // 2, n - 1)]
-        for rows in subsets:
-            assert np.array_equal(solve_batch(gvals[:, :, rows], costs, w, radius, 2.0), full[rows])
+        # the warm opening passes run on every node, so fixed per-node
+        # guesses keep the property
+        for guess in (None, lam_star * guesses.uniform(0.0, 2.0, n), guesses.uniform(0.0, 2.0, n)):
+            full = solve_batch(gvals, costs, w, radius, 2.0, guess)
+            for rows in subsets:
+                part = solve_batch(
+                    gvals[:, :, rows], costs, w, radius, 2.0, None if guess is None else guess[rows]
+                )
+                assert np.array_equal(part[0], full[0][rows])
+                assert np.array_equal(part[1], full[1][rows])
+
+
+def test_cold_start_keeps_its_bits():
+    # dyadic inputs, so every operation is exact IEEE arithmetic: the values
+    # of the cold start (cutting planes from lam = 0 and the stay line),
+    # pinned before the warm start was added; a guess of 0 is the cold start
+    rng = np.random.default_rng(23)
+    gvals = rng.integers(-2 ** 20, 2 ** 20, (9, 5, 6)) / 2.0 ** 20
+    costs = np.arange(9) ** 2 / 16.0
+    weights = rng.integers(1, 64, 5) / 256.0
+    pinned = [
+        "0x1.1985940000000p-4", "0x1.3d3596c000000p-2", "0x1.0fdd945555555p-4",
+        "0x1.610cec5000000p-3", "0x1.4664f6d99999ap-2", "0x1.6d05b54af8af9p-2",
+    ]
+    cold = solve_batch(gvals, costs, weights, 0.25, 2.0)
+    assert [v.hex() for v in cold[0]] == pinned
+    assert np.all(cold[1] > 0)
+    zero = solve_batch(gvals, costs, weights, 0.25, 2.0, np.zeros(6))
+    assert np.array_equal(zero[0], cold[0]) and np.array_equal(zero[1], cold[1])
+
+
+def test_warm_start_gives_the_cold_values():
+    # any exact evaluation of D gives a supporting line, so a guess moves only
+    # where the bracket opens: the values stay the cold ones up to rounding
+    # (relative to the batch's largest value, as tanh crosses 0),
+    # and the exact LP value up to 8 ulps of 1 on a sample of nodes (HiGHS
+    # misses it by up to 7e-8 on the tails of tanh, at its default tolerances)
+    rng = np.random.default_rng(29)
+    cases = []
+    for t in (2.0 ** -8, 1.0):
+        kernel, run_max = tanh_step(t)
+        cases.append((run_max, kernel.costs, kernel.weights, kernel.radius))
+    cases += [ulp_level_batch(seed) for seed in range(3)]
+    for gvals, costs, w, radius in cases:
+        n = gvals.shape[2]
+        cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0)
+        sample = rng.choice(n, 16, replace=False)
+        lp = [exact_lp(gvals[:, :, k].T, [costs] * len(w), w, radius ** 2) for k in sample]
+        scale = max(lam_star.max(), 1.0)
+        guesses = [np.zeros(n), lam_star, 1e-12 * lam_star, 1e12 * lam_star]
+        guesses += [rng.uniform(0.0, 2.0, n) * lam_star, rng.uniform(0.0, 2.0, n) * scale]
+        for guess in guesses:
+            warm, _ = solve_batch(gvals, costs, w, radius, 2.0, guess)
+            assert np.max(np.abs(warm - cold)) <= 1e-14 * np.max(np.abs(cold))
+            assert np.all(np.abs(warm[sample] - lp) <= 8 * 2.0 ** -52)
+
+
+def test_warm_start_refuses_bad_guesses():
+    g = np.ones((4, 3, 2))
+    costs = np.array([0.0, 0.2, 0.25, 1.0])
+    for guess in ([1.0, 1.0, 1.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(InputError, match="guess"):
+            solve_batch(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.array(guess))
 
 
 def test_equal_maxima_pay_the_cheaper_cost():
@@ -416,5 +521,5 @@ def test_equal_maxima_pay_the_cheaper_cost():
     assert np.array_equal(mx, [[1.0, 0.0]] * 2)
     assert np.array_equal(paid, [[0.25, 0.0]] * 2)
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
-    value = solve_batch(g[:, :1, :1], costs, np.ones(1), radius=0.125, p=2.0)
+    value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), radius=0.125, p=2.0)
     assert value[0] == 0.0625

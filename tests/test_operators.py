@@ -25,9 +25,10 @@ from drolimit import (
     scaling_limit,
     sup_distance,
 )
+from drolimit import dual
 from drolimit.dual import solve_batch
 from drolimit.fields import ShiftStencil, Stencil
-from drolimit.operators import _StepKernel, _radius_offsets
+from drolimit.operators import MAX_GAPS, _StepKernel, _radius_offsets
 from drolimit.validation import named_field, non_robust_config, normal_cdf
 
 
@@ -86,6 +87,11 @@ def test_dyadic_partitions():
     # the regular points are the multiples k 2^-n strictly below t
     part = dyadic_partition(0.7, 4)
     assert part.times[-2] < 0.7 <= part.times[-2] + 2.0 ** -4
+    # at most MAX_GAPS gaps, refused before the times are built
+    assert len(dyadic_partition(64.0, 10).gaps) == MAX_GAPS
+    for t, level in ((64.0 + 2.0 ** -10, 10), (1e300, 0)):
+        with pytest.raises(InputError, match=f"more than {MAX_GAPS} dyadic gaps"):
+            dyadic_partition(t, level)
 
 
 def test_refinement_relation():
@@ -358,7 +364,7 @@ def test_merged_costs_match_unmerged_solve(grid):
                 pts, costs = kernel_points(cfg, act, t)
                 values = kernel_values(kernel, f)
                 assert kernel.costs.size < costs.size
-                expected = solve_batch(values, costs, kernel.weights, kernel.radius, kernel.p)
+                expected, _ = solve_batch(values, costs, kernel.weights, kernel.radius, kernel.p)
                 assert np.array_equal(kernel.apply(f), expected)
                 if cfg is cfg_ou:
                     assert isinstance(kernel.stencil, Stencil)
@@ -396,6 +402,35 @@ def test_brownian_is_ou_with_zero_theta(grid):
             assert np.array_equal(dro_step(cfgs[0], t, f).values, dro_step(cfgs[1], t, f).values)
             for cfg in cfgs:
                 assert isinstance(_StepKernel(cfg, "a0", t).stencil, ShiftStencil)
+
+
+def test_reapplied_kernel_starts_from_its_last_multipliers(grid, monkeypatch):
+    # one default step at dt = 2^-8, applied to its own output: the second
+    # apply opens each node's cutting planes around the multiplier of the
+    # first, and evaluates D on at most 70% as many nodes
+    widths = []
+    best = dual._best_candidates
+
+    def counted(g, costs, lam):
+        widths.append(g.shape[2])
+        return best(g, costs, lam)
+
+    monkeypatch.setattr(dual, "_best_candidates", counted)
+    kernel = _StepKernel(cfg_for(grid), "a0", 2.0 ** -8)
+    first = kernel.apply(named_field(grid, "tanh"))
+    cold = sum(widths)
+    widths.clear()
+    kernel.apply(ScalarField(grid, first))
+    assert sum(widths) <= 0.7 * cold
+    assert kernel.lam.shape == (grid.num_nodes,) and np.all(kernel.lam > 0)
+
+
+def test_compose_is_a_function_of_its_inputs(grid):
+    # each call builds its own kernels, so no multiplier outlives a call
+    cfg = cfg_for(grid, drifts=((-0.5,), (0.5,)))
+    f = named_field(grid, "tanh")
+    part = dyadic_partition(0.25, 4)
+    assert np.array_equal(compose(cfg, part, f).values, compose(cfg, part, f).values)
 
 
 def test_step_refuses_field_on_other_grid(grid):

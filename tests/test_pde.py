@@ -9,6 +9,7 @@ from drolimit import (
     CompactWindow,
     ConfigError,
     Grid,
+    InputError,
     OperatorConfig,
     ORNSTEIN_UHLENBECK,
     PdeScheme,
@@ -21,6 +22,7 @@ from drolimit import (
     step_forward,
     sup_distance,
 )
+from drolimit.pde import MAX_STEPS, time_step
 from drolimit.validation import named_field, normal_cdf
 
 
@@ -54,6 +56,19 @@ def test_cfl_violation_rejected(grid):
     v = named_field(grid, "cos")
     with pytest.raises(ConfigError):
         step_forward(cfg, PdeScheme(), v, dt=1.0)
+
+
+def test_solve_refuses_more_than_max_steps(grid):
+    # refused before the first step, at one step past the bound
+    cfg, scheme = cfg_for(grid), PdeScheme()
+    dt = cfl_time_step(cfg, scheme)
+    assert time_step(cfg, scheme, MAX_STEPS * dt) == dt
+    v = named_field(grid, "cos")
+    with pytest.raises(InputError, match=f"more than {MAX_STEPS} time steps"):
+        solve(cfg, scheme, v, (MAX_STEPS + 1) * dt)
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="horizon must be nonnegative and finite"):
+            solve(cfg, scheme, v, horizon)
 
 
 def test_zero_generator_leaves_field(grid):

@@ -29,18 +29,18 @@ over atoms run in a fixed order, so a node's value does not depend on which
 other nodes share its batch.  The batch therefore drops the nodes whose
 cutting planes have stopped, once at most half of it still runs.
 
-A solve may open each node's bracket around a guessed multiplier instead of
-at lam = 0: the step kernels pass the multipliers their previous solve
-stopped at, since consecutive steps of a composition differ by O(dt).  Every
-exact evaluation of D gives a supporting line, so the guess changes how
-many passes a node takes, never its value beyond rounding.
+Each solve opens every node's bracket around a guessed multiplier: 0 for a
+cold start, and in a composition the multipliers the step kernel's previous
+solve stopped at, since consecutive steps differ by O(dt).  Every exact
+evaluation of D gives a supporting line, so the guess changes how many
+passes a node takes, never its value beyond rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -149,7 +149,8 @@ def wasserstein_sup(inst: DualInstance) -> float:
     """LP value of the instance: ``solve_batch`` on a batch of one node."""
     levels, table = _tableau(inst.values, inst.costs)
     gvals = table.T[:, :, None]  # (costs, atoms, one node)
-    return float(solve_batch(gvals, levels, inst.source.weights, inst.radius, inst.p)[0][0])
+    value, _ = solve_batch(gvals, levels, inst.source.weights, inst.radius, inst.p, np.zeros(1))
+    return float(value[0])
 
 
 def _simplex_lattice(k: int, steps: int) -> Array:
@@ -243,8 +244,7 @@ def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
 
 
 def solve_batch(
-    gvals: Array, costs: Array, weights: Array, radius: float, p: float,
-    guess: Optional[Array] = None,
+    gvals: Array, costs: Array, weights: Array, radius: float, p: float, guess: Array
 ) -> Tuple[Array, Array]:
     """Exact vectorized dual minimization for a batch of instances sharing geometry.
 
@@ -255,8 +255,9 @@ def solve_batch(
              puts per-atom rows on one such row), and sorting the rest
              ascending makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
-    guess:   optional (N,) multipliers lam_0 >= 0 near each node's minimizer,
-             such as the multipliers this batch's previous solve stopped at
+    guess:   (N,) multipliers lam_0 >= 0 near each node's minimizer: zeros
+             for a cold start, or the multipliers a previous solve of related
+             values stopped at
 
     Returns the per-node LP values and the multiplier each node stopped at.
     D is convex and piecewise linear, so each node runs cutting planes in
@@ -269,20 +270,20 @@ def solve_batch(
     reported value is the running minimum of all evaluated dual objectives,
     an upper bound on the LP value that is attained up to rounding.
 
-    Without a guess the bracket opens with the line at lam = 0 and the stay
-    line lam r^p + sum_i w_i g_i0 (a lower bound that D reaches for large
-    lam).  With one, two passes over all nodes open it around lam_0: the
-    first at lam_0 (1 - WARM_BRACKET); the second at lam_0 (1 + WARM_BRACKET)
-    where the first subgradient was negative (the minimizer lies above) and
-    at 0 where it was positive.  Each point's line joins the bracket on the
-    side of its subgradient's sign.  The right line is the stay line where
-    neither point has a positive subgradient, and where it would have the
-    stay line's slope r^p (the intercept is then exact, not the difference
-    of two large numbers at a huge guess); so lam_0 = 0 and a huge guess
-    open the bracket as no guess does.  Any exact evaluation of D gives a
-    supporting line, so the answer does not depend on the guess beyond
-    rounding; a good guess only saves passes, at most Q (C - 1) + 1 of them
-    after the two opening ones.
+    Two passes over all nodes open the bracket around lam_0: the first at
+    lam_0 (1 - WARM_BRACKET); the second at lam_0 (1 + WARM_BRACKET) where
+    the first subgradient was negative (the minimizer lies above) and at 0
+    where it was positive.  Each point's line joins the bracket on the side
+    of its subgradient's sign.  The right line is the stay line
+    lam r^p + sum_i w_i g_i0 (a lower bound that D reaches for large lam)
+    where neither point has a positive subgradient, and where it would have
+    the stay line's slope r^p (the intercept is then exact, not the
+    difference of two large numbers at a huge guess).  A guess of 0 is the
+    cold start: both points are lam = 0, evaluated once, and the bracket is
+    the line there and the stay line.  Any exact
+    evaluation of D gives a supporting line, so the answer does not depend
+    on the guess beyond rounding; a good guess only saves passes, at most
+    Q (C - 1) + 1 of them after the two opening ones.
 
     A pass runs candidate by candidate on (Q, M) arrays of the M nodes in the
     working set (``_best_candidates``), so it builds no tensor beyond its input
@@ -294,9 +295,7 @@ def solve_batch(
     if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
         raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
     n = gvals.shape[2]
-    if guess is not None and (
-        np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf))
-    ):
+    if np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf)):
         raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         return _weighted_sum(gvals[0], weights), np.zeros(n)
@@ -314,29 +313,23 @@ def solve_batch(
     # negative subgradient, the right one at the last with a positive one,
     # or the stay line, with column 0 the only free one
     a_stay = _weighted_sum(g[0], weights)
-    if guess is None:
-        lam = np.zeros(n)
-        best, sub = evaluate(lam)
-        active = sub < 0  # lambda* = 0 where the budget is slack at 0
-        a_l, s_l, lo = best.copy(), sub, lam
-        a_r, s_r, hi = a_stay, np.full_like(lam, rp), np.full_like(lam, np.inf)
-    else:
-        lam1 = guess * (1.0 - WARM_BRACKET)
-        val1, sub1 = evaluate(lam1)
-        lam = np.where(sub1 < 0, guess * (1.0 + WARM_BRACKET), np.where(sub1 > 0, 0.0, lam1))
-        val, sub = evaluate(lam)
-        best = np.minimum(val1, val)
-        # the minimizer lies above lam1 and not at lam, or at most lam1 and above 0
-        active = ((sub1 < 0) & (sub != 0)) | ((sub1 > 0) & (sub < 0))
-        left = sub < 0
-        a_l = np.where(left, val - sub * lam, val1 - sub1 * lam1)
-        s_l, lo = np.where(left, sub, sub1), np.where(left, lam, lam1)
-        first = sub1 > 0
-        a_r = np.where(first, val1 - sub1 * lam1, val - sub * lam)
-        s_r, hi = np.where(first, sub1, sub), np.where(first, lam1, lam)
-        stay = (s_r <= 0) | (s_r == rp)
-        a_r = np.where(stay, a_stay, a_r)
-        s_r, hi = np.where(stay, rp, s_r), np.where(stay, np.inf, hi)
+    lam1 = guess * (1.0 - WARM_BRACKET)
+    val1, sub1 = evaluate(lam1)
+    lam = np.where(sub1 < 0, guess * (1.0 + WARM_BRACKET), np.where(sub1 > 0, 0.0, lam1))
+    # a guess of 0 asks for lam = 0 twice
+    val, sub = (val1, sub1) if np.array_equal(lam, lam1) else evaluate(lam)
+    best = np.minimum(val1, val)
+    # the minimizer lies above lam1 and not at lam, or at most lam1 and above 0
+    active = ((sub1 < 0) & (sub != 0)) | ((sub1 > 0) & (sub < 0))
+    left = sub < 0
+    a_l = np.where(left, val - sub * lam, val1 - sub1 * lam1)
+    s_l, lo = np.where(left, sub, sub1), np.where(left, lam, lam1)
+    first = sub1 > 0
+    a_r = np.where(first, val1 - sub1 * lam1, val - sub * lam)
+    s_r, hi = np.where(first, sub1, sub), np.where(first, lam1, lam)
+    stay = (s_r <= 0) | (s_r == rp)
+    a_r = np.where(stay, a_stay, a_r)
+    s_r, hi = np.where(stay, rp, s_r), np.where(stay, np.inf, hi)
     # the nodes of the working set; ``best`` holds their running minima
     nodes, out, stopped_at = np.arange(n), np.empty(n), np.empty(n)
     for _ in range(q * (c - 1) + 1):

@@ -138,16 +138,18 @@ class _StepKernel:
     ``solve_batch`` loops over candidates, so the dual solve copies nothing
     but the nodes still running once at most half of them run.
 
-    ``lam`` holds the (N,) multipliers the last apply stopped at (None before
-    the first), and the next apply opens its dual brackets around them: the
-    steps of one composition differ by O(dt), so each node's multiplier
-    barely moves.  An apply's output thus depends on the kernel's earlier
-    applies, but only in rounding; ``compose`` builds its kernels per call.
+    A cold kernel opens every dual solve at lam = 0, so its output depends
+    on its input alone.  A warm one keeps in ``lam`` the (N,) multipliers its
+    last apply stopped at (zeros before the first) and opens the next solve
+    around them: ``compose`` applies its kernels to the output of the step
+    before, which differs by O(dt), so each node's multiplier barely moves.
+    A warm apply's output thus depends on the kernel's earlier applies, in
+    rounding only.
     """
 
     __slots__ = ("weights", "costs", "runs", "stencil", "radius", "p", "lam")
 
-    def __init__(self, cfg: OperatorConfig, action, dt: float):
+    def __init__(self, cfg: OperatorConfig, action, dt: float, warm: bool = False):
         meas = law(cfg.model, action, dt, cfg.quad_order)
         radius = cfg.ambiguity.radius(dt)
         offs, costs = _radius_offsets(radius, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p)
@@ -189,15 +191,18 @@ class _StepKernel:
         self.weights = meas.weights
         self.radius = radius
         self.p = cfg.ambiguity.p
-        self.lam = None
+        self.lam = np.zeros(n) if warm else None
 
     def apply(self, f: ScalarField) -> Array:
         grid = self.stencil.grid
         if f.grid is not grid and not same_nodes(f.grid, grid):
             raise InputError("the field and the step live on different grids")
-        out, self.lam = solve_batch(
-            self._run_max(f.values), self.costs, self.weights, self.radius, self.p, self.lam
+        guess = np.zeros(f.values.size) if self.lam is None else self.lam
+        out, lam = solve_batch(
+            self._run_max(f.values), self.costs, self.weights, self.radius, self.p, guess
         )
+        if self.lam is not None:
+            self.lam = lam
         return out
 
     def _run_max(self, values: Array) -> Array:
@@ -223,7 +228,8 @@ def dro_step(
 
     ``reduce=np.minimum`` (the default) is the robust operator and
     ``np.maximum`` the best case.  ``cache`` maps (action label, t) to the
-    step geometry; it is only valid for the config it was filled with.
+    step kernel; it is only valid for the config it was filled with.  The
+    kernels built here are cold, so a shared cache changes no output.
     """
     if t < 0:
         raise InputError("time must be nonnegative")
@@ -242,8 +248,16 @@ def dro_step(
 
 
 def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
-    """Multi-period robust value over a partition, rightmost gap applied first."""
-    cache: Dict = {}
+    """Multi-period robust value over a partition, rightmost gap applied first.
+
+    Its kernels are warm and built per call, so the output is a function of
+    the inputs alone and each step's dual solve starts from the multipliers
+    of the step before with the same gap.
+    """
+    cache = {
+        (act.label, gap): _StepKernel(cfg, act, gap, warm=True)
+        for gap in dict.fromkeys(pi.gaps) for act in cfg.model.actions
+    }
     out = f
     for gap in reversed(pi.gaps):
         out = dro_step(cfg, gap, out, cache)

@@ -15,6 +15,7 @@ from drolimit import (
     law,
     wasserstein_sup,
 )
+from drolimit import dual
 from drolimit.dual import (
     _best_candidates,
     _simplex_lattice,
@@ -106,7 +107,7 @@ def test_solve_batch_takes_one_cost_row_with_one_free_column():
     ):
         for r in (0.0, 0.3):
             with pytest.raises(InputError):
-                solve_batch(g, costs, w, r, 2.0)
+                solve_batch(g, costs, w, r, 2.0, np.zeros(2))
 
 
 def test_simplex_lattice_is_the_ordered_product_filter():
@@ -339,7 +340,7 @@ def test_batch_matches_scalar_path():
         fn = integrand_at(s)
         for i in range(6):
             gvals[:, i, k] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
-    batch, _ = solve_batch(gvals, costs, w, radius=0.25, p=2.0)
+    batch, _ = solve_batch(gvals, costs, w, 0.25, 2.0, np.zeros(len(shifts)))
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
@@ -365,7 +366,7 @@ def test_second_zero_cost_column_matches_linear_program():
         costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
         costs[:, 0] = 0.0
         levels, table = _tableau(gvals[0], costs)
-        value = solve_batch(table.T[:, :, None], levels, w, radius=0.1, p=2.0)[0][0]
+        value = solve_batch(table.T[:, :, None], levels, w, 0.1, 2.0, np.zeros(1))[0][0]
         assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
@@ -376,10 +377,9 @@ def test_closed_form_single_atom():
     # taken through a point at a huge guess, off by its rounding, would stop
     # the solve off the minimizer
     lam_star = 0.8 / 0.49
-    for guess in (None, 0.0, lam_star, 1e-12 * lam_star, 1e12 * lam_star):
+    for guess in (0.0, lam_star, 1e-12 * lam_star, 1e12 * lam_star):
         value, _ = solve_batch(
-            np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), radius=0.4, p=2.0,
-            guess=None if guess is None else np.array([guess]),
+            np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), 0.4, 2.0, np.array([guess])
         )
         assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
 
@@ -398,7 +398,7 @@ def ulp_level_batch(seed):
 def test_ulp_level_batch_terminates():
     # the solve must still stop on the bracket, at the value 1
     for seed in range(20):
-        value, _ = solve_batch(*ulp_level_batch(seed), 2.0)
+        value, _ = solve_batch(*ulp_level_batch(seed), 2.0, np.zeros(64))
         assert np.all(np.abs(value - 1.0) <= 1e-15)
 
 
@@ -411,8 +411,8 @@ def test_solve_batch_ignores_memory_layout():
     _, costs = _radius_offsets(radius, 16, 1, 2.0)
     gvals = np.random.default_rng(3).standard_normal((costs.size, 16, 513))
     for r in (radius, 0.0):
-        expected = solve_batch(gvals, costs, weights, r, 2.0)
-        got = solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0)
+        expected = solve_batch(gvals, costs, weights, r, 2.0, np.zeros(513))
+        got = solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0, np.zeros(513))
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
@@ -443,25 +443,31 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     cases.append((np.stack([table.T for _, table in tables], axis=2), levels, w / w.sum(), 0.3))
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
-        lam_star = solve_batch(gvals, costs, w, radius, 2.0)[1]
+        lam_star = solve_batch(gvals, costs, w, radius, 2.0, np.zeros(n))[1]
         subsets = [[i] for i in rng.choice(n, 20, replace=False)]
         subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 7, 100, n // 2, n - 1)]
-        # the warm opening passes run on every node, so fixed per-node
+        # the opening passes run on every node, so any fixed per-node
         # guesses keep the property
-        for guess in (None, lam_star * guesses.uniform(0.0, 2.0, n), guesses.uniform(0.0, 2.0, n)):
+        for guess in (np.zeros(n), lam_star * guesses.uniform(0.0, 2.0, n), guesses.uniform(0.0, 2.0, n)):
             full = solve_batch(gvals, costs, w, radius, 2.0, guess)
             for rows in subsets:
-                part = solve_batch(
-                    gvals[:, :, rows], costs, w, radius, 2.0, None if guess is None else guess[rows]
-                )
+                part = solve_batch(gvals[:, :, rows], costs, w, radius, 2.0, guess[rows])
                 assert np.array_equal(part[0], full[0][rows])
                 assert np.array_equal(part[1], full[1][rows])
 
 
-def test_cold_start_keeps_its_bits():
+def test_cold_start_keeps_its_bits(monkeypatch):
     # dyadic inputs, so every operation is exact IEEE arithmetic: the values
-    # of the cold start (cutting planes from lam = 0 and the stay line),
-    # pinned before the warm start was added; a guess of 0 is the cold start
+    # and pass widths of the cold start (cutting planes from lam = 0 and the
+    # stay line), pinned before solves took a guess; a guess of 0 is the
+    # cold start and evaluates D at 0 once
+    widths = []
+
+    def counted(g, costs, lam):
+        widths.append(g.shape[2])
+        return _best_candidates(g, costs, lam)
+
+    monkeypatch.setattr(dual, "_best_candidates", counted)
     rng = np.random.default_rng(23)
     gvals = rng.integers(-2 ** 20, 2 ** 20, (9, 5, 6)) / 2.0 ** 20
     costs = np.arange(9) ** 2 / 16.0
@@ -470,11 +476,10 @@ def test_cold_start_keeps_its_bits():
         "0x1.1985940000000p-4", "0x1.3d3596c000000p-2", "0x1.0fdd945555555p-4",
         "0x1.610cec5000000p-3", "0x1.4664f6d99999ap-2", "0x1.6d05b54af8af9p-2",
     ]
-    cold = solve_batch(gvals, costs, weights, 0.25, 2.0)
+    cold = solve_batch(gvals, costs, weights, 0.25, 2.0, np.zeros(6))
     assert [v.hex() for v in cold[0]] == pinned
+    assert widths == [6, 6, 6, 6, 6, 3, 1]
     assert np.all(cold[1] > 0)
-    zero = solve_batch(gvals, costs, weights, 0.25, 2.0, np.zeros(6))
-    assert np.array_equal(zero[0], cold[0]) and np.array_equal(zero[1], cold[1])
 
 
 def test_warm_start_gives_the_cold_values():
@@ -491,11 +496,11 @@ def test_warm_start_gives_the_cold_values():
     cases += [ulp_level_batch(seed) for seed in range(3)]
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
-        cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0)
+        cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0, np.zeros(n))
         sample = rng.choice(n, 16, replace=False)
         lp = [exact_lp(gvals[:, :, k].T, [costs] * len(w), w, radius ** 2) for k in sample]
         scale = max(lam_star.max(), 1.0)
-        guesses = [np.zeros(n), lam_star, 1e-12 * lam_star, 1e12 * lam_star]
+        guesses = [lam_star, 1e-12 * lam_star, 1e12 * lam_star]
         guesses += [rng.uniform(0.0, 2.0, n) * lam_star, rng.uniform(0.0, 2.0, n) * scale]
         for guess in guesses:
             warm, _ = solve_batch(gvals, costs, w, radius, 2.0, guess)
@@ -506,7 +511,7 @@ def test_warm_start_gives_the_cold_values():
 def test_warm_start_refuses_bad_guesses():
     g = np.ones((4, 3, 2))
     costs = np.array([0.0, 0.2, 0.25, 1.0])
-    for guess in ([1.0, 1.0, 1.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
+    for guess in (None, [1.0, 1.0, 1.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(InputError, match="guess"):
             solve_batch(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.array(guess))
 
@@ -521,5 +526,5 @@ def test_equal_maxima_pay_the_cheaper_cost():
     assert np.array_equal(mx, [[1.0, 0.0]] * 2)
     assert np.array_equal(paid, [[0.25, 0.0]] * 2)
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
-    value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), radius=0.125, p=2.0)
+    value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), 0.125, 2.0, np.zeros(1))
     assert value[0] == 0.0625

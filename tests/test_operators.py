@@ -364,7 +364,9 @@ def test_merged_costs_match_unmerged_solve(grid):
                 pts, costs = kernel_points(cfg, act, t)
                 values = kernel_values(kernel, f)
                 assert kernel.costs.size < costs.size
-                expected, _ = solve_batch(values, costs, kernel.weights, kernel.radius, kernel.p)
+                expected, _ = solve_batch(
+                    values, costs, kernel.weights, kernel.radius, kernel.p, np.zeros(values.shape[2])
+                )
                 assert np.array_equal(kernel.apply(f), expected)
                 if cfg is cfg_ou:
                     assert isinstance(kernel.stencil, Stencil)
@@ -405,9 +407,9 @@ def test_brownian_is_ou_with_zero_theta(grid):
 
 
 def test_reapplied_kernel_starts_from_its_last_multipliers(grid, monkeypatch):
-    # one default step at dt = 2^-8, applied to its own output: the second
-    # apply opens each node's cutting planes around the multiplier of the
-    # first, and evaluates D on at most 70% as many nodes
+    # one default warm step at dt = 2^-8, applied to its own output: the
+    # second apply opens each node's cutting planes around the multiplier of
+    # the first, and evaluates D on at most 70% as many nodes
     widths = []
     best = dual._best_candidates
 
@@ -416,7 +418,7 @@ def test_reapplied_kernel_starts_from_its_last_multipliers(grid, monkeypatch):
         return best(g, costs, lam)
 
     monkeypatch.setattr(dual, "_best_candidates", counted)
-    kernel = _StepKernel(cfg_for(grid), "a0", 2.0 ** -8)
+    kernel = _StepKernel(cfg_for(grid), "a0", 2.0 ** -8, warm=True)
     first = kernel.apply(named_field(grid, "tanh"))
     cold = sum(widths)
     widths.clear()
@@ -431,6 +433,41 @@ def test_compose_is_a_function_of_its_inputs(grid):
     f = named_field(grid, "tanh")
     part = dyadic_partition(0.25, 4)
     assert np.array_equal(compose(cfg, part, f).values, compose(cfg, part, f).values)
+
+
+def test_compose_warm_starts_its_steps(grid, monkeypatch):
+    # the 16 steps of dt = 2^-8 of one composition evaluate D on at most 70%
+    # as many nodes as the same steps taken one by one, each from lam = 0
+    widths = []
+    best = dual._best_candidates
+
+    def counted(g, costs, lam):
+        widths.append(g.shape[2])
+        return best(g, costs, lam)
+
+    monkeypatch.setattr(dual, "_best_candidates", counted)
+    cfg, f = cfg_for(grid), named_field(grid, "tanh")
+    part = dyadic_partition(2.0 ** -4, 8)
+    composed = compose(cfg, part, f)
+    warm = sum(widths)
+    widths.clear()
+    out = f
+    for gap in part.gaps:
+        out = dro_step(cfg, gap, out)
+    assert sum(widths) > 0 and warm <= 0.7 * sum(widths)
+    assert np.max(np.abs(composed.values - out.values)) <= 1e-14
+
+
+def test_shared_cache_changes_no_step(grid):
+    # the kernels ``dro_step`` caches are cold: a step's output does not
+    # depend on what the cache's kernels solved before
+    cfg = cfg_for(grid, drifts=((-0.5,), (0.5,)))
+    fields = [named_field(grid, name) for name in ("tanh", "sin")]
+    alone = [dro_step(cfg, 2.0 ** -6, f).values for f in fields]
+    for order in ((0, 1), (1, 0)):
+        cache = {}
+        for k in order + order:
+            assert np.array_equal(dro_step(cfg, 2.0 ** -6, fields[k], cache).values, alone[k])
 
 
 def test_step_refuses_field_on_other_grid(grid):

@@ -267,19 +267,22 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
 @dataclass
 class ScalingLimitResult:
     field: ScalarField
-    levels_used: int
     level_gaps: List[float]
     levels: List[int]
     converged: bool
+
+    @property
+    def levels_used(self) -> int:
+        return len(self.levels)
 
 
 def scaling_limit(
     cfg: OperatorConfig,
     t: float,
     f: ScalarField,
+    window: CompactWindow,
     max_level: int = 8,
     stop_tol: float = 1e-3,
-    window: Optional[CompactWindow] = None,
 ) -> ScalingLimitResult:
     """Dyadic approximation of the infimum over partitions.
 
@@ -288,14 +291,16 @@ def scaling_limit(
     and stops when that gap drops to ``stop_tol``.  Levels whose partition
     repeats the previous one (t smaller than the dyadic step) are skipped;
     they define the same composition.  Non-convergence within ``max_level``
-    is reported in the result, not raised.
+    is reported in the result, not raised; a horizon whose partition at
+    ``max_level`` has more than MAX_GAPS gaps is refused before any level.
     """
     if not 0 <= max_level <= MAX_LEVEL:
         raise InputError(f"max_level must lie in [0, {MAX_LEVEL}]; each level doubles the cost")
     if not stop_tol >= 0:
         raise InputError("stop_tol must be nonnegative")
+    dyadic_partition(t, max_level)
     if t == 0.0:
-        return ScalingLimitResult(f, 0, [], [], True)
+        return ScalingLimitResult(f, [], [], True)
     prev_part = None
     prev_field = None
     gaps: List[float] = []
@@ -309,12 +314,8 @@ def scaling_limit(
         levels.append(n)
         if prev_field is not None:
             gaps.append(sup_distance(out, prev_field, window))
-            if gaps[-1] <= stop_tol:
-                prev_field = out
-                prev_part = part
-                converged = True
-                break
-        prev_field = out
-        prev_part = part
-    return ScalingLimitResult(prev_field, len(levels), gaps, levels, converged)
-
+        prev_field, prev_part = out, part
+        if gaps and gaps[-1] <= stop_tol:
+            converged = True
+            break
+    return ScalingLimitResult(prev_field, gaps, levels, converged)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,14 @@ class PdeScheme:
 
 @dataclass
 class SpaceTimeField:
+    """Snapshots of one ``solve``, with the step it marched with (``dt``,
+    shortened only to land on a snapshot time) and the steps it took."""
+
     grid: Grid
     times: List[float]
     snapshots: List[ScalarField]
+    dt: float
+    steps: int
 
     def __post_init__(self):
         if len(self.times) != len(self.snapshots):
@@ -73,48 +78,43 @@ class SpaceTimeField:
                 write_rows(w, snap, prefix=[repr(float(t))])
 
 
-def _drift_arrays(cfg: OperatorConfig) -> List[List[Array]]:
-    """Per action, per axis the drift kappa - theta x at every node."""
+def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
+    """Per action the diagonal of sigma sigma^T and, per axis, the drift
+    kappa - theta x at every node; rejects cross terms in 2-d (monotone
+    discretization of mixed derivatives is out of scope)."""
     coords = cfg.grid.mesh()
-    out = []
-    for act in cfg.model.actions:
-        per_axis = []
-        for ax in range(cfg.grid.dim):
-            vals = np.full(cfg.grid.shape, act.kappa[ax])
-            for theta, c in zip(act.theta[ax], coords):
-                vals -= theta * c
-            per_axis.append(vals)
-        out.append(per_axis)
-    return out
-
-
-def _diffusion_diagonals(cfg: OperatorConfig) -> List[Array]:
-    """Per action the diagonal of sigma sigma^T; rejects cross terms in 2-d
-    (monotone discretization of mixed derivatives is out of scope)."""
     out = []
     for act in cfg.model.actions:
         ssT = act.sigma @ act.sigma.T
         diag = np.diag(ssT).copy()
         if np.abs(ssT - np.diag(diag)).max() > 1e-12 * max(1.0, abs(ssT).max()):
             raise ConfigError("2-d solver requires diagonal sigma sigma^T")
-        out.append(diag)
+        drift = []
+        for ax in range(cfg.grid.dim):
+            vals = np.full(cfg.grid.shape, act.kappa[ax])
+            for theta, c in zip(act.theta[ax], coords):
+                vals -= theta * c
+            drift.append(vals)
+        out.append((diag, drift))
     return out
+
+
+def _cfl_bound(cfg: OperatorConfig, scheme: PdeScheme, coeffs) -> float:
+    denom = 0.0
+    for ax in range(cfg.grid.dim):
+        h = cfg.grid.spacing[ax]
+        max_diff = max(d[ax] for d, _ in coeffs)
+        max_drift = max(float(np.max(np.abs(b[ax]))) for _, b in coeffs)
+        denom += max_diff / h ** 2 + (max_drift + cfg.ambiguity.m) / h
+    if denom == 0.0:
+        return np.inf
+    return scheme.cfl_safety / denom
 
 
 def cfl_time_step(cfg: OperatorConfig, scheme: PdeScheme) -> float:
     """Largest dt with dt * [sum_ax max_a (ssT)_aa / h_ax^2
     + sum_ax (max_a |b_ax| + m) / h_ax] <= cfl_safety."""
-    drifts = _drift_arrays(cfg)
-    diags = _diffusion_diagonals(cfg)
-    denom = 0.0
-    for ax in range(cfg.grid.dim):
-        h = cfg.grid.spacing[ax]
-        max_diff = max(d[ax] for d in diags)
-        max_drift = max(float(np.max(np.abs(b[ax]))) for b in drifts)
-        denom += max_diff / h ** 2 + (max_drift + cfg.ambiguity.m) / h
-    if denom == 0.0:
-        return np.inf
-    return scheme.cfl_safety / denom
+    return _cfl_bound(cfg, scheme, _coefficients(cfg))
 
 
 def _shift(v: Array, axis: int, by: int) -> Array:
@@ -138,10 +138,8 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
     for ax in range(grid.dim):
         h = grid.spacing[ax]
         second.append((_shift(v, ax, 1) - 2 * v + _shift(v, ax, -1)) / h ** 2)
-    drifts = _drift_arrays(cfg)
-    diags = _diffusion_diagonals(cfg)
     best = None
-    for b, d in zip(drifts, diags):
+    for d, b in _coefficients(cfg):
         cand = np.zeros(grid.shape)
         for ax in range(grid.dim):
             cand += 0.5 * d[ax] * second[ax] + b[ax] * grads[ax]
@@ -152,7 +150,8 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
 
 def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
     """One explicit Euler step of size dt (defaults to the CFL bound)."""
-    bound = cfl_time_step(cfg, scheme)
+    coeffs = _coefficients(cfg)
+    bound = _cfl_bound(cfg, scheme, coeffs)
     if dt is None:
         dt = bound
     if dt > bound * (1 + 1e-12):
@@ -167,10 +166,8 @@ def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Opt
         dplus.append((up - vals) / h)
         dminus.append((vals - dn) / h)
         second.append((up - 2 * vals + dn) / h ** 2)
-    drifts = _drift_arrays(cfg)
-    diags = _diffusion_diagonals(cfg)
     best = None
-    for b, d in zip(drifts, diags):
+    for d, b in coeffs:
         cand = np.zeros(grid.shape)
         for ax in range(grid.dim):
             bp = np.maximum(b[ax], 0.0)
@@ -224,6 +221,7 @@ def solve(
     times: List[float] = []
     fields: List[ScalarField] = []
     t = 0.0
+    steps = 0
     v = u0
     if snaps and snaps[0] == 0.0:
         times.append(0.0)
@@ -234,7 +232,8 @@ def solve(
             step = min(dt, target - t)
             v = step_forward(cfg, scheme, v, dt=step)
             t += step
+            steps += 1
         t = target
         times.append(target)
         fields.append(v)
-    return SpaceTimeField(cfg.grid, times, fields)
+    return SpaceTimeField(cfg.grid, times, fields, dt, steps)

@@ -45,27 +45,17 @@ class CheckReport:
     runtime_seconds: float
     artifacts: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """The report without its runtime (``None``), so that identical runs
+        write identical bytes."""
         return {
             "name": self.name,
-            "parameters": _jsonable(self.parameters),
+            "parameters": self.parameters,
             "measured": [[k, float(v)] for k, v in self.measured],
             "thresholds": {k: float(v) for k, v in self.thresholds.items()},
             "passed": bool(self.passed),
-            "runtime_seconds": float(self.runtime_seconds) if include_runtime else None,
+            "runtime_seconds": None,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _finish(name, params, measured, thresholds, t0, artifacts=None) -> CheckReport:

@@ -1,11 +1,12 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from drolimit.cli import main
 from drolimit.config import load_config
-from drolimit.errors import ConfigError
+from drolimit.errors import ConfigError, ModelError
 
 
 def run_cli(args):
@@ -157,6 +158,36 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         assert not (out / "manifest.json").exists(), overrides
 
 
+def test_bad_output_or_seed_exit_two_without_manifest(tmp_path, capsys):
+    # an --out that cannot be made and a negative --seed are input errors,
+    # named before anything is written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cases = [
+        (["limit", "--out", str(blocker / "sub")],
+         f"error: [Errno 20] Not a directory: '{blocker / 'sub'}'"),
+        (["properties", "--seed", "-1", "--out", str(tmp_path / "seed1")],
+         "error: --seed must be nonnegative, got -1"),
+        (["all", "--seed", "-3", "--out", str(tmp_path / "seed3")],
+         "error: --seed must be nonnegative, got -3"),
+    ]
+    for args, message in cases:
+        assert run_cli(args) == 2, args
+        assert capsys.readouterr().err.startswith(message), args
+        assert not (Path(args[-1]) / "manifest.json").exists(), args
+
+
+def test_model_error_during_run_exits_two(tmp_path, monkeypatch, capsys):
+    from drolimit import cli
+
+    def refuse(*args, **kwargs):
+        raise ModelError("no such law")
+
+    monkeypatch.setattr(cli, "scaling_limit", refuse)
+    assert run_cli(["limit", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: no such law\n"
+
+
 def test_readme_limit_example(tmp_path):
     # the README's `drolimit limit` example converges with the defaults
     assert run_cli(["limit", "--set", "experiment.parameters.t=0.25", "--out", str(tmp_path)]) == 0
@@ -268,6 +299,37 @@ def test_pde_subcommand(tmp_path):
     assert set(summary) == {"dt", "steps", "cfl_safety", "horizon"}
     assert summary["horizon"] == 0.25
     assert (out / "pde_snapshots.csv").exists()
+
+
+def test_pde_summary_reports_the_steps_taken(tmp_path, monkeypatch):
+    # a snapshot off the step grid takes one extra, shortened step
+    from drolimit import pde
+
+    calls = []
+    step = pde.step_forward
+    monkeypatch.setattr(pde, "step_forward", lambda *a, **k: calls.append(1) or step(*a, **k))
+    out = tmp_path / "pde"
+    code = run_cli(["pde", "--out", str(out), "--set", "experiment.parameters.snapshots=[0.1234]"])
+    assert code == 0
+    summary = json.loads((out / "pde_summary.json").read_text())
+    assert summary["steps"] == len(calls) == 651
+
+
+def test_pde_summary_without_cfl_bound_is_strict_json(tmp_path):
+    # sigma = 0, drift 0 and m = 0: no bound, one step of the horizon
+    out = tmp_path / "pde"
+    code = run_cli(
+        ["pde", "--out", str(out), "--set", "ambiguity.m=0",
+         "--set", 'model.actions=[{"label":"a0","drift":[0.0],"sigma":[[0.0]]}]']
+    )
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((out / "pde_summary.json").read_text(), parse_constant=refuse)
+    assert summary["dt"] == summary["horizon"] == 0.5
+    assert summary["steps"] == 1
 
 
 def test_sensitivity_subcommand(tmp_path):

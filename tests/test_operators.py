@@ -533,11 +533,23 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
                 _StepKernel(cfg, "a0", 0.25)
 
 
-def test_config_validation(grid):
+def test_config_validation(grid, window):
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     with pytest.raises(InputError):
         OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.1), grid=grid)
     with pytest.raises(InputError):
         scaling_limit(
-            cfg_for(grid), 0.5, named_field(grid, "tanh"), max_level=11
+            cfg_for(grid), 0.5, named_field(grid, "tanh"), window, max_level=11
         )
+
+
+def test_scaling_limit_refuses_long_horizon_before_composing(monkeypatch, grid, window):
+    # t = 100 has more than MAX_GAPS dyadic gaps at level 10: refused up
+    # front, not after composing levels 0-9
+    from drolimit import operators
+
+    calls = []
+    monkeypatch.setattr(operators, "compose", lambda *a: calls.append(a))
+    with pytest.raises(InputError, match="dyadic gaps at level 10"):
+        scaling_limit(cfg_for(grid), 100.0, named_field(grid, "tanh"), window, max_level=10)
+    assert calls == []

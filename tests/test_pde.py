@@ -71,6 +71,19 @@ def test_solve_refuses_more_than_max_steps(grid):
             solve(cfg, scheme, v, horizon)
 
 
+def test_step_builds_its_coefficients_once(monkeypatch, grid):
+    # one table per step: the CFL bound and the update both read it
+    from drolimit import pde
+
+    builds = []
+    build = pde._coefficients
+    monkeypatch.setattr(pde, "_coefficients", lambda cfg: builds.append(1) or build(cfg))
+    cfg = cfg_for(grid, m=0.5, drifts=((0.3,), (-0.2,)))
+    step_forward(cfg, PdeScheme(), named_field(grid, "cos"))
+    step_forward(cfg, PdeScheme(), named_field(grid, "cos"), dt=1e-4)
+    assert len(builds) == 2
+
+
 def test_zero_generator_leaves_field(grid):
     cfg = cfg_for(grid, m=0.0, drifts=((0.0,),), sigma=0.0)
     v = named_field(grid, "tanh")

@@ -188,7 +188,7 @@ def test_refinement_certificate_heat(grid, window):
 
 def test_report_serialization(grid, window):
     rep = check_dual_oracle(trials=5, seed=0)
-    d = rep.to_dict(include_runtime=False)
+    d = rep.to_dict()
     assert d["runtime_seconds"] is None
     assert d["passed"] is True
     import json

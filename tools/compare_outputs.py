@@ -5,8 +5,8 @@ and compare what they write.
 
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory;
 the other side is ``src/`` as it stands in this checkout.  Each side runs,
-with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots,
-``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
+with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots on and off
+its step grid, ``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
 ``properties --seed 1`` and ``all`` on the default config, ``limit`` on a
 one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
@@ -39,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = {
     "limit": ["limit"],
     "pde": ["pde", "--set", "experiment.parameters.snapshots=[0.1, 0.25]"],
+    # a snapshot off the step grid: solve shortens one step to land on it
+    "pde-offgrid": ["pde", "--set", "experiment.parameters.snapshots=[0.1234]"],
     "crosscheck": ["crosscheck"],
     "sensitivity": ["sensitivity"],
     "generator": ["generator"],

@@ -25,7 +25,6 @@ from .models import (
     ORNSTEIN_UHLENBECK,
     ReferenceModel,
     brownian_model,
-    check_chapman_kolmogorov,
     covariance,
     law,
     psi,

@@ -38,7 +38,6 @@ passes a node takes, never its value beyond rounding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -155,10 +154,18 @@ def wasserstein_sup(inst: DualInstance) -> float:
 
 def _simplex_lattice(k: int, steps: int) -> Array:
     """All length-k nonnegative integer tuples summing to steps, as fractions,
-    in lexicographic order: stars and bars, the gaps between k - 1 bars
-    placed among steps + k - 1 slots."""
-    bars = np.array(list(itertools.combinations(range(steps + k - 1), k - 1)), dtype=float)
-    return (np.diff(bars, axis=1, prepend=-1.0, append=steps + k - 1.0) - 1.0) / steps
+    in lexicographic order: built one part at a time, each row with what it
+    has left r taking the next part 0, 1, ..., r in turn, and the last part
+    the rest."""
+    parts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([steps])
+    for _ in range(k - 1):
+        counts = left + 1
+        rows = np.repeat(np.arange(len(left)), counts)
+        nxt = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.hstack([parts[rows], nxt[:, None]])
+        left = left[rows] - nxt
+    return np.hstack([parts, left[:, None]]) / steps
 
 
 def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
@@ -192,14 +199,17 @@ def brute_force_sup(inst: DualInstance, grid_steps: int = 8) -> float:
         if n_plans > 5_000_000:
             raise InputError("instance too large for the enumeration oracle")
 
+    # the plan that keeps every atom on its free stay option costs exactly 0;
+    # costs are >= 0 and rounding is monotone, so a partial plan over the
+    # budget stays over it and is dropped after each outer sum
+    budget = rp * (1.0 + 1e-12) + 1e-15
     vals = per_atom_vals[0]
     cost = per_atom_costs[0]
     for v, c in zip(per_atom_vals[1:], per_atom_costs[1:]):
-        vals = np.add.outer(vals, v).ravel()
-        cost = np.add.outer(cost, c).ravel()
-    # the plan that keeps every atom on its free stay option costs exactly 0
-    feasible = cost <= rp * (1.0 + 1e-12) + 1e-15
-    return float(vals[feasible].max())
+        keep = cost <= budget
+        vals = np.add.outer(vals[keep], v).ravel()
+        cost = np.add.outer(cost[keep], c).ravel()
+    return float(vals[cost <= budget].max())
 
 
 def oracle_resolution(inst: DualInstance, grid_steps: int) -> float:

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, ModelError
-from .fields import ScalarField
 
 Array = np.ndarray
 
@@ -232,28 +231,4 @@ def law(model: ReferenceModel, a, t: float, quad_order: int = 16) -> DiscreteMea
     atoms = z @ evecs.T
     w = w / w.sum()
     return DiscreteMeasure(atoms, w)
-
-
-def check_chapman_kolmogorov(
-    model: ReferenceModel, a, s: float, t: float, f: ScalarField, x, quad_order: int = 16
-) -> float:
-    """Residual of the two-step versus one-step transition identity at x.
-
-    Both sides are evaluated by quadrature; for the built-in families the
-    residual is pure quadrature/interpolation error.
-    """
-    if s < 0 or t < 0:
-        raise InputError("times must be nonnegative")
-    act = model.action(a)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mu_st = law(model, act, s + t, quad_order)
-    lhs = float(mu_st.weights @ f.eval(psi(model, act, s + t, x)[None, :] + mu_st.atoms))
-    mu_s = law(model, act, s, quad_order)
-    mu_t = law(model, act, t, quad_order)
-    inner = psi(model, act, t, x)[None, :] + mu_t.atoms          # (kt, d)
-    mid = psi(model, act, s, inner)                              # (kt, d)
-    pts = mid[:, None, :] + mu_s.atoms[None, :, :]               # (kt, ks, d)
-    vals = f.eval(pts)
-    rhs = float(mu_t.weights @ vals @ mu_s.weights)
-    return abs(lhs - rhs)
 

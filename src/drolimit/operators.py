@@ -2,10 +2,11 @@
 
 Per grid node x and action a, one period of length t is the worst-case
 expectation of f(psi_t^a(x) + z) over the Wasserstein ball of radius t*m
-around the Gaussian quadrature law of Y_t^a.  ``dro_step`` is the only step:
-the robust (worst case, best action) operator takes the node-wise min over
-actions, the best-case operator the max, and at m = 0 the ball is the
-reference law itself, so the same step is the non-robust Bellman step.
+around the Gaussian quadrature law of Y_t^a; ``action_values`` gives it for
+every action.  ``dro_step`` is the only step: the robust (worst case, best
+action) operator takes the node-wise min over actions, the best-case
+operator the max, and at m = 0 the ball is the reference law itself, so the
+same step is the non-robust Bellman step.
 Compositions over a partition apply the one-period operator over
 the successive gaps, rightmost gap first; the scaling limit follows the
 dyadic partition sequence, whose values decrease node-wise as the mesh is
@@ -21,6 +22,7 @@ by the refinement certificates in the validation module.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -216,6 +218,31 @@ class _StepKernel:
         return merged.reshape(merged.shape[:2] + (-1,))
 
 
+def action_values(
+    cfg: OperatorConfig, t: float, f: ScalarField, cache: Optional[Dict] = None
+) -> List[Array]:
+    """Each action's worst case over the radius-(t m) ball around its law,
+    one kernel apply per action, in the order of ``cfg.model.actions``.
+
+    ``cache`` maps (action label, t) to the step kernel; it is only valid for
+    the config it was filled with.  The kernels built here are cold, so a
+    shared cache changes no output.
+    """
+    if t < 0:
+        raise InputError("time must be nonnegative")
+    if t == 0.0:
+        return [f.values for _ in cfg.model.actions]
+    out = []
+    for act in cfg.model.actions:
+        kernel = None if cache is None else cache.get((act.label, t))
+        if kernel is None:
+            kernel = _StepKernel(cfg, act, t)
+            if cache is not None:
+                cache[(act.label, t)] = kernel
+        out.append(kernel.apply(f).reshape(cfg.grid.shape))
+    return out
+
+
 def dro_step(
     cfg: OperatorConfig,
     t: float,
@@ -223,28 +250,15 @@ def dro_step(
     cache: Optional[Dict] = None,
     reduce: Callable[[Array, Array], Array] = np.minimum,
 ) -> ScalarField:
-    """One period: node-wise ``reduce`` over actions of the worst case over
-    the radius-(t m) ball around each action's law.
+    """One period: node-wise ``reduce`` over the actions' ``action_values``.
 
     ``reduce=np.minimum`` (the default) is the robust operator and
-    ``np.maximum`` the best case.  ``cache`` maps (action label, t) to the
-    step kernel; it is only valid for the config it was filled with.  The
-    kernels built here are cold, so a shared cache changes no output.
+    ``np.maximum`` the best case.  ``cache`` is passed to ``action_values``.
     """
-    if t < 0:
-        raise InputError("time must be nonnegative")
+    values = action_values(cfg, t, f, cache)
     if t == 0.0:
         return f
-    vals = None
-    for act in cfg.model.actions:
-        kernel = None if cache is None else cache.get((act.label, t))
-        if kernel is None:
-            kernel = _StepKernel(cfg, act, t)
-            if cache is not None:
-                cache[(act.label, t)] = kernel
-        out = kernel.apply(f)
-        vals = out if vals is None else reduce(vals, out)
-    return ScalarField(cfg.grid, vals)
+    return ScalarField(cfg.grid, functools.reduce(reduce, values))
 
 
 def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:

@@ -25,6 +25,7 @@ from drolimit.dual import (
 )
 from drolimit.fields import Grid
 from drolimit.operators import OperatorConfig, _radius_offsets, _StepKernel
+from drolimit.validation import _random_instance
 
 
 def delta_instance(integrand, radius, candidates, p=2.0):
@@ -117,6 +118,39 @@ def test_simplex_lattice_is_the_ordered_product_filter():
             expected = np.array(rows, dtype=float) / steps
             got = _simplex_lattice(k, steps)
             assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_simplex_lattice_is_the_stars_and_bars_rule():
+    # the gaps between k - 1 bars placed among steps + k - 1 slots, the bar
+    # positions in itertools' lexicographic order: the same rows, bit for bit
+    for k in range(1, 10):
+        for steps in range(1, 9):
+            bars = np.array(list(itertools.combinations(range(steps + k - 1), k - 1)), dtype=float)
+            expected = (np.diff(bars, axis=1, prepend=-1.0, append=steps + k - 1.0) - 1.0) / steps
+            got = _simplex_lattice(k, steps)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (k, steps)
+
+
+def unpruned_brute_force_sup(inst, grid_steps):
+    """``brute_force_sup`` filtering its plans by the budget only once, after
+    the last outer sum."""
+    w = inst.source.weights
+    plans = [_simplex_lattice(len(g), grid_steps) for g in inst.values]
+    vals = [wi * x @ g for wi, x, g in zip(w, plans, inst.values)]
+    costs = [wi * x @ c for wi, x, c in zip(w, plans, inst.costs)]
+    val, cost = vals[0], costs[0]
+    for v, c in zip(vals[1:], costs[1:]):
+        val, cost = np.add.outer(val, v).ravel(), np.add.outer(cost, c).ravel()
+    return float(val[cost <= inst.radius ** inst.p * (1.0 + 1e-12) + 1e-15].max())
+
+
+def test_pruned_brute_force_keeps_its_bits():
+    # the draws of the acceptance battery's dual check
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        inst = _random_instance(rng, radius=[0.0, 0.1, 0.5, 2.0][trial % 4])
+        assert brute_force_sup(inst, 8) == unpruned_brute_force_sup(inst, 8), trial
 
 
 def test_radius_zero_is_plain_expectation():
@@ -345,6 +379,8 @@ def test_batch_matches_scalar_path():
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
         assert batch[k] == pytest.approx(lp_value(inst), abs=1e-8)
+        # HiGHS resolves the LP only to about 1e-8; the exact LP to rounding
+        assert batch[k] == pytest.approx(exact_lp(gvals[:, :, k].T, [costs] * 6, w, 0.25 ** 2), abs=1e-12)
         assert batch[k] == pytest.approx(wasserstein_sup(inst), abs=1e-9)
 
 

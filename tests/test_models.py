@@ -14,7 +14,6 @@ from drolimit import (
     ReferenceModel,
     ScalarField,
     brownian_model,
-    check_chapman_kolmogorov,
     covariance,
     law,
     psi,
@@ -135,12 +134,27 @@ def test_law_quad_order_bounds():
         law(m, "a0", 1.0, quad_order=65)
 
 
+def chapman_kolmogorov_residual(model, a, s, t, f, x, quad_order=16):
+    """Residual at x of E f(X_{s+t}) taken in one step of s + t against two
+    steps, t then s, both by quadrature; for the built-in families it is
+    quadrature and interpolation error."""
+    act = model.action(a)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    mu_st = law(model, act, s + t, quad_order)
+    lhs = float(mu_st.weights @ f.eval(psi(model, act, s + t, x)[None, :] + mu_st.atoms))
+    mu_s = law(model, act, s, quad_order)
+    mu_t = law(model, act, t, quad_order)
+    mid = psi(model, act, s, psi(model, act, t, x)[None, :] + mu_t.atoms)   # (kt, d)
+    vals = f.eval(mid[:, None, :] + mu_s.atoms[None, :, :])                  # (kt, ks)
+    return abs(lhs - float(mu_t.weights @ vals @ mu_s.weights))
+
+
 def test_chapman_kolmogorov_degenerate_time():
     m = brownian_model([[0.2]], [[1.0]])
     g = Grid.line(-8, 8, 513)
     f = ScalarField.from_function(g, np.cos)
-    assert check_chapman_kolmogorov(m, "a0", 0.0, 0.5, f, np.array([0.0])) <= 1e-10
-    assert check_chapman_kolmogorov(m, "a0", 0.5, 0.0, f, np.array([0.0])) <= 1e-10
+    assert chapman_kolmogorov_residual(m, "a0", 0.0, 0.5, f, np.array([0.0])) <= 1e-10
+    assert chapman_kolmogorov_residual(m, "a0", 0.5, 0.0, f, np.array([0.0])) <= 1e-10
 
 
 def test_chapman_kolmogorov_brownian_cos():
@@ -148,7 +162,7 @@ def test_chapman_kolmogorov_brownian_cos():
     m = brownian_model([[0.0]], [[1.0]])
     g = Grid.line(-8, 8, 4097)
     f = ScalarField.from_function(g, np.cos)
-    res = check_chapman_kolmogorov(m, "a0", 0.5, 0.5, f, np.array([0.0]), quad_order=32)
+    res = chapman_kolmogorov_residual(m, "a0", 0.5, 0.5, f, np.array([0.0]), quad_order=32)
     assert res <= 1e-6
     mu = law(m, "a0", 1.0, 32)
     lhs = float(mu.weights @ f.eval(mu.atoms[:, 0]))
@@ -159,7 +173,7 @@ def test_chapman_kolmogorov_ou():
     ou = ou_model(1.0, 0.5, 1.0)
     g = Grid.line(-8, 8, 513)
     f = ScalarField.from_function(g, np.tanh)
-    res = check_chapman_kolmogorov(ou, "a0", 0.25, 0.75, f, np.array([0.3]), quad_order=16)
+    res = chapman_kolmogorov_residual(ou, "a0", 0.25, 0.75, f, np.array([0.3]), quad_order=16)
     assert res <= 1e-4
 
 

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from drolimit import AmbiguitySpec, CompactWindow, Grid, InputError, OperatorConfig, brownian_model
+from drolimit import operators, validation
 from drolimit.operators import dro_step
 from drolimit.validation import (
     check_dual_oracle,
@@ -125,6 +127,27 @@ def test_check_operator_properties_small(grid):
     assert vals["translation"] <= 1e-12
 
 
+def test_property_suite_shares_the_applies_of_each_field(monkeypatch):
+    # per gap, every trial applies each action to f, g and f + |g - f|; the
+    # first 10 also to f + 1, lam f for three lam, f + g and, at m = 0, f.
+    # The robust and best-case steps of f (and of g) reduce one apply per
+    # action: 2 applies fewer per action than separate steps
+    applies = []
+    apply = operators._StepKernel.apply
+    monkeypatch.setattr(
+        operators._StepKernel, "apply", lambda self, f: applies.append(1) or apply(self, f)
+    )
+    grid = Grid.line(-4.0, 4.0, 33)
+    for drifts in ([[0.0]], [[-0.5], [0.5]]):
+        cfg = OperatorConfig(
+            brownian_model(drifts, [[1.0]]), AmbiguitySpec(m=0.5), grid,
+            quad_order=4, cand_per_side=2,
+        )
+        applies.clear()
+        assert check_operator_properties(cfg, trials=12, seed=0, t_list=(0.05, 0.1)).passed
+        assert len(applies) == 2 * len(drifts) * (10 * 9 + 2 * 3)
+
+
 def test_check_dual_oracle_small():
     rep = check_dual_oracle(trials=50, seed=0)
     assert rep.passed
@@ -184,6 +207,25 @@ def test_refinement_certificate_heat(grid, window):
     assert rep.passed
     assert dict(rep.measured)["change_heat_anchor"] <= 2.5e-3
     assert rep.thresholds["change_heat_anchor"] == 2.5e-3
+
+
+def test_game_certificate_composes_only_for_its_pde_check(monkeypatch, window):
+    # the certificate reads the game's operator-PDE gap alone, so neither
+    # resolution runs the matched-level dominance compositions
+    callers = []
+    for module in (operators, validation):
+        def recorded(*args, compose=getattr(module, "compose")):
+            callers.append([frame.function for frame in inspect.stack(context=0)])
+            return compose(*args)
+
+        monkeypatch.setattr(module, "compose", recorded)
+    cfg = OperatorConfig(
+        brownian_model([[0.0]], [[1.0]]), AmbiguitySpec(m=0.5), Grid.line(-6.0, 6.0, 65),
+        quad_order=4, cand_per_side=2,
+    )
+    rep = refinement_certificates(cfg, window, experiments=("game_crosscheck",))
+    assert [label for label, _ in rep.measured] == ["change_game_crosscheck"]
+    assert callers and all("cross_check_pde" in stack for stack in callers)
 
 
 def test_report_serialization(grid, window):

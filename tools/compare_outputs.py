@@ -7,7 +7,9 @@ REV's ``src/`` is extracted with ``git archive`` into a temporary directory;
 the other side is ``src/`` as it stands in this checkout.  Each side runs,
 with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots on and off
 its step grid, ``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
-``properties --seed 1`` and ``all`` on the default config, ``limit`` on a
+``properties --seed 1``, ``certify`` (the refinement certificates of its
+default experiments, each base run made afresh) and ``all`` on the default
+config, ``limit`` on a
 one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
 3 candidates per side, 5 trials of each check), and the ``game-2d`` workload
@@ -61,6 +63,7 @@ RUNS = {
         "--set", "numerics.quad_order=4", "--set", "numerics.cand_per_side=3",
         "--set", "experiment.parameters.trials=5", "--set", "experiment.parameters.dual_trials=5",
     ],
+    "certify": ["certify"],
     "all": ["all"],
 }
 GAME_SEED = 29

@@ -12,10 +12,14 @@ transport LP whose dual collapses to one multiplier:
 
 a convex piecewise-linear function of lam >= 0 whose minimum equals the LP
 value (LP strong duality).  ``solve_batch`` minimizes D for a batch of grid
-nodes at once (exactly, by cutting planes on its pieces) and is the only
-minimizer of D in the package; ``wasserstein_sup`` runs it on one
-``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
-as an independent primal oracle.
+nodes at once (exactly, by cutting planes on its pieces); ``wasserstein_sup``
+runs it on one ``DualInstance``, and ``brute_force_sup`` enumerates lattice
+transport plans as an independent primal oracle.  ``solve_window`` gives
+``solve_batch``'s values for steps whose multipliers barely move: it
+minimizes the dual of a window of four runs per atom exactly, a fractional
+knapsack walked through its breakpoints from the last multiplier, and keeps
+a node's answer only where one full evaluation of D certifies it; the other
+nodes go to ``solve_batch``.
 
 ``solve_batch`` reads one cost row shared by all atoms, with column 0 the
 only free one.  The step kernels build that row from their offsets; a
@@ -38,8 +42,9 @@ passes a node takes, never its value beyond rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,6 +258,16 @@ def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
     return mx, paid
 
 
+def _check_row_and_guess(gvals: Array, costs: Array, guess: Array) -> None:
+    """Refuse a cost row other than one (C,) row whose column 0 is its only
+    free one, and a guess other than (N,) finite multipliers >= 0."""
+    if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
+        raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
+    n = gvals.shape[2]
+    if np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf)):
+        raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
+
+
 def solve_batch(
     gvals: Array, costs: Array, weights: Array, radius: float, p: float, guess: Array
 ) -> Tuple[Array, Array]:
@@ -302,11 +317,8 @@ def solve_batch(
     that is what lets the working set shrink to the running nodes once at
     most half of it still runs.
     """
-    if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
-        raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
+    _check_row_and_guess(gvals, costs, guess)
     n = gvals.shape[2]
-    if np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf)):
-        raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         return _weighted_sum(gvals[0], weights), np.zeros(n)
     rp = radius ** p
@@ -370,3 +382,135 @@ def solve_batch(
         raise DataError("batch dual cutting planes did not terminate")
     out[nodes], stopped_at[nodes] = best, lam
     return out, stopped_at
+
+
+def _window_minimizer(
+    g: Array, costs: Array, weights: Array, rp: float, centre: Array, lam0: Array
+) -> tuple:
+    """Each element's window and the exact minimizer of the window's dual
+    D_w(lam) = lam r^p + sum_q w_q max over the window of g - costs lam.
+
+    The window is the stay run and three consecutive runs around the
+    element's ``centre`` run, shifted into [1, D - 1] (and repeated where
+    D < 4).  Returns the (Q, N) lowest of those three runs and the minimizer
+    ``_walk`` finds from lam0."""
+    d, size = len(costs), centre.size
+    first = np.clip(centre - 1, 1, max(d - 3, 1))
+    runs = np.minimum(first + np.arange(3)[:, None, None], d - 1)
+    wcosts = costs.take(runs)
+    runs *= size
+    runs += np.arange(size).reshape(centre.shape)
+    breaks = _breakpoints(g[0], g.reshape(-1).take(runs), wcosts)
+    wcosts *= weights[:, None]
+    return first, _walk(breaks, wcosts, rp, lam0)
+
+
+def _breakpoints(stay: Array, values: Array, costs: Array) -> Array:
+    """Each element's (3, Q, N) breakpoints in lam: for each window line
+    values[j] - costs[j] lam (costs ascending in j), the lowest lam at which
+    a cheaper line, the stay line ``stay`` among them, overtakes it.
+
+    Just above lam an element pays the costliest line whose breakpoint
+    exceeds lam: that line beats every cheaper one there, and each costlier
+    line loses there to a cheaper one, which loses in turn down to it.  So
+    the cost paid, max_j costs[j] [breakpoint_j > lam], changes only at
+    breakpoints, and the breakpoints of lines that never lead change nothing.
+    Lines of equal cost are copies of one run: their crossing is 0/0, and
+    the NaN keeps the later copy from being paid."""
+    breaks = values - stay
+    breaks /= costs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, k in ((1, 0), (2, 0), (2, 1)):
+            np.minimum(breaks[j], (values[j] - values[k]) / (costs[j] - costs[k]), out=breaks[j])
+    return breaks
+
+
+def _walk(breaks: Array, costs: Array, rp: float, lam0: Array) -> Array:
+    """The smallest lam >= 0 at which the cost paid just above it, S(lam+),
+    is at most r^p: the minimizer of the window's dual, whose slope is
+    r^p - S(lam+).  ``costs`` are the window's costs times the atoms'
+    weights.
+
+    Where S(lam0+) > r^p it walks up through the breakpoints above lam0
+    until S(b+) <= r^p; elsewhere down through those at or below lam0 until
+    S(b-) > r^p, and stops at 0 if none is left above 0.  Equal breakpoints
+    are crossed together, and a node leaves the walk when it stops.  S adds
+    the atoms in a fixed order, so a node's walk does not depend on the
+    other nodes."""
+
+    def paid(b, c, tau):
+        return functools.reduce(np.add, (c * (b > tau)).max(axis=0))
+
+    rising = paid(breaks, costs, lam0) > rp
+    sign = np.where(rising, 1.0, -1.0)
+    # the next breakpoint b has sign * b > at; going down, it may equal lam0
+    at = np.where(rising, lam0, -np.nextafter(lam0, np.inf))
+    lam = np.empty_like(lam0)
+    nodes, b, c = np.arange(len(lam0)), breaks, costs
+    while nodes.size:
+        signed = sign * b
+        nxt = sign * np.where(signed > at, signed, np.inf).min(axis=(0, 1))
+        # S just above nxt going up, and just below it going down
+        over = paid(b, c, np.where(rising, nxt, np.nextafter(nxt, -np.inf))) > rp
+        stop = (over != rising) | (nxt <= 0.0)
+        lam[nodes[stop]] = np.maximum(nxt[stop], 0.0)
+        go = ~stop
+        nodes, at, sign, rising = nodes[go], (sign * nxt)[go], sign[go], rising[go]
+        b, c = b[:, :, go], c[:, :, go]
+    return lam
+
+
+def solve_window(
+    gvals: Array, costs: Array, weights: Array, radius: float, p: float,
+    guess: Array, centre: Optional[Array],
+) -> Tuple[Array, Array, Array]:
+    """``solve_batch``'s values for a batch whose multipliers barely moved
+    since ``guess``, from a window of four runs per element, certified by one
+    full evaluation of D.
+
+    centre: (Q, N) run each element paid at ``guess`` (on the data of the
+            step before), or None: one full evaluation at the guess gives it
+
+    ``_window_minimizer`` minimizes the dual D_w <= D of each element's
+    window (its stay run and three runs around its centre) exactly, from the
+    guess.  At that minimizer lam, D(lam) is evaluated in full
+    (``_best_candidates``).  A node where every atom's full max is paid by a
+    run of its window, so that it equals the window's max bit for bit, has
+    D(lam) = D_w(lam) = min D_w <= min D: its value is that evaluation,
+    attained up to rounding as in ``solve_batch``, and its multiplier lam.  A
+    node that fails is re-windowed once around the runs the evaluation paid
+    and walked from lam; one that fails again goes to ``solve_batch`` from
+    its guess, and one more evaluation at the multiplier it stops at gives
+    its runs.  Every step is per node, so a node's result is the same bits
+    in any batch.
+
+    Returns the per-node values, the multipliers, and the (Q, N) run each
+    element paid at the last full evaluation of its node: the next centres.
+    """
+    _check_row_and_guess(gvals, costs, guess)
+    if radius <= 0.0 or len(gvals) == 1:
+        raise InputError("a window needs a positive radius and a cost above 0")
+    rp = radius ** p
+    g = np.ascontiguousarray(gvals)
+    n = g.shape[2]
+    if centre is None:
+        centre = np.searchsorted(costs, _best_candidates(g, costs, guess)[1])
+    out, stopped_at, runs = np.empty(n), np.empty(n), np.empty(centre.shape, np.intp)
+    nodes, lam0 = np.arange(n), guess
+    for _ in range(2):
+        sub = g if nodes.size == n else g[:, :, nodes]
+        first, lam = _window_minimizer(sub, costs, weights, rp, centre, lam0)
+        mx, paid = _best_candidates(sub, costs, lam)
+        centre = np.searchsorted(costs, paid)
+        runs[:, nodes] = centre
+        inside = (centre == 0) | ((centre >= first) & (centre <= first + 2))
+        certified = np.all(inside, axis=0)
+        out[nodes[certified]] = (lam * rp + _weighted_sum(mx, weights))[certified]
+        stopped_at[nodes[certified]] = lam[certified]
+        nodes, lam0, centre = nodes[~certified], lam[~certified], centre[:, ~certified]
+        if not nodes.size:
+            return out, stopped_at, runs
+    sub = g[:, :, nodes]
+    out[nodes], stopped_at[nodes] = solve_batch(sub, costs, weights, radius, p, guess[nodes])
+    runs[:, nodes] = np.searchsorted(costs, _best_candidates(sub, costs, stopped_at[nodes])[1])
+    return out, stopped_at, runs

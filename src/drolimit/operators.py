@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dual import AmbiguitySpec, solve_batch
+from .dual import AmbiguitySpec, solve_batch, solve_window
 from .errors import InputError
 from .fields import (
     CompactWindow,
@@ -145,11 +145,20 @@ class _StepKernel:
     last apply stopped at (zeros before the first) and opens the next solve
     around them: ``compose`` applies its kernels to the output of the step
     before, which differs by O(dt), so each node's multiplier barely moves.
-    A warm apply's output thus depends on the kernel's earlier applies, in
-    rounding only.
+    From its third apply on, when those multipliers come from a warm step,
+    a warm kernel with a positive radius solves through ``solve_window``:
+    four runs per element around the run it paid before, certified by one
+    full evaluation of D, walked from the multipliers extrapolated over the
+    last step.  It keeps in ``prev`` the multipliers of the apply before the
+    last, in ``paid`` the (Q, N) run each element paid at the last windowed
+    evaluation (None until the first), and in ``applies`` its count of
+    applies.  A warm apply's output thus depends on the kernel's earlier
+    applies, in rounding only.
     """
 
-    __slots__ = ("weights", "costs", "runs", "stencil", "radius", "p", "lam")
+    __slots__ = (
+        "weights", "costs", "runs", "stencil", "radius", "p", "lam", "prev", "paid", "applies"
+    )
 
     def __init__(self, cfg: OperatorConfig, action, dt: float, warm: bool = False):
         meas = law(cfg.model, action, dt, cfg.quad_order)
@@ -162,11 +171,16 @@ class _StepKernel:
         # value) and the at most half of them that ``solve_batch`` gathers
         # when its running nodes shrink (4 more), its four (Q, N) temporaries,
         # and d + 1 arrays of the largest run's rows; point stencils add the
-        # index (4 bytes) and d fractions (8 each) of every point
+        # index (4 bytes) and d fractions (8 each) of every point, and warm
+        # kernels, per atom and node, the stored run (8 bytes) and six
+        # (3, Q, N) arrays of ``solve_window`` (8 each): the window's runs,
+        # values, costs and breakpoints, and two temporaries of its walk
         n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
         need = 12 * n * q * len(starts) + 8 * n * q * (4 + (d + 1) * int(np.max(ends - starts)))
         if not shift:
             need += (4 + 8 * d) * n * q * len(costs)
+        if warm:
+            need += (8 + 6 * 3 * 8) * n * q
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise InputError(
@@ -194,17 +208,26 @@ class _StepKernel:
         self.radius = radius
         self.p = cfg.ambiguity.p
         self.lam = np.zeros(n) if warm else None
+        self.prev = self.paid = None
+        self.applies = 0
 
     def apply(self, f: ScalarField) -> Array:
         grid = self.stencil.grid
         if f.grid is not grid and not same_nodes(f.grid, grid):
             raise InputError("the field and the step live on different grids")
-        guess = np.zeros(f.values.size) if self.lam is None else self.lam
-        out, lam = solve_batch(
-            self._run_max(f.values), self.costs, self.weights, self.radius, self.p, guess
-        )
-        if self.lam is not None:
-            self.lam = lam
+        args = (self._run_max(f.values), self.costs, self.weights, self.radius, self.p)
+        if self.lam is None:
+            return solve_batch(*args, np.zeros(f.values.size))[0]
+        if self.applies >= 2 and self.radius > 0.0:
+            # the walk finds the same multipliers from any start, and from
+            # the multipliers' drift over the last step it crosses fewer
+            # breakpoints
+            guess = np.maximum(2.0 * self.lam - self.prev, 0.0)
+            out, lam, self.paid = solve_window(*args, guess, self.paid)
+        else:
+            out, lam = solve_batch(*args, self.lam)
+        self.prev, self.lam = self.lam, lam
+        self.applies += 1
         return out
 
     def _run_max(self, values: Array) -> Array:
@@ -266,7 +289,8 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
 
     Its kernels are warm and built per call, so the output is a function of
     the inputs alone and each step's dual solve starts from the multipliers
-    of the step before with the same gap.
+    of the step before with the same gap; from the third step with a gap on,
+    through certified windows (``_StepKernel``).
     """
     cache = {
         (act.label, gap): _StepKernel(cfg, act, gap, warm=True)

@@ -15,15 +15,17 @@ from drolimit import (
     law,
     wasserstein_sup,
 )
-from drolimit import dual
+from drolimit import dual, operators
 from drolimit.dual import (
     _best_candidates,
     _simplex_lattice,
     _tableau,
+    _window_minimizer,
     oracle_resolution,
     solve_batch,
+    solve_window,
 )
-from drolimit.fields import Grid
+from drolimit.fields import Grid, ScalarField
 from drolimit.operators import OperatorConfig, _radius_offsets, _StepKernel
 from drolimit.validation import _random_instance
 
@@ -389,6 +391,9 @@ def test_against_linear_program():
     rng = np.random.default_rng(17)
     inst = _random_small_instance(rng, radius=0.45)
     assert wasserstein_sup(inst) == pytest.approx(lp_value(inst), abs=1e-8)
+    # HiGHS resolves the LP only to about 1e-8; the exact LP to rounding
+    exact = exact_lp(inst.values, inst.costs, inst.source.weights, inst.radius ** inst.p)
+    assert wasserstein_sup(inst) == pytest.approx(exact, abs=1e-12)
 
 
 def test_second_zero_cost_column_matches_linear_program():
@@ -490,6 +495,20 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
                 part = solve_batch(gvals[:, :, rows], costs, w, radius, 2.0, guess[rows])
                 assert np.array_equal(part[0], full[0][rows])
                 assert np.array_equal(part[1], full[1][rows])
+        # a windowed solve walks, certifies, re-windows and falls back node
+        # by node: from centres found at the guess, and from every element
+        # at the last run
+        guess = lam_star * guesses.uniform(0.9, 1.1, n)
+        for centre in (None, np.full(gvals.shape[1:], len(costs) - 1)):
+            full = solve_window(gvals, costs, w, radius, 2.0, guess, centre)
+            for rows in subsets:
+                part = solve_window(
+                    gvals[:, :, rows], costs, w, radius, 2.0, guess[rows],
+                    None if centre is None else centre[:, rows],
+                )
+                assert np.array_equal(part[0], full[0][rows])
+                assert np.array_equal(part[1], full[1][rows])
+                assert np.array_equal(part[2], full[2][:, rows])
 
 
 def test_cold_start_keeps_its_bits(monkeypatch):
@@ -564,3 +583,92 @@ def test_equal_maxima_pay_the_cheaper_cost():
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
     value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), 0.125, 2.0, np.zeros(1))
     assert value[0] == 0.0625
+
+
+def window_dual(g, costs, w, rp, first, lam):
+    """The window's rows, (4, Q, N) values and costs, and its dual at lam:
+    the stay run and the three runs from ``first``, clamped to D - 1."""
+    runs = np.minimum(first + np.arange(3)[:, None, None], len(costs) - 1)
+    values = np.concatenate([g[:1], np.take_along_axis(g, runs, axis=0)])
+    wcosts = np.concatenate([np.zeros((1,) + first.shape), costs[runs]])
+    return values, wcosts, lam * rp + (w[:, None] * (values - wcosts * lam).max(axis=0)).sum(axis=0)
+
+
+def test_window_walk_gives_the_exact_lp_of_the_window():
+    # values on a grid of eighths tie across runs, D <= 4 repeats runs in the
+    # window, atom 0 of the first three nodes never beats its stay value, and
+    # the guesses lie on both sides of the minimizer: the window's dual at
+    # the walk's multiplier is the window's exact LP value, and the walk
+    # started from that multiplier stays there
+    rng = np.random.default_rng(37)
+    q, n = 4, 12
+    for trial in range(60):
+        d = [2, 3, 4, 5, 17][trial % 5]
+        steps = np.sort(rng.choice(np.arange(1, 40), d - 1, replace=False))
+        costs = np.concatenate([[0.0], steps / 64.0])
+        g = np.round(rng.standard_normal((d, q, n)) * 4.0) / 8.0
+        g[1:, 0, :3] = g[0, 0, :3] - np.abs(g[1:, 0, :3])
+        w = rng.random(q)
+        w /= w.sum()
+        rp = [0.1, 0.3, 1.0][trial % 3] ** 2
+        centre = rng.integers(0, d, (q, n))
+        lam0 = rng.uniform(0.0, 8.0, n) * (rng.random(n) < 0.8)
+        first, lam = _window_minimizer(g, costs, w, rp, centre, lam0)
+        assert np.array_equal(first, np.clip(centre - 1, 1, max(d - 3, 1)))
+        values, wcosts, dual_w = window_dual(g, costs, w, rp, first, lam)
+        for k in range(n):
+            lp = exact_lp(values[:, :, k].T, wcosts[:, :, k].T, w, rp)
+            assert abs(dual_w[k] - lp) <= 1e-12, (trial, k)
+        assert np.array_equal(_window_minimizer(g, costs, w, rp, centre, lam)[1], lam)
+
+
+def test_bad_window_centres_fall_back_to_solve_batch(monkeypatch):
+    # every element centred on the last run: at t = 1 no node certifies on
+    # that window, some certify once re-windowed around the runs they paid,
+    # and the rest go to ``solve_batch``; all give its values up to rounding
+    fallback = []
+
+    def counted(g, *args):
+        fallback.append(g.shape[2])
+        return solve_batch(g, *args)
+
+    kernel, run_max = tanh_step(1.0)
+    args = (run_max, kernel.costs, kernel.weights, kernel.radius, 2.0)
+    n = run_max.shape[2]
+    cold, lam_star = solve_batch(*args, np.zeros(n))
+    monkeypatch.setattr(dual, "solve_batch", counted)
+    last = np.full(run_max.shape[1:], len(kernel.costs) - 1)
+    value, lam, runs = solve_window(*args, lam_star, last)
+    assert len(fallback) == 1 and 0 < fallback[0] < n
+    assert np.max(np.abs(value - cold)) <= 1e-14 * np.max(np.abs(cold))
+    # the runs returned are those paid at the returned multipliers
+    paid = _best_candidates(run_max, kernel.costs, lam)[1]
+    assert np.array_equal(runs, np.searchsorted(kernel.costs, paid))
+
+
+def test_windowed_steps_give_the_exact_lp(monkeypatch):
+    # a warm default step at dt = 2^-8 applied to its own output: from the
+    # third apply on it solves through windows, and on a sample of nodes
+    # each windowed value is the exact LP value of its step up to 8 ulps of 1
+    windowed = []
+
+    def recorded(gvals, *args):
+        windowed.append(gvals)
+        return solve_window(gvals, *args)
+
+    monkeypatch.setattr(operators, "solve_window", recorded)
+    grid = Grid.line(-8.0, 8.0, 513)
+    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
+    kernel = _StepKernel(cfg, "a0", 2.0 ** -8, warm=True)
+    values = np.tanh(grid.axes[0])
+    rng = np.random.default_rng(41)
+    for step in range(5):
+        values = kernel.apply(ScalarField(grid, values))
+        assert len(windowed) == max(step - 1, 0)
+        if windowed:
+            gvals = windowed[-1]
+            for k in rng.choice(grid.num_nodes, 16, replace=False):
+                lp = exact_lp(
+                    gvals[:, :, k].T, [kernel.costs] * 16, kernel.weights, kernel.radius ** 2
+                )
+                assert abs(values[k] - lp) <= 8 * 2.0 ** -52

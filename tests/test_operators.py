@@ -427,6 +427,35 @@ def test_reapplied_kernel_starts_from_its_last_multipliers(grid, monkeypatch):
     assert kernel.lam.shape == (grid.num_nodes,) and np.all(kernel.lam > 0)
 
 
+def test_windows_start_at_a_kernels_third_apply(grid, monkeypatch):
+    # each composed step's dual goes through ``solve_window`` once its
+    # kernel has applied twice, and through ``solve_batch`` before that
+    from drolimit import operators
+
+    paths = []
+
+    def counted(name, solve):
+        def count(*args):
+            paths.append(name)
+            return solve(*args)
+        return count
+
+    monkeypatch.setattr(operators, "solve_batch", counted("batch", operators.solve_batch))
+    monkeypatch.setattr(operators, "solve_window", counted("window", operators.solve_window))
+    # the game-2d geometry at t = 1/2, level 2: two steps of 1/4 per action
+    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (49, 49))
+    cfg2 = OperatorConfig(
+        model=brownian_model([[-0.5, 0.0], [0.5, 0.0]], np.eye(2), dim=2),
+        ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=8, cand_per_side=4,
+    )
+    f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y))
+    compose(cfg2, dyadic_partition(0.5, 2), f2)
+    assert paths == ["batch"] * 4
+    paths.clear()
+    compose(cfg_for(grid), dyadic_partition(2.0 ** -4, 8), named_field(grid, "tanh"))
+    assert paths == ["batch"] * 2 + ["window"] * 14
+
+
 def test_compose_is_a_function_of_its_inputs(grid):
     # each call builds its own kernels, so no multiplier outlives a call
     cfg = cfg_for(grid, drifts=((-0.5,), (0.5,)))
@@ -503,7 +532,8 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     # one apply holds 12 bytes per run max (the (D, Q, N) maxima, and the
     # half of them that the dual solve may gather), four (Q, N) temporaries
     # and d + 1 arrays of the largest run's rows; a point stencil (OU) adds
-    # 4 + 8 d bytes per point
+    # 4 + 8 d bytes per point, and a warm kernel's windowed applies the
+    # stored run and the window's arrays of every atom and node
     ou = ReferenceModel(
         ORNSTEIN_UHLENBECK,
         [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[1.0]]), kappa=np.array([0.0]))],
@@ -516,21 +546,24 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     nq, nq2 = 513 * 16, 289 * 16
     cases = [
         # 33 candidates in 17 runs of at most 2
-        (cfg_for(grid), 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
-        (OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid),
+        (cfg_for(grid), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
+        (OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid), False,
          12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 12 * nq * 33),
         # 29 lattice points in the disk, 7 runs of at most 8
-        (cfg2, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8)),
+        (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8)),
+        # a warm kernel's windows add 152 bytes per atom and node
+        (cfg_for(grid), True, 12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 152 * nq),
+        (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8) + 152 * nq2),
     ]
-    for cfg, need in cases:
+    for cfg, warm, need in cases:
         for have in (need, need - 1):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
             monkeypatch.setattr(os, "sysconf", pages.__getitem__)
             if have < need:
                 with pytest.raises(InputError, match="GB of evaluation points"):
-                    _StepKernel(cfg, "a0", 0.25)
+                    _StepKernel(cfg, "a0", 0.25, warm)
             else:
-                _StepKernel(cfg, "a0", 0.25)
+                _StepKernel(cfg, "a0", 0.25, warm)
 
 
 def test_config_validation(grid, window):

@@ -13,8 +13,10 @@ config, ``limit`` on a
 one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
 3 candidates per side, 5 trials of each check), and the ``game-2d`` workload
-of this checkout's ``perfbench/worker.py`` at seed 29.  The two sides run
-side by side, one process each.
+of this checkout's ``perfbench/worker.py`` at seed 29, as it stands (max
+level 2) and at max level 3, where each 2-d kernel applies four times and so
+solves its last two steps through windows.  The two sides run side by side,
+one process each.
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
 file that differs, the largest absolute difference between its numbers is
@@ -67,6 +69,11 @@ RUNS = {
     "all": ["all"],
 }
 GAME_SEED = 29
+# the game-2d workload with its max level raised to 3
+GAME_LEVEL3 = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import worker; worker.GAME_MAX_LEVEL = 3;"
+    " sys.exit(worker._game_2d(int(sys.argv[2]), sys.argv[3])[0])"
+)
 SKIP = {"timings.json"}
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|NaN|inf|nan)")
@@ -90,6 +97,10 @@ def _run_side(src: Path, out: Path) -> dict:
     cmd = [sys.executable, str(worker), "game-2d", str(GAME_SEED), str(out / "game-2d"),
            str(out.parent / f"{out.name}-worker.json"), "plain"]  # timings, not compared
     codes["game-2d"] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
+    (out / "game-2d-level3").mkdir()
+    cmd = [sys.executable, "-c", GAME_LEVEL3, str(worker.parent), str(GAME_SEED),
+           str(out / "game-2d-level3")]
+    codes["game-2d-level3"] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
     return codes
 
 

@@ -12,14 +12,16 @@ transport LP whose dual collapses to one multiplier:
 
 a convex piecewise-linear function of lam >= 0 whose minimum equals the LP
 value (LP strong duality).  ``solve_batch`` minimizes D for a batch of grid
-nodes at once (exactly, by cutting planes on its pieces); ``wasserstein_sup``
-runs it on one ``DualInstance``, and ``brute_force_sup`` enumerates lattice
-transport plans as an independent primal oracle.  ``solve_window`` gives
-``solve_batch``'s values for steps whose multipliers barely move: it
-minimizes the dual of a window of four runs per atom exactly, a fractional
-knapsack walked through its breakpoints from the last multiplier, and keeps
-a node's answer only where one full evaluation of D certifies it; the other
-nodes go to ``solve_batch``.
+nodes at once (exactly, by cutting planes on its pieces from lam = 0, so its
+answer depends on its input alone); ``wasserstein_sup`` runs it on one
+``DualInstance``, and ``brute_force_sup`` enumerates lattice transport plans
+as an independent primal oracle.  ``solve_window``, the only solver that
+starts from the multipliers of an earlier solve, gives ``solve_batch``'s
+values for steps whose multipliers barely move: it minimizes the dual of a
+window of four runs per atom exactly, a fractional knapsack walked through
+its breakpoints from the last multiplier, and keeps a node's answer only
+where one full evaluation of D certifies it; the other nodes go to
+``solve_batch``.
 
 ``solve_batch`` reads one cost row shared by all atoms, with column 0 the
 only free one.  The step kernels build that row from their offsets; a
@@ -32,12 +34,6 @@ the running max and the cost it pays on (atoms, nodes) arrays, and the sums
 over atoms run in a fixed order, so a node's value does not depend on which
 other nodes share its batch.  The batch therefore drops the nodes whose
 cutting planes have stopped, once at most half of it still runs.
-
-Each solve opens every node's bracket around a guessed multiplier: 0 for a
-cold start, and in a composition the multipliers the step kernel's previous
-solve stopped at, since consecutive steps differ by O(dt).  Every exact
-evaluation of D gives a supporting line, so the guess changes how many
-passes a node takes, never its value beyond rounding.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ from .models import DiscreteMeasure
 Array = np.ndarray
 
 _STAY_TOL = 1e-9
-# a warm bracket opens at lam_0 (1 -/+ WARM_BRACKET) around a guessed multiplier
-WARM_BRACKET = 1.0 / 32
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ def wasserstein_sup(inst: DualInstance) -> float:
     """LP value of the instance: ``solve_batch`` on a batch of one node."""
     levels, table = _tableau(inst.values, inst.costs)
     gvals = table.T[:, :, None]  # (costs, atoms, one node)
-    value, _ = solve_batch(gvals, levels, inst.source.weights, inst.radius, inst.p, np.zeros(1))
+    value, _ = solve_batch(gvals, levels, inst.source.weights, inst.radius, inst.p)
     return float(value[0])
 
 
@@ -258,18 +252,15 @@ def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
     return mx, paid
 
 
-def _check_row_and_guess(gvals: Array, costs: Array, guess: Array) -> None:
+def _check_row(gvals: Array, costs: Array) -> None:
     """Refuse a cost row other than one (C,) row whose column 0 is its only
-    free one, and a guess other than (N,) finite multipliers >= 0."""
+    free one."""
     if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
         raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
-    n = gvals.shape[2]
-    if np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf)):
-        raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
 
 
 def solve_batch(
-    gvals: Array, costs: Array, weights: Array, radius: float, p: float, guess: Array
+    gvals: Array, costs: Array, weights: Array, radius: float, p: float
 ) -> Tuple[Array, Array]:
     """Exact vectorized dual minimization for a batch of instances sharing geometry.
 
@@ -280,35 +271,21 @@ def solve_batch(
              puts per-atom rows on one such row), and sorting the rest
              ascending makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
-    guess:   (N,) multipliers lam_0 >= 0 near each node's minimizer: zeros
-             for a cold start, or the multipliers a previous solve of related
-             values stopped at
 
     Returns the per-node LP values and the multiplier each node stopped at.
     D is convex and piecewise linear, so each node runs cutting planes in
     lambda: two supporting lines bracket the minimizer, the next point is
     where they cross, and the line on the side of the new subgradient's sign
-    is replaced.  A node stops when the new subgradient repeats a bracketing
-    slope or is 0 (the point lies on a known piece, so it is a minimizer), or
-    when rounding leaves no crossing strictly inside the bracket.  Every pass
-    finds a new piece of D, so at most Q (C - 1) + 1 passes are needed.  The
-    reported value is the running minimum of all evaluated dual objectives,
-    an upper bound on the LP value that is attained up to rounding.
-
-    Two passes over all nodes open the bracket around lam_0: the first at
-    lam_0 (1 - WARM_BRACKET); the second at lam_0 (1 + WARM_BRACKET) where
-    the first subgradient was negative (the minimizer lies above) and at 0
-    where it was positive.  Each point's line joins the bracket on the side
-    of its subgradient's sign.  The right line is the stay line
-    lam r^p + sum_i w_i g_i0 (a lower bound that D reaches for large lam)
-    where neither point has a positive subgradient, and where it would have
-    the stay line's slope r^p (the intercept is then exact, not the
-    difference of two large numbers at a huge guess).  A guess of 0 is the
-    cold start: both points are lam = 0, evaluated once, and the bracket is
-    the line there and the stay line.  Any exact
-    evaluation of D gives a supporting line, so the answer does not depend
-    on the guess beyond rounding; a good guess only saves passes, at most
-    Q (C - 1) + 1 of them after the two opening ones.
+    is replaced.  The bracket opens with the line at lam = 0 and the stay
+    line lam r^p + sum_i w_i g_i0, a lower bound that D reaches for large
+    lam; a node whose subgradient at 0 is not negative is minimized there.
+    A node stops when the new subgradient repeats a bracketing slope or is
+    0 (the point lies on a known piece, so it is a minimizer), or when
+    rounding leaves no crossing strictly inside the bracket.  Every pass
+    finds a new piece of D, so at most Q (C - 1) + 1 passes follow the
+    opening one.  The reported value is the running minimum of all
+    evaluated dual objectives, an upper bound on the LP value that is
+    attained up to rounding.
 
     A pass runs candidate by candidate on (Q, M) arrays of the M nodes in the
     working set (``_best_candidates``), so it builds no tensor beyond its input
@@ -317,7 +294,7 @@ def solve_batch(
     that is what lets the working set shrink to the running nodes once at
     most half of it still runs.
     """
-    _check_row_and_guess(gvals, costs, guess)
+    _check_row(gvals, costs)
     n = gvals.shape[2]
     if radius <= 0.0 or len(gvals) == 1:
         return _weighted_sum(gvals[0], weights), np.zeros(n)
@@ -334,24 +311,11 @@ def solve_batch(
     # supporting lines a + s lam: the left one at the last point with a
     # negative subgradient, the right one at the last with a positive one,
     # or the stay line, with column 0 the only free one
-    a_stay = _weighted_sum(g[0], weights)
-    lam1 = guess * (1.0 - WARM_BRACKET)
-    val1, sub1 = evaluate(lam1)
-    lam = np.where(sub1 < 0, guess * (1.0 + WARM_BRACKET), np.where(sub1 > 0, 0.0, lam1))
-    # a guess of 0 asks for lam = 0 twice
-    val, sub = (val1, sub1) if np.array_equal(lam, lam1) else evaluate(lam)
-    best = np.minimum(val1, val)
-    # the minimizer lies above lam1 and not at lam, or at most lam1 and above 0
-    active = ((sub1 < 0) & (sub != 0)) | ((sub1 > 0) & (sub < 0))
-    left = sub < 0
-    a_l = np.where(left, val - sub * lam, val1 - sub1 * lam1)
-    s_l, lo = np.where(left, sub, sub1), np.where(left, lam, lam1)
-    first = sub1 > 0
-    a_r = np.where(first, val1 - sub1 * lam1, val - sub * lam)
-    s_r, hi = np.where(first, sub1, sub), np.where(first, lam1, lam)
-    stay = (s_r <= 0) | (s_r == rp)
-    a_r = np.where(stay, a_stay, a_r)
-    s_r, hi = np.where(stay, rp, s_r), np.where(stay, np.inf, hi)
+    lam = np.zeros(n)
+    best, sub = evaluate(lam)
+    active = sub < 0
+    a_l, s_l, lo = best - sub * lam, sub, lam
+    a_r, s_r, hi = _weighted_sum(g[0], weights), np.full(n, rp), np.full(n, np.inf)
     # the nodes of the working set; ``best`` holds their running minima
     nodes, out, stopped_at = np.arange(n), np.empty(n), np.empty(n)
     for _ in range(q * (c - 1) + 1):
@@ -468,6 +432,7 @@ def solve_window(
     since ``guess``, from a window of four runs per element, certified by one
     full evaluation of D.
 
+    guess:  (N,) finite multipliers >= 0, near each node's minimizer
     centre: (Q, N) run each element paid at ``guess`` (on the data of the
             step before), or None: one full evaluation at the guess gives it
 
@@ -479,20 +444,21 @@ def solve_window(
     D(lam) = D_w(lam) = min D_w <= min D: its value is that evaluation,
     attained up to rounding as in ``solve_batch``, and its multiplier lam.  A
     node that fails is re-windowed once around the runs the evaluation paid
-    and walked from lam; one that fails again goes to ``solve_batch`` from
-    its guess, and one more evaluation at the multiplier it stops at gives
-    its runs.  Every step is per node, so a node's result is the same bits
-    in any batch.
+    and walked from lam; one that fails again goes to ``solve_batch``, and
+    one more evaluation at the multiplier it stops at gives its runs.  Every
+    step is per node, so a node's result is the same bits in any batch.
 
     Returns the per-node values, the multipliers, and the (Q, N) run each
     element paid at the last full evaluation of its node: the next centres.
     """
-    _check_row_and_guess(gvals, costs, guess)
+    _check_row(gvals, costs)
+    n = gvals.shape[2]
+    if np.shape(guess) != (n,) or not np.all((guess >= 0.0) & (guess < np.inf)):
+        raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         raise InputError("a window needs a positive radius and a cost above 0")
     rp = radius ** p
     g = np.ascontiguousarray(gvals)
-    n = g.shape[2]
     if centre is None:
         centre = np.searchsorted(costs, _best_candidates(g, costs, guess)[1])
     out, stopped_at, runs = np.empty(n), np.empty(n), np.empty(centre.shape, np.intp)
@@ -511,6 +477,6 @@ def solve_window(
         if not nodes.size:
             return out, stopped_at, runs
     sub = g[:, :, nodes]
-    out[nodes], stopped_at[nodes] = solve_batch(sub, costs, weights, radius, p, guess[nodes])
+    out[nodes], stopped_at[nodes] = solve_batch(sub, costs, weights, radius, p)
     runs[:, nodes] = np.searchsorted(costs, _best_candidates(sub, costs, stopped_at[nodes])[1])
     return out, stopped_at, runs

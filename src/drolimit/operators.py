@@ -140,54 +140,61 @@ class _StepKernel:
     ``solve_batch`` loops over candidates, so the dual solve copies nothing
     but the nodes still running once at most half of them run.
 
-    A cold kernel opens every dual solve at lam = 0, so its output depends
-    on its input alone.  A warm one keeps in ``lam`` the (N,) multipliers its
-    last apply stopped at (zeros before the first) and opens the next solve
-    around them: ``compose`` applies its kernels to the output of the step
+    A cold kernel solves every step from lam = 0 (``solve_batch``), so its
+    output depends on its input alone.  A warm one keeps in ``lam`` and
+    ``prev`` the (N,) multipliers its last two applies stopped at (None
+    before them): ``compose`` applies its kernels to the output of the step
     before, which differs by O(dt), so each node's multiplier barely moves.
-    From its third apply on, when those multipliers come from a warm step,
-    a warm kernel with a positive radius solves through ``solve_window``:
-    four runs per element around the run it paid before, certified by one
-    full evaluation of D, walked from the multipliers extrapolated over the
-    last step.  It keeps in ``prev`` the multipliers of the apply before the
-    last, in ``paid`` the (Q, N) run each element paid at the last windowed
-    evaluation (None until the first), and in ``applies`` its count of
-    applies.  A warm apply's output thus depends on the kernel's earlier
-    applies, in rounding only.
+    Once both are set, from its third apply on, a warm kernel with a
+    positive radius solves through ``solve_window``: four runs per element
+    around the run it paid before, certified by one full evaluation of D,
+    walked from the multipliers extrapolated over the last step.  It keeps
+    in ``paid`` the (Q, N) run each element paid at the last windowed
+    evaluation (None until the first).  A warm apply's output thus depends
+    on the kernel's earlier applies, in rounding only.
     """
 
     __slots__ = (
-        "weights", "costs", "runs", "stencil", "radius", "p", "lam", "prev", "paid", "applies"
+        "weights", "costs", "runs", "stencil", "radius", "p", "warm", "lam", "prev", "paid"
     )
 
     def __init__(self, cfg: OperatorConfig, action, dt: float, warm: bool = False):
         meas = law(cfg.model, action, dt, cfg.quad_order)
         radius = cfg.ambiguity.radius(dt)
-        offs, costs = _radius_offsets(radius, cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p)
+        shift = not np.any(cfg.model.action(action).theta)
+        n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+        def refuse_beyond_memory(distinct: int, longest: int, cands: int):
+            # the bytes one apply holds, at most: the (D, Q, N) run maxima (8
+            # per value) and the at most half of them that ``solve_batch``
+            # gathers when its running nodes shrink (4 more), its four (Q, N)
+            # temporaries, and d + 1 arrays of the largest run's rows; point
+            # stencils add the index (4 bytes) and d fractions (8 each) of
+            # every point, and warm kernels, per atom and node, the stored run
+            # (8 bytes) and six (3, Q, N) arrays of ``solve_window`` (8 each):
+            # the window's runs, values, costs and breakpoints, and two
+            # temporaries of its walk
+            need = 12 * n * q * distinct + 8 * n * q * (4 + (d + 1) * longest)
+            if not shift:
+                need += (4 + 8 * d) * n * q * cands
+            if warm:
+                need += (8 + 6 * 3 * 8) * n * q
+            if need > have:
+                raise InputError(
+                    f"one step needs {need / 1e9:.1f} GB of evaluation points, more than"
+                    f" the {have / 1e9:.1f} GB of physical memory; lower grid.n,"
+                    " numerics.quad_order or numerics.cand_per_side"
+                )
+
+        if radius > 0.0:
+            # the axis offsets k step, k = 0..per_side, cost per_side + 1
+            # distinct amounts: refuse before building a lattice that large
+            refuse_beyond_memory(cfg.cand_per_side + 1, 1, cfg.cand_per_side + 1)
+        offs, costs = _radius_offsets(radius, cfg.cand_per_side, d, cfg.ambiguity.p)
         starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
         ends = np.append(starts[1:], len(costs))
-        shift = not np.any(cfg.model.action(action).theta)
-        # the bytes one apply holds, at most: the (D, Q, N) run maxima (8 per
-        # value) and the at most half of them that ``solve_batch`` gathers
-        # when its running nodes shrink (4 more), its four (Q, N) temporaries,
-        # and d + 1 arrays of the largest run's rows; point stencils add the
-        # index (4 bytes) and d fractions (8 each) of every point, and warm
-        # kernels, per atom and node, the stored run (8 bytes) and six
-        # (3, Q, N) arrays of ``solve_window`` (8 each): the window's runs,
-        # values, costs and breakpoints, and two temporaries of its walk
-        n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
-        need = 12 * n * q * len(starts) + 8 * n * q * (4 + (d + 1) * int(np.max(ends - starts)))
-        if not shift:
-            need += (4 + 8 * d) * n * q * len(costs)
-        if warm:
-            need += (8 + 6 * 3 * 8) * n * q
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise InputError(
-                f"one step needs {need / 1e9:.1f} GB of evaluation points, more than"
-                f" the {have / 1e9:.1f} GB of physical memory; lower grid.n,"
-                " numerics.quad_order or numerics.cand_per_side"
-            )
+        refuse_beyond_memory(len(starts), int(np.max(ends - starts)), len(costs))
         if shift:
             flow = psi(cfg.model, action, dt, np.zeros(d))
             self.stencil = ShiftStencil(
@@ -207,27 +214,24 @@ class _StepKernel:
         self.weights = meas.weights
         self.radius = radius
         self.p = cfg.ambiguity.p
-        self.lam = np.zeros(n) if warm else None
-        self.prev = self.paid = None
-        self.applies = 0
+        self.warm = warm
+        self.lam = self.prev = self.paid = None
 
     def apply(self, f: ScalarField) -> Array:
         grid = self.stencil.grid
         if f.grid is not grid and not same_nodes(f.grid, grid):
             raise InputError("the field and the step live on different grids")
         args = (self._run_max(f.values), self.costs, self.weights, self.radius, self.p)
-        if self.lam is None:
-            return solve_batch(*args, np.zeros(f.values.size))[0]
-        if self.applies >= 2 and self.radius > 0.0:
+        if self.prev is not None and self.radius > 0.0:
             # the walk finds the same multipliers from any start, and from
             # the multipliers' drift over the last step it crosses fewer
             # breakpoints
             guess = np.maximum(2.0 * self.lam - self.prev, 0.0)
             out, lam, self.paid = solve_window(*args, guess, self.paid)
         else:
-            out, lam = solve_batch(*args, self.lam)
-        self.prev, self.lam = self.lam, lam
-        self.applies += 1
+            out, lam = solve_batch(*args)
+        if self.warm:
+            self.prev, self.lam = self.lam, lam
         return out
 
     def _run_max(self, values: Array) -> Array:
@@ -288,9 +292,9 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
     """Multi-period robust value over a partition, rightmost gap applied first.
 
     Its kernels are warm and built per call, so the output is a function of
-    the inputs alone and each step's dual solve starts from the multipliers
-    of the step before with the same gap; from the third step with a gap on,
-    through certified windows (``_StepKernel``).
+    the inputs alone: the first two steps with a gap solve cold, and from the
+    third on each solves through certified windows walked from the
+    multipliers of the two steps before with that gap (``_StepKernel``).
     """
     cache = {
         (act.label, gap): _StepKernel(cfg, act, gap, warm=True)

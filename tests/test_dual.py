@@ -110,7 +110,7 @@ def test_solve_batch_takes_one_cost_row_with_one_free_column():
     ):
         for r in (0.0, 0.3):
             with pytest.raises(InputError):
-                solve_batch(g, costs, w, r, 2.0, np.zeros(2))
+                solve_batch(g, costs, w, r, 2.0)
 
 
 def test_simplex_lattice_is_the_ordered_product_filter():
@@ -376,7 +376,7 @@ def test_batch_matches_scalar_path():
         fn = integrand_at(s)
         for i in range(6):
             gvals[:, i, k] = fn((atoms[i, 0] + offsets).reshape(-1, 1))
-    batch, _ = solve_batch(gvals, costs, w, 0.25, 2.0, np.zeros(len(shifts)))
+    batch, _ = solve_batch(gvals, costs, w, 0.25, 2.0)
     for k, s in enumerate(shifts):
         cands = [(atoms[i, 0] + offsets).reshape(-1, 1) for i in range(6)]
         inst = DualInstance(DiscreteMeasure(atoms, w), cands, integrand_at(s), 0.25, 2.0)
@@ -407,21 +407,21 @@ def test_second_zero_cost_column_matches_linear_program():
         costs = np.round(rng.uniform(0.0, 0.6, (3, 5)), 1)
         costs[:, 0] = 0.0
         levels, table = _tableau(gvals[0], costs)
-        value = solve_batch(table.T[:, :, None], levels, w, 0.1, 2.0, np.zeros(1))[0][0]
+        value = solve_batch(table.T[:, :, None], levels, w, 0.1, 2.0)[0][0]
         assert value == pytest.approx(lp_rows(gvals[0], costs, w, 0.1 ** 2), abs=1e-12), seed
 
 
 def test_closed_form_single_atom():
     # one atom moving to 0.7 at cost 0.49 under the budget 0.16: the optimal
     # plan moves the share 0.16 / 0.49 of the mass, gaining 0.8 on it.  The
-    # first crossing is the kink lam* = 0.8 / 0.49 itself, so a stay line
-    # taken through a point at a huge guess, off by its rounding, would stop
-    # the solve off the minimizer
+    # first crossing of the cold solve is the kink lam* = 0.8 / 0.49 itself,
+    # and a window walked from any guess stops there too
     lam_star = 0.8 / 0.49
+    args = (np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), 0.4, 2.0)
+    value, _ = solve_batch(*args)
+    assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
     for guess in (0.0, lam_star, 1e-12 * lam_star, 1e12 * lam_star):
-        value, _ = solve_batch(
-            np.array([[[0.3]], [[1.1]]]), np.array([0.0, 0.49]), np.ones(1), 0.4, 2.0, np.array([guess])
-        )
+        value, _, _ = solve_window(*args, np.array([guess]), None)
         assert abs(value[0] - (0.3 + 0.8 * 0.16 / 0.49)) <= 1e-15
 
 
@@ -439,7 +439,7 @@ def ulp_level_batch(seed):
 def test_ulp_level_batch_terminates():
     # the solve must still stop on the bracket, at the value 1
     for seed in range(20):
-        value, _ = solve_batch(*ulp_level_batch(seed), 2.0, np.zeros(64))
+        value, _ = solve_batch(*ulp_level_batch(seed), 2.0)
         assert np.all(np.abs(value - 1.0) <= 1e-15)
 
 
@@ -452,8 +452,8 @@ def test_solve_batch_ignores_memory_layout():
     _, costs = _radius_offsets(radius, 16, 1, 2.0)
     gvals = np.random.default_rng(3).standard_normal((costs.size, 16, 513))
     for r in (radius, 0.0):
-        expected = solve_batch(gvals, costs, weights, r, 2.0, np.zeros(513))
-        got = solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0, np.zeros(513))
+        expected = solve_batch(gvals, costs, weights, r, 2.0)
+        got = solve_batch(np.asfortranarray(gvals), costs, weights, r, 2.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
@@ -484,17 +484,14 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
     cases.append((np.stack([table.T for _, table in tables], axis=2), levels, w / w.sum(), 0.3))
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
-        lam_star = solve_batch(gvals, costs, w, radius, 2.0, np.zeros(n))[1]
+        full = solve_batch(gvals, costs, w, radius, 2.0)
+        lam_star = full[1]
         subsets = [[i] for i in rng.choice(n, 20, replace=False)]
         subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 7, 100, n // 2, n - 1)]
-        # the opening passes run on every node, so any fixed per-node
-        # guesses keep the property
-        for guess in (np.zeros(n), lam_star * guesses.uniform(0.0, 2.0, n), guesses.uniform(0.0, 2.0, n)):
-            full = solve_batch(gvals, costs, w, radius, 2.0, guess)
-            for rows in subsets:
-                part = solve_batch(gvals[:, :, rows], costs, w, radius, 2.0, guess[rows])
-                assert np.array_equal(part[0], full[0][rows])
-                assert np.array_equal(part[1], full[1][rows])
+        for rows in subsets:
+            part = solve_batch(gvals[:, :, rows], costs, w, radius, 2.0)
+            assert np.array_equal(part[0], full[0][rows])
+            assert np.array_equal(part[1], full[1][rows])
         # a windowed solve walks, certifies, re-windows and falls back node
         # by node: from centres found at the guess, and from every element
         # at the last run
@@ -514,8 +511,8 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
 def test_cold_start_keeps_its_bits(monkeypatch):
     # dyadic inputs, so every operation is exact IEEE arithmetic: the values
     # and pass widths of the cold start (cutting planes from lam = 0 and the
-    # stay line), pinned before solves took a guess; a guess of 0 is the
-    # cold start and evaluates D at 0 once
+    # stay line), pinned before solves took a guess and kept since they take
+    # none; D is evaluated at 0 once
     widths = []
 
     def counted(g, costs, lam):
@@ -531,15 +528,16 @@ def test_cold_start_keeps_its_bits(monkeypatch):
         "0x1.1985940000000p-4", "0x1.3d3596c000000p-2", "0x1.0fdd945555555p-4",
         "0x1.610cec5000000p-3", "0x1.4664f6d99999ap-2", "0x1.6d05b54af8af9p-2",
     ]
-    cold = solve_batch(gvals, costs, weights, 0.25, 2.0, np.zeros(6))
+    cold = solve_batch(gvals, costs, weights, 0.25, 2.0)
     assert [v.hex() for v in cold[0]] == pinned
     assert widths == [6, 6, 6, 6, 6, 3, 1]
     assert np.all(cold[1] > 0)
 
 
 def test_warm_start_gives_the_cold_values():
-    # any exact evaluation of D gives a supporting line, so a guess moves only
-    # where the bracket opens: the values stay the cold ones up to rounding
+    # a window walked from any guess, from centres found at the guess or
+    # from every element at the last run, certifies, re-windows or falls
+    # back to the cold solve: the values stay the cold ones up to rounding
     # (relative to the batch's largest value, as tanh crosses 0),
     # and the exact LP value up to 8 ulps of 1 on a sample of nodes (HiGHS
     # misses it by up to 7e-8 on the tails of tanh, at its default tolerances)
@@ -551,16 +549,17 @@ def test_warm_start_gives_the_cold_values():
     cases += [ulp_level_batch(seed) for seed in range(3)]
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
-        cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0, np.zeros(n))
+        cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0)
         sample = rng.choice(n, 16, replace=False)
         lp = [exact_lp(gvals[:, :, k].T, [costs] * len(w), w, radius ** 2) for k in sample]
         scale = max(lam_star.max(), 1.0)
-        guesses = [lam_star, 1e-12 * lam_star, 1e12 * lam_star]
+        guesses = [np.zeros(n), lam_star, 1e-12 * lam_star, 1e12 * lam_star]
         guesses += [rng.uniform(0.0, 2.0, n) * lam_star, rng.uniform(0.0, 2.0, n) * scale]
         for guess in guesses:
-            warm, _ = solve_batch(gvals, costs, w, radius, 2.0, guess)
-            assert np.max(np.abs(warm - cold)) <= 1e-14 * np.max(np.abs(cold))
-            assert np.all(np.abs(warm[sample] - lp) <= 8 * 2.0 ** -52)
+            for centre in (None, np.full(gvals.shape[1:], len(costs) - 1)):
+                warm, _, _ = solve_window(gvals, costs, w, radius, 2.0, guess, centre)
+                assert np.max(np.abs(warm - cold)) <= 1e-14 * np.max(np.abs(cold))
+                assert np.all(np.abs(warm[sample] - lp) <= 8 * 2.0 ** -52)
 
 
 def test_warm_start_refuses_bad_guesses():
@@ -568,7 +567,7 @@ def test_warm_start_refuses_bad_guesses():
     costs = np.array([0.0, 0.2, 0.25, 1.0])
     for guess in (None, [1.0, 1.0, 1.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(InputError, match="guess"):
-            solve_batch(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.array(guess))
+            solve_window(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.array(guess), None)
 
 
 def test_equal_maxima_pay_the_cheaper_cost():
@@ -581,7 +580,7 @@ def test_equal_maxima_pay_the_cheaper_cost():
     assert np.array_equal(mx, [[1.0, 0.0]] * 2)
     assert np.array_equal(paid, [[0.25, 0.0]] * 2)
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
-    value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), 0.125, 2.0, np.zeros(1))
+    value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), 0.125, 2.0)
     assert value[0] == 0.0625
 
 
@@ -635,7 +634,7 @@ def test_bad_window_centres_fall_back_to_solve_batch(monkeypatch):
     kernel, run_max = tanh_step(1.0)
     args = (run_max, kernel.costs, kernel.weights, kernel.radius, 2.0)
     n = run_max.shape[2]
-    cold, lam_star = solve_batch(*args, np.zeros(n))
+    cold, lam_star = solve_batch(*args)
     monkeypatch.setattr(dual, "solve_batch", counted)
     last = np.full(run_max.shape[1:], len(kernel.costs) - 1)
     value, lam, runs = solve_window(*args, lam_star, last)

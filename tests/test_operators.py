@@ -364,9 +364,7 @@ def test_merged_costs_match_unmerged_solve(grid):
                 pts, costs = kernel_points(cfg, act, t)
                 values = kernel_values(kernel, f)
                 assert kernel.costs.size < costs.size
-                expected, _ = solve_batch(
-                    values, costs, kernel.weights, kernel.radius, kernel.p, np.zeros(values.shape[2])
-                )
+                expected, _ = solve_batch(values, costs, kernel.weights, kernel.radius, kernel.p)
                 assert np.array_equal(kernel.apply(f), expected)
                 if cfg is cfg_ou:
                     assert isinstance(kernel.stencil, Stencil)
@@ -406,25 +404,20 @@ def test_brownian_is_ou_with_zero_theta(grid):
                 assert isinstance(_StepKernel(cfg, "a0", t).stencil, ShiftStencil)
 
 
-def test_reapplied_kernel_starts_from_its_last_multipliers(grid, monkeypatch):
-    # one default warm step at dt = 2^-8, applied to its own output: the
-    # second apply opens each node's cutting planes around the multiplier of
-    # the first, and evaluates D on at most 70% as many nodes
-    widths = []
-    best = dual._best_candidates
-
-    def counted(g, costs, lam):
-        widths.append(g.shape[2])
-        return best(g, costs, lam)
-
-    monkeypatch.setattr(dual, "_best_candidates", counted)
-    kernel = _StepKernel(cfg_for(grid), "a0", 2.0 ** -8, warm=True)
-    first = kernel.apply(named_field(grid, "tanh"))
-    cold = sum(widths)
-    widths.clear()
-    kernel.apply(ScalarField(grid, first))
-    assert sum(widths) <= 0.7 * cold
-    assert kernel.lam.shape == (grid.num_nodes,) and np.all(kernel.lam > 0)
+def test_warm_kernel_solves_its_first_two_applies_cold(grid):
+    # one default step at dt = 2^-8, applied to its own output: a warm
+    # kernel's first two applies start from lam = 0, as a cold kernel's do,
+    # and give its outputs bit for bit; only then does it hold the
+    # multipliers a window starts from
+    cfg = cfg_for(grid)
+    warm, cold = _StepKernel(cfg, "a0", 2.0 ** -8, warm=True), _StepKernel(cfg, "a0", 2.0 ** -8)
+    values = named_field(grid, "tanh").values
+    for _ in range(2):
+        out = warm.apply(ScalarField(grid, values))
+        assert np.array_equal(out, cold.apply(ScalarField(grid, values)))
+        values = out
+    assert cold.lam is None and warm.prev.shape == warm.lam.shape == (grid.num_nodes,)
+    assert np.all(warm.lam > 0)
 
 
 def test_windows_start_at_a_kernels_third_apply(grid, monkeypatch):
@@ -564,6 +557,31 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
                     _StepKernel(cfg, "a0", 0.25, warm)
             else:
                 _StepKernel(cfg, "a0", 0.25, warm)
+
+
+def test_memory_guard_refuses_a_huge_lattice_before_building_it(grid, monkeypatch):
+    # 10^12 candidates per side cost at least 10^12 + 1 distinct amounts, far
+    # beyond 8 GB: refused without building the lattice; at m = 0 the
+    # lattice is the stay option alone and the kernel builds
+    from drolimit import operators
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 * 10 ** 6}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    radius_offsets = operators._radius_offsets
+
+    def unbuilt(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(operators, "_radius_offsets", unbuilt)
+    huge = [
+        OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m), grid, cand_per_side=10 ** 12)
+        for m in (0.5, 0.0)
+    ]
+    for warm in (False, True):
+        with pytest.raises(InputError, match="GB of evaluation points"):
+            _StepKernel(huge[0], "a0", 0.25, warm)
+    monkeypatch.setattr(operators, "_radius_offsets", radius_offsets)
+    assert _StepKernel(huge[1], "a0", 0.25).costs.tolist() == [0.0]
 
 
 def test_config_validation(grid, window):

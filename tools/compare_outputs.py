@@ -21,8 +21,10 @@ one process each.
 Every output file except ``timings.json`` is compared byte for byte.  For a
 file that differs, the largest absolute difference between its numbers is
 printed, with how many of them differ; for a JSON file that differs beyond
-its numbers, the key paths found on only one side.  Exits 0 when every exit
-code and every file agree, 1 otherwise.
+its numbers, the key paths found on only one side.  The last line gives the
+largest absolute difference over all files that differ only in their
+numbers, and how many files differ beyond their numbers or exist on one side
+only.  Exits 0 when every exit code and every file agree, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -140,15 +142,16 @@ def _key_paths(obj, prefix: str = "") -> set:
 
 
 def compare(old: Path, new: Path) -> bool:
-    """Print one line per output file; True if every file is identical."""
-    same = True
+    """Print one line per output file and a summary line; True if every file
+    is identical."""
+    same, largest, beyond = True, 0.0, 0
     files = sorted({p.relative_to(side) for side in (old, new) for p in side.rglob("*")
                     if p.is_file() and p.name not in SKIP})
     for rel in files:
         a, b = old / rel, new / rel
         if not (a.exists() and b.exists()):
             print(f"{rel}: only in {'new' if b.exists() else 'old'}")
-            same = False
+            same, beyond = False, beyond + 1
         elif a.read_bytes() == b.read_bytes():
             print(f"{rel}: identical")
         else:
@@ -156,6 +159,7 @@ def compare(old: Path, new: Path) -> bool:
             diff = _numbers_diff(a.read_text(), b.read_text())
             if diff is None:
                 line = f"{rel}: DIFFERS beyond its numbers"
+                beyond += 1
                 if rel.suffix == ".json":
                     old_keys = _key_paths(json.loads(a.read_text()))
                     new_keys = _key_paths(json.loads(b.read_text()))
@@ -164,6 +168,9 @@ def compare(old: Path, new: Path) -> bool:
                 print(line)
             else:
                 print(f"{rel}: DIFFERS, max abs diff {diff[0]:.3g} in {diff[1]} of {diff[2]} numbers")
+                largest = max(largest, diff[0])
+    print(f"summary: max abs diff {largest:.3g} over the files that differ only in their"
+          f" numbers; {beyond} files differ beyond their numbers or exist on one side only")
     return same
 
 

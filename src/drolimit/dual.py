@@ -253,10 +253,15 @@ def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
 
 
 def _check_row(gvals: Array, costs: Array) -> None:
-    """Refuse a cost row other than one (C,) row whose column 0 is its only
-    free one."""
-    if costs.shape != gvals.shape[:1] or costs[0] != 0.0 or not np.all(costs[1:] > 0.0):
-        raise InputError("costs must be one (C,) row: 0 for the stay option, then positive")
+    """Refuse a cost row other than one ascending (C,) row whose column 0 is
+    its only free one; equal costs may repeat."""
+    if (
+        costs.shape != gvals.shape[:1] or costs[0] != 0.0
+        or not np.all(costs[1:] > 0.0) or np.any(np.diff(costs) < 0.0)
+    ):
+        raise InputError(
+            "costs must be one (C,) row: 0 for the stay option, then positive and ascending"
+        )
 
 
 def solve_batch(
@@ -266,10 +271,10 @@ def solve_batch(
 
     gvals:   (C, Q, N) integrand values, one (Q, N) block of atoms by grid
              nodes per candidate
-    costs:   (C,) transport costs ||z - y||^p shared by all atoms; costs[0]
-             is the free stay option and the only free one (``_tableau``
-             puts per-atom rows on one such row), and sorting the rest
-             ascending makes ties resolve toward cheaper destinations
+    costs:   (C,) ascending transport costs ||z - y||^p shared by all
+             atoms; costs[0] is the free stay option and the only free one
+             (``_tableau`` puts per-atom rows on one such row), and the
+             ascending order makes ties resolve toward cheaper destinations
     weights: (Q,) source weights
 
     Returns the per-node LP values and the multiplier each node stopped at.
@@ -432,6 +437,7 @@ def solve_window(
     since ``guess``, from a window of four runs per element, certified by one
     full evaluation of D.
 
+    costs:  (C,) strictly ascending, each cost one run, as a kernel's are
     guess:  (N,) finite multipliers >= 0, near each node's minimizer
     centre: (Q, N) run each element paid at ``guess`` (on the data of the
             step before), or None: one full evaluation at the guess gives it
@@ -457,6 +463,10 @@ def solve_window(
         raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         raise InputError("a window needs a positive radius and a cost above 0")
+    if np.any(costs[1:] == costs[:-1]):
+        # a run is one cost: the certificate locates the paid cost's run by
+        # ``searchsorted``, which cannot tell equal columns apart
+        raise InputError("a window needs distinct costs; merge equal ones by their max")
     rp = radius ** p
     g = np.ascontiguousarray(gvals)
     if centre is None:

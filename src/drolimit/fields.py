@@ -196,6 +196,17 @@ def _padded(values: Array, pad) -> tuple:
     return padded[..., :-1], np.diff(padded, axis=-1)
 
 
+def _fold(rows: Array, out: Array) -> None:
+    """Write into ``out`` the max of ``rows`` over their first axis, folded
+    in order one row at a time, as ``np.max(rows, axis=0)`` reduces."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+        return
+    np.maximum(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        np.maximum(out, row, out=out)
+
+
 class Stencil:
     """Where fixed points fall on a grid, found once and applied to any field
     on that grid by gathers and arithmetic.
@@ -205,7 +216,7 @@ class Stencil:
     rule is ``ShiftStencil``'s: positions in cells from ``lo``, clipped to
     [-1, n - 1] and located by ``_cells``, then ``a + f (b - a)`` on the
     edge-padded values along the last axis, in 2-d in the cell's row and the
-    row above, then between the two.
+    row above, then ``lower + f (upper - lower)`` between the two.
     """
 
     __slots__ = ("grid", "shape", "index", "fracs")
@@ -260,12 +271,12 @@ class Stencil:
         both flat."""
         return tuple(a.ravel() for a in _padded(values, 1))
 
-    def rows(self, windows: tuple, start: int, end: int) -> Array:
-        """Interpolated values at the points ``start:end`` along the first
-        axis of ``shape``."""
-        size = int(np.prod(self.shape[1:]))
-        out = self._interpolate(windows, start * size, end * size)
-        return out.reshape((-1,) + self.shape[1:])
+    def run_max(self, windows: tuple, start: int, end: int, out: Array) -> None:
+        """Write into ``out``, shaped ``shape[1:]``, the max of the
+        interpolated values over the points ``start:end`` along the first
+        axis of ``shape``; the run's values are read at once."""
+        rows = self._interpolate(windows, start * out.size, end * out.size)
+        _fold(rows.reshape((end - start,) + out.shape), out)
 
     def apply(self, values: Array) -> Array:
         """Interpolated values at the points, shaped like the points, from the
@@ -299,15 +310,25 @@ class ShiftStencil:
     """Where ``node + shift`` falls on a grid, for every node and each of a
     fixed set of shifts: the same cell shift and cell fractions at every node.
 
-    ``shifts`` has shape (C, Q, d).  Per shift and axis it stores the integer
-    cell shift ``k`` and the fraction ``f`` of ``shift / spacing = k + f``,
-    located by ``_cells`` as ``Stencil`` locates its points.  ``rows`` reads
-    the edge-padded values through sliding windows, so that the values at
-    ``node + shift`` for all nodes are one shifted window, and interpolates
-    them as ``Stencil`` does, ``a + f (b - a)``.
+    ``shifts`` has shape (C, Q, d): Q shifts (one per atom) for each of C
+    candidates.  Per shift and axis it stores the integer cell shift ``k``
+    and the fraction ``f`` of ``shift / spacing = k + f``, located by
+    ``_cells`` as ``Stencil`` locates its points.  ``run_max`` reads the
+    edge-padded values through sliding windows along the last axis, so that
+    the values at ``node + shift`` for all nodes are one shifted window, and
+    interpolates them as ``Stencil`` does, ``a + f (b - a)``.
+
+    Bilinear interpolation is separable.  In 2-d the stencil keeps in
+    ``lerps``, per candidate, its atoms grouped by their (cell, fraction)
+    along the last axis.  ``run_max`` lerps each group's rows once along the
+    last axis, ``A = steps f + vals`` on the rows its atoms read, then per
+    atom between rows, ``dA[x:x + n0] f + A[x:x + n0]`` with
+    ``dA = A[1:] - A[:-1]``, and folds the result into the run's max one
+    candidate at a time.  These are ``Stencil``'s operations in its order,
+    so both give the same bits.
     """
 
-    __slots__ = ("grid", "cells", "fracs", "pad")
+    __slots__ = ("grid", "cells", "fracs", "pad", "lerps")
 
     def __init__(self, grid: Grid, shifts):
         u = np.asarray(shifts, dtype=float) / np.asarray(grid.spacing)
@@ -324,31 +345,63 @@ class ShiftStencil:
         self.grid = grid
         self.pad = tuple(zip(lo.tolist(), hi.tolist()))
         self.cells = cells + lo[:, None, None]  # window index of each shift
+        self.lerps = None if grid.dim == 1 else [
+            self._lerps(rows, cols, fx, fy)
+            for rows, cols, fx, fy in zip(*self.cells.tolist(), *self.fracs.tolist())
+        ]
+
+    def _lerps(self, rows: list, cols: list, fx: list, fy: list) -> list:
+        """One candidate's atoms grouped by their window column and fraction
+        along the last axis: per group ``(col, fy, lo, hi, atoms)``, the
+        padded rows ``lo:hi`` its atoms read and, per atom, ``(q, x, fx)``,
+        its first row ``lo + x`` and its fraction between rows."""
+        groups: dict = {}
+        for q, key in enumerate(zip(cols, fy)):
+            groups.setdefault(key, []).append(q)
+        table = []
+        for (col, f), atoms in groups.items():
+            lo = min(rows[q] for q in atoms)
+            hi = max(rows[q] for q in atoms) + self.grid.n[0] + 1
+            table.append((col, f, lo, hi, [(q, rows[q] - lo, fx[q]) for q in atoms]))
+        return table
 
     def windows(self, values: Array) -> tuple:
-        """Sliding windows over the edge-padded values and over their steps
-        along the last axis; window ``k`` is the field shifted by ``k`` cells,
-        in 2-d with one more row, the upper neighbour of the last."""
-        shape = self.grid.shape if self.grid.dim == 1 else (self.grid.n[0] + 1, self.grid.n[1])
-        return tuple(sliding_window_view(a, shape) for a in _padded(values, self.pad))
+        """Sliding windows along the last axis over the edge-padded values and
+        over their steps; in 1-d window ``k`` is the field shifted by ``k``
+        cells, in 2-d ``[i, k]`` is padded row ``i`` shifted by ``k``."""
+        return tuple(
+            sliding_window_view(a, self.grid.n[-1], axis=-1) for a in _padded(values, self.pad)
+        )
 
-    def rows(self, windows: tuple, start: int, end: int) -> Array:
-        """Interpolated values at ``node + shift`` for the shifts
-        ``start:end`` along the first axis, shaped (end - start, Q, *grid.shape)."""
+    def run_max(self, windows: tuple, start: int, end: int, out: Array) -> None:
+        """Write into ``out``, shaped (Q, *grid.shape), the max of the
+        interpolated values at ``node + shift`` over the candidates
+        ``start:end``.  In 1-d the run's (end - start, Q, n) values are read
+        at once; in 2-d each candidate and atom is folded in on its own, so
+        that no array larger than the padded values is made."""
         vals, steps = windows
-        cols = slice(start, end)
-        grid_axes = (...,) + (None,) * self.grid.dim
-        k = tuple(self.cells[:, cols])
-        out = steps[k]
-        out *= self.fracs[-1, cols][grid_axes]
-        out += vals[k]
-        if self.grid.dim == 1:
-            return out
-        # along the last axis in every row and the row above, then between them
-        upper = out[:, :, 1:] - out[:, :, :-1]
-        upper *= self.fracs[0, cols][grid_axes]
-        upper += out[:, :, :-1]
-        return upper
+        if self.lerps is None:
+            k = self.cells[0, start:end]
+            rows = steps[k]
+            rows *= self.fracs[0, start:end, :, None]
+            rows += vals[k]
+            _fold(rows, out)
+            return
+        n0 = self.grid.n[0]
+        outs = list(out)
+        scratch = np.empty(self.grid.shape)
+        for c in range(start, end):
+            for col, fy, lo, hi, atoms in self.lerps[c]:
+                lerp = steps[lo:hi, col] * fy
+                lerp += vals[lo:hi, col]
+                step = lerp[1:] - lerp[:-1]
+                for q, x, fx in atoms:
+                    # the run's first candidate is written in place
+                    rows = outs[q] if c == start else scratch
+                    np.multiply(step[x:x + n0], fx, out=rows)
+                    rows += lerp[x:x + n0]
+                    if c > start:
+                        np.maximum(outs[q], scratch, out=outs[q])
 
 
 def same_nodes(a: Grid, b: Grid) -> bool:

@@ -129,8 +129,8 @@ class _StepKernel:
     translation ``psi(x) = x + kappa dt``, so every node sees the same shifts
     ``kappa dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
     Q * C shifts.  Flows with theta != 0 scale the nodes, so their stencil
-    is a ``Stencil`` of all C * Q * N points.  Both stencils give the values
-    of one run of candidates at a time through ``rows``.
+    is a ``Stencil`` of all C * Q * N points.  Both stencils give the max
+    over one run of candidates at a time through ``run_max``.
 
     ``_radius_offsets`` sorts the offsets by cost, so candidates of equal cost
     form runs; ``apply`` takes the max over each run before the dual solve.
@@ -166,16 +166,20 @@ class _StepKernel:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
         def refuse_beyond_memory(distinct: int, longest: int, cands: int):
-            # the bytes one apply holds, at most: the (D, Q, N) run maxima (8
-            # per value) and the at most half of them that ``solve_batch``
-            # gathers when its running nodes shrink (4 more), its four (Q, N)
-            # temporaries, and d + 1 arrays of the largest run's rows; point
-            # stencils add the index (4 bytes) and d fractions (8 each) of
-            # every point, and warm kernels, per atom and node, the stored run
-            # (8 bytes) and six (3, Q, N) arrays of ``solve_window`` (8 each):
-            # the window's runs, values, costs and breakpoints, and two
-            # temporaries of its walk
-            need = 12 * n * q * distinct + 8 * n * q * (4 + (d + 1) * longest)
+            # the bytes one apply holds, at most, besides arrays the size of
+            # the padded grid: the (D, Q, N) run maxima (8 per value) and the
+            # at most half of them that ``solve_batch`` gathers when its
+            # running nodes shrink (4 more), and its four (Q, N) temporaries.
+            # ``run_max`` reads the longest run's rows at once in two arrays
+            # for a 1-d shift stencil and in one for a point stencil; a 2-d
+            # shift stencil folds one candidate and atom at a time and holds
+            # none.  Point stencils add the index (4 bytes) and d fractions
+            # (8 each) of every point, and warm kernels, per atom and node,
+            # the stored run (8 bytes) and six (3, Q, N) arrays of
+            # ``solve_window`` (8 each): the window's runs, values, costs and
+            # breakpoints, and two temporaries of its walk
+            held = (2 if d == 1 else 0) if shift else 1
+            need = 12 * n * q * distinct + 8 * n * q * (4 + held * longest)
             if not shift:
                 need += (4 + 8 * d) * n * q * cands
             if warm:
@@ -237,11 +241,17 @@ class _StepKernel:
     def _run_max(self, values: Array) -> Array:
         """The C-contiguous (D, Q, N) max of the interpolated values over each
         of the D runs of equal cost: one (Q, N) block per run, the
-        candidate-major layout that ``solve_batch`` computes in."""
+        candidate-major layout that ``solve_batch`` computes in, which the
+        stencil's ``run_max`` writes in place.  A 1-d shift stencil or a
+        point stencil folds the run's rows with ``np.maximum``; a 2-d shift
+        stencil folds one candidate and atom at a time, lerping once along
+        the last axis per candidate and distinct shift along it.  Either
+        way each block is the fold of the run's values in candidate order,
+        the same bits as ``np.max`` over the run."""
         windows = self.stencil.windows(values)
         merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
-            np.max(self.stencil.rows(windows, start, end), axis=0, out=merged[k])
+            self.stencil.run_max(windows, start, end, merged[k])
         return merged.reshape(merged.shape[:2] + (-1,))
 
 

@@ -107,10 +107,37 @@ def test_solve_batch_takes_one_cost_row_with_one_free_column():
         np.array([0.1, 0.2, 0.25, 1.0]),       # no free stay option
         np.array([0.0, 0.2, np.nan, 1.0]),
         np.tile([0.0, 0.2, 0.25, 1.0], (3, 1)),  # per-atom rows
+        np.array([0.0, 0.25, 0.2, 1.0]),       # not ascending
     ):
         for r in (0.0, 0.3):
             with pytest.raises(InputError):
                 solve_batch(g, costs, w, r, 2.0)
+
+
+def test_solve_window_refuses_a_row_that_is_not_ascending():
+    # the window, its breakpoints and its certificate read the runs in cost
+    # order, one run per cost: a permuted row or one with equal costs is
+    # refused, not solved to a wrong value (up to 0.21 above the batch on
+    # this tied row); ``solve_batch`` takes the tied row
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((7, 3, 50))
+    w = np.full(3, 1 / 3)
+    costs = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 2.0, 6))])
+    guess = np.full(50, 0.5)
+    tied = np.concatenate([[0.0], np.repeat(costs[1:4], 2)])
+    for row, match in [
+        (costs[[0, 2, 1, 3, 4, 5, 6]], "ascending"),
+        (costs[[0, 6, 5, 4, 3, 2, 1]], "ascending"),
+        (tied, "distinct costs"),
+    ]:
+        with pytest.raises(InputError, match=match):
+            solve_window(g, row, w, 0.4, 2.0, guess, None)
+    merged = np.concatenate([g[:1], np.maximum(g[1::2], g[2::2])])
+    assert np.array_equal(solve_batch(g, tied, w, 0.4, 2.0)[0], solve_batch(merged, tied[::2], w, 0.4, 2.0)[0])
+    assert np.allclose(
+        solve_window(g, costs, w, 0.4, 2.0, guess, None)[0],
+        solve_batch(g, costs, w, 0.4, 2.0)[0], rtol=0.0, atol=1e-14,
+    )
 
 
 def test_simplex_lattice_is_the_ordered_product_filter():
@@ -546,7 +573,12 @@ def test_warm_start_gives_the_cold_values():
     for t in (2.0 ** -8, 1.0):
         kernel, run_max = tanh_step(t)
         cases.append((run_max, kernel.costs, kernel.weights, kernel.radius))
-    cases += [ulp_level_batch(seed) for seed in range(3)]
+    for seed in range(3):
+        # merged onto its distinct costs, as a kernel merges its runs: a
+        # window takes one run per cost
+        gvals, costs, w, radius = ulp_level_batch(seed)
+        levels, first = np.unique(costs, return_index=True)
+        cases.append((np.maximum.reduceat(gvals, first, axis=0), levels, w, radius))
     for gvals, costs, w, radius in cases:
         n = gvals.shape[2]
         cold, lam_star = solve_batch(gvals, costs, w, radius, 2.0)

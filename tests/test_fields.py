@@ -318,10 +318,17 @@ def test_stencil_at_shifted_nodes_matches_shift_stencil():
         f = ScalarField(g, rng.standard_normal(g.shape))
         pts = (shifts[:, :, None, :] + g.nodes()).reshape(shifts.shape[:2] + g.shape + (g.dim,))
         point, shift = Stencil(g, pts), ShiftStencil(g, shifts)
-        expected = shift.rows(shift.windows(f.values), 0, 5)
-        assert np.array_equal(point.rows(point.windows(f.values), 0, 5), expected)
-        assert np.array_equal(point.rows(point.windows(f.values), 2, 4), expected[2:4])
+
+        def run_max(st, start, end):
+            out = np.empty((3,) + g.shape)
+            st.run_max(st.windows(f.values), start, end, out)
+            return out
+
+        expected = np.stack([run_max(shift, c, c + 1) for c in range(5)])
         assert np.array_equal(point.apply(f.values), expected)
+        for start, end in [(0, 5), (2, 4), (3, 4)]:
+            assert np.array_equal(run_max(point, start, end), np.max(expected[start:end], axis=0))
+            assert np.array_equal(run_max(shift, start, end), np.max(expected[start:end], axis=0))
 
 
 def test_stencil_locates_in_place_without_touching_the_points():

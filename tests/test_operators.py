@@ -293,10 +293,78 @@ def kernel_points(cfg, act, t):
 
 
 def kernel_values(kernel, f):
-    """The kernel's interpolated values before the run max, (C, Q, N)."""
+    """The kernel's interpolated values before the run max, (C, Q, N): the
+    stencil's max over each candidate alone."""
     st = kernel.stencil
-    rows = st.rows(st.windows(f.values), 0, kernel.runs[-1][1])
-    return rows.reshape(rows.shape[:2] + (-1,))
+    windows = st.windows(f.values)
+    values = np.empty((kernel.runs[-1][1], len(kernel.weights)) + f.values.shape)
+    for c, block in enumerate(values):
+        st.run_max(windows, c, c + 1, block)
+    return values.reshape(values.shape[:2] + (-1,))
+
+
+def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
+    # a dyadic law on a dyadic grid, with a dyadic flow and candidate step:
+    # every point node + flow + atom + offset is exact, so the point stencil
+    # locates it as the shift stencil does, and the separable fold gives
+    # the bits of np.max over each run of the point stencil's values.  A
+    # tensor law (atoms share their shifts along the last axis, 4 lerps per
+    # candidate), a sheared one (each of the 16 atoms has its own) and
+    # atoms past the box on both axes (two of them beyond the padding along
+    # the last axis, clamped to one window column); 4 per side gives runs
+    # of 8
+    from drolimit import operators
+    from drolimit.models import DiscreteMeasure
+
+    g = Grid.box((-4.0, -4.0), (4.0, 4.0), (33, 33))
+    f = ScalarField(g, np.random.default_rng(12).standard_normal(g.shape))
+    x, y = np.meshgrid(*[np.array([-0.75, -0.25, 0.25, 0.75])] * 2, indexing="ij")
+    laws = [
+        (np.stack([x, y], -1).reshape(-1, 2), 4),
+        (np.stack([x, y + x / 8], -1).reshape(-1, 2), 16),
+        (np.array([[9.5, -11.25], [-10.0, 12.5], [9.0, 0.5], [0.25, -9.75], [-0.5, 0.75]]), 4),
+    ]
+    cfg = OperatorConfig(
+        brownian_model([[0.5, -0.25]], np.eye(2), dim=2), AmbiguitySpec(m=0.25), g,
+        quad_order=4, cand_per_side=4,
+    )
+    t = 0.25
+    offs, _ = _radius_offsets(cfg.ambiguity.radius(t), 4, 2, 2.0)
+    base = psi(cfg.model, "a0", t, g.nodes())
+    assert np.array_equal(base - g.nodes(), np.broadcast_to([0.125, -0.0625], base.shape))
+    for atoms, lerps in laws:
+        meas = DiscreteMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+        monkeypatch.setattr(operators, "law", lambda *args: meas)
+        kernel = _StepKernel(cfg, "a0", t)
+        assert max(end - start for start, end in kernel.runs) == 8
+        assert all(len(groups) == lerps for groups in kernel.stencil.lerps)
+        pts = base[None, None, :, :] + atoms[None, :, None, :] + offs[:, None, None, :]
+        values = Stencil(g, pts).apply(f.values)
+        expected = np.stack([np.max(values[start:end], axis=0) for start, end in kernel.runs])
+        assert np.array_equal(kernel._run_max(f.values), expected)
+        if len(atoms) == 5:
+            # past the box on both axes: exactly the corner values
+            assert np.all(expected[:, 0] == f.values[-1, 0])
+            assert np.all(expected[:, 1] == f.values[0, -1])
+
+
+def test_2d_run_max_folds_like_np_max():
+    # Gauss-Hermite laws for sigma = I (a tensor grid of atoms) and a
+    # correlated sigma (a rotated one, whose atoms all differ along the last
+    # axis), with candidates past the box at t = 1: each run's max is np.max
+    # over the run of each candidate's values, bitwise
+    g = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 19))
+    f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
+    for sigma in (np.eye(2), np.array([[1.0, 0.0], [0.6, 0.8]])):
+        cfg = OperatorConfig(
+            brownian_model([[0.5, 0.0]], sigma, dim=2), AmbiguitySpec(m=0.25), g,
+            quad_order=4, cand_per_side=4,
+        )
+        for t in (1.0, 2.0 ** -4):
+            kernel = _StepKernel(cfg, "a0", t)
+            values = kernel_values(kernel, f)
+            expected = np.stack([np.max(values[start:end], axis=0) for start, end in kernel.runs])
+            assert np.array_equal(kernel._run_max(f.values), expected)
 
 
 def test_shift_stencil_matches_eval(grid):
@@ -523,9 +591,10 @@ def test_two_dimensional_step_refused_beyond_memory():
 
 def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     # one apply holds 12 bytes per run max (the (D, Q, N) maxima, and the
-    # half of them that the dual solve may gather), four (Q, N) temporaries
-    # and d + 1 arrays of the largest run's rows; a point stencil (OU) adds
-    # 4 + 8 d bytes per point, and a warm kernel's windowed applies the
+    # half of them that the dual solve may gather) and four (Q, N)
+    # temporaries; a 1-d shift stencil two arrays of the largest run's rows,
+    # a point stencil (OU) one, and a 2-d shift stencil none; a point stencil
+    # adds 4 + 8 d bytes per point, and a warm kernel's windowed applies the
     # stored run and the window's arrays of every atom and node
     ou = ReferenceModel(
         ORNSTEIN_UHLENBECK,
@@ -541,12 +610,12 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
         # 33 candidates in 17 runs of at most 2
         (cfg_for(grid), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
         (OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid), False,
-         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 12 * nq * 33),
+         12 * nq * 17 + 8 * nq * (4 + 1 * 2) + 12 * nq * 33),
         # 29 lattice points in the disk, 7 runs of at most 8
-        (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8)),
+        (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * 4),
         # a warm kernel's windows add 152 bytes per atom and node
         (cfg_for(grid), True, 12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 152 * nq),
-        (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * (4 + 3 * 8) + 152 * nq2),
+        (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * 4 + 152 * nq2),
     ]
     for cfg, warm, need in cases:
         for have in (need, need - 1):

@@ -12,11 +12,13 @@ default experiments, each base run made afresh) and ``all`` on the default
 config, ``limit`` on a
 one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
-3 candidates per side, 5 trials of each check), and the ``game-2d`` workload
+3 candidates per side, 5 trials of each check), the same on a 2-d Brownian
+action with correlated sigma = [[1, 0], [0.6, 0.8]], and the ``game-2d`` workload
 of this checkout's ``perfbench/worker.py`` at seed 29, as it stands (max
 level 2) and at max level 3, where each 2-d kernel applies four times and so
 solves its last two steps through windows.  The two sides run side by side,
-one process each.
+one process each.  A run whose stderr holds a traceback prints its last
+line, so that a crash does not pass for a failed check (both exit 1).
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
 file that differs, the largest absolute difference between its numbers is
@@ -67,6 +69,17 @@ RUNS = {
         "--set", "numerics.quad_order=4", "--set", "numerics.cand_per_side=3",
         "--set", "experiment.parameters.trials=5", "--set", "experiment.parameters.dual_trials=5",
     ],
+    # the only shift-stencil run whose atoms are not a tensor grid: the law
+    # is rotated, so every atom has its own shift along the last axis
+    "properties-corr-2d": [
+        "properties", "--seed", "1",
+        "--set", 'model.actions=[{"label": "a0", "drift": [0.2, 0.0],'
+        ' "sigma": [[1.0, 0.0], [0.6, 0.8]]}]',
+        "--set", 'grid={"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [17, 17],'
+        ' "window": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]}}',
+        "--set", "numerics.quad_order=4", "--set", "numerics.cand_per_side=3",
+        "--set", "experiment.parameters.trials=5", "--set", "experiment.parameters.dual_trials=5",
+    ],
     "certify": ["certify"],
     "all": ["all"],
 }
@@ -88,22 +101,31 @@ def _env(src: Path) -> dict:
     return {**os.environ, **threads, "PYTHONPATH": str(src)}
 
 
+def _run(cmd: list, src: Path) -> tuple:
+    """The exit code of ``cmd`` run with ``src`` on the path, and the last
+    line of its stderr if that holds a traceback (else None)."""
+    proc = subprocess.run(cmd, env=_env(src), capture_output=True, text=True)
+    lines = [line for line in proc.stderr.splitlines() if line.strip()]
+    crashed = any(line.startswith("Traceback (most recent call last)") for line in lines)
+    return proc.returncode, lines[-1] if crashed else None
+
+
 def _run_side(src: Path, out: Path) -> dict:
     """Run every experiment with ``src`` on the path, each into its own
-    directory under ``out``; their exit codes."""
-    codes = {}
+    directory under ``out``; per run, ``_run``'s exit code and crash line."""
+    runs = {}
     for name, args in RUNS.items():
         cmd = [sys.executable, "-m", "drolimit.cli", *args, "--out", str(out / name), "--quiet"]
-        codes[name] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
+        runs[name] = _run(cmd, src)
     worker = ROOT / "perfbench" / "worker.py"
     cmd = [sys.executable, str(worker), "game-2d", str(GAME_SEED), str(out / "game-2d"),
            str(out.parent / f"{out.name}-worker.json"), "plain"]  # timings, not compared
-    codes["game-2d"] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
+    runs["game-2d"] = _run(cmd, src)
     (out / "game-2d-level3").mkdir()
     cmd = [sys.executable, "-c", GAME_LEVEL3, str(worker.parent), str(GAME_SEED),
            str(out / "game-2d-level3")]
-    codes["game-2d-level3"] = subprocess.run(cmd, env=_env(src), capture_output=True).returncode
-    return codes
+    runs["game-2d-level3"] = _run(cmd, src)
+    return runs
 
 
 def _extract_src(rev: str, dest: Path) -> Path:
@@ -184,10 +206,15 @@ def main(argv) -> int:
         sides = {"old": (old_src, tmp / "old"), "new": (ROOT / "src", tmp / "new")}
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = {k: pool.submit(_run_side, src, out) for k, (src, out) in sides.items()}
-            codes = {k: f.result() for k, f in futures.items()}
-        same = codes["old"] == codes["new"]
-        for name in codes["old"]:
-            print(f"exit codes {name}: old {codes['old'][name]}, new {codes['new'][name]}")
+            runs = {k: f.result() for k, f in futures.items()}
+        same = True
+        for name, (old_code, old_crash) in runs["old"].items():
+            new_code, new_crash = runs["new"][name]
+            same = same and old_code == new_code
+            print(f"exit codes {name}: old {old_code}, new {new_code}")
+            for side, crash in (("old", old_crash), ("new", new_crash)):
+                if crash is not None:
+                    print(f"  {side} crashed: {crash}")
         return 0 if compare(tmp / "old", tmp / "new") and same else 1
 
 

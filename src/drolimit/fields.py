@@ -315,8 +315,9 @@ class ShiftStencil:
     and the fraction ``f`` of ``shift / spacing = k + f``, located by
     ``_cells`` as ``Stencil`` locates its points.  ``run_max`` reads the
     edge-padded values through sliding windows along the last axis, so that
-    the values at ``node + shift`` for all nodes are one shifted window, and
-    interpolates them as ``Stencil`` does, ``a + f (b - a)``.
+    the values at ``node + shift`` for all nodes are one shifted window (in
+    2-d, a block of shifted rows), and interpolates them as ``Stencil``
+    does, ``a + f (b - a)``.
 
     Bilinear interpolation is separable.  In 2-d the stencil keeps in
     ``lerps``, per candidate, its atoms grouped by their (cell, fraction)

@@ -351,8 +351,9 @@ def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
 def test_2d_run_max_folds_like_np_max():
     # Gauss-Hermite laws for sigma = I (a tensor grid of atoms) and a
     # correlated sigma (a rotated one, whose atoms all differ along the last
-    # axis), with candidates past the box at t = 1: each run's max is np.max
-    # over the run of each candidate's values, bitwise
+    # axis), with candidates past the box at t = 1: each candidate's values
+    # are ``eval``'s within rounding, and each run's max is np.max over the
+    # run of them, bitwise
     g = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 19))
     f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     for sigma in (np.eye(2), np.array([[1.0, 0.0], [0.6, 0.8]])):
@@ -363,6 +364,8 @@ def test_2d_run_max_folds_like_np_max():
         for t in (1.0, 2.0 ** -4):
             kernel = _StepKernel(cfg, "a0", t)
             values = kernel_values(kernel, f)
+            pts, _ = kernel_points(cfg, "a0", t)
+            assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
             expected = np.stack([np.max(values[start:end], axis=0) for start, end in kernel.runs])
             assert np.array_equal(kernel._run_max(f.values), expected)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -57,23 +58,13 @@ def _cell(v):
     return v
 
 
-def _run_sensitivity(cfg, op, params, args) -> List[CheckReport]:
-    report = val.check_sensitivity(
-        op, params["function"], t_list=params["t_list"], window=build_window(cfg)
-    )
+def _run_rates(check, table, cfg, op, params, args) -> List[CheckReport]:
+    """A rate check (sensitivity or generator), with its error at each t
+    written to ``table``."""
+    report = check(op, params["function"], t_list=params["t_list"], window=build_window(cfg))
     errors = [v for k, v in report.measured if k.startswith("error_t=")]
     rows = zip(report.parameters["t_list"], errors)
-    _write_table(os.path.join(args.out, "sensitivity.csv"), ["t", "error"], rows)
-    return [report]
-
-
-def _run_generator(cfg, op, params, args) -> List[CheckReport]:
-    report = val.check_generator(
-        op, params["function"], t_list=params["t_list"], window=build_window(cfg)
-    )
-    errors = [v for k, v in report.measured if k.startswith("error_t=")]
-    rows = zip(report.parameters["t_list"], errors)
-    _write_table(os.path.join(args.out, "generator.csv"), ["t", "error"], rows)
+    _write_table(os.path.join(args.out, table), ["t", "error"], rows)
     return [report]
 
 
@@ -198,23 +189,23 @@ def _run_all(cfg, op, params, args) -> List[CheckReport]:
             pairs=((0.25, 0.25),), window=window,
         )
     )
-    heat = val.heat_anchor_check(op, window)
-    cdf = val.cdf_anchor_check(op, window)
-    game = val.game_crosscheck(op, window)
-    reports += [heat, cdf, game]
-    reports.append(
-        val.refinement_certificates(
-            op, window,
-            base_reports={"heat_anchor": heat, "cdf_anchor": cdf, "game_crosscheck": game},
-        )
-    )
+    anchors = {name: val.anchor_check(op, window, name) for name in ("heat_anchor", "cdf_anchor")}
+    anchors["game_crosscheck"] = val.game_crosscheck(op, window)
+    reports += anchors.values()
+    reports.append(val.refinement_certificates(op, window, base_reports=anchors))
     return reports
 
 
 # subcommand -> (runner, the experiment.parameters it reads, with their defaults)
 _SUBCOMMANDS = {
-    "sensitivity": (_run_sensitivity, {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025]}),
-    "generator": (_run_generator, {"function": "cos", "t_list": [0.2, 0.1, 0.05]}),
+    "sensitivity": (
+        functools.partial(_run_rates, val.check_sensitivity, "sensitivity.csv"),
+        {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025]},
+    ),
+    "generator": (
+        functools.partial(_run_rates, val.check_generator, "generator.csv"),
+        {"function": "cos", "t_list": [0.2, 0.1, 0.05]},
+    ),
     "semigroup": (_run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]}),
     "limit": (_run_limit, {"function": "tanh", "t": 1.0}),
     "pde": (_run_pde, {"function": "cos", "horizon": 0.5, "snapshots": []}),

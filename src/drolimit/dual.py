@@ -237,18 +237,18 @@ def _weighted_sum(a: Array, w: Array) -> Array:
 
 def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
     """The (Q, M) max over candidates of g[d] - costs[d] lam, for g of shape
-    (C, Q, M), and the cost each max pays; ``costs[0]`` is the free stay
-    option.  A candidate replaces the max only where it is strictly larger,
-    so of equal maxima the first, cheapest one pays."""
+    (C, Q, M), and the index d of the candidate each max pays; ``costs[0]``
+    is the free stay option.  A candidate replaces the max only where it is
+    strictly larger, so of equal maxima the first, cheapest one pays."""
     mx = g[0].copy()
-    paid = np.zeros_like(mx)
+    paid = np.zeros(mx.shape, np.intp)
     cand = np.empty_like(mx)
     better = np.empty(mx.shape, bool)
     for d in range(1, len(g)):
         np.subtract(g[d], costs[d] * lam, out=cand)
         np.greater(cand, mx, out=better)
         np.maximum(mx, cand, out=mx)
-        np.copyto(paid, costs[d], where=better)
+        np.copyto(paid, d, where=better)
     return mx, paid
 
 
@@ -310,7 +310,7 @@ def solve_batch(
     def evaluate(lam: Array):
         mx, paid = _best_candidates(g, costs, lam)
         val = lam * rp + _weighted_sum(mx, weights)
-        sub = rp - _weighted_sum(paid, weights)
+        sub = rp - _weighted_sum(costs.take(paid), weights)
         return val, sub
 
     # supporting lines a + s lam: the left one at the last point with a
@@ -384,8 +384,10 @@ def _breakpoints(stay: Array, values: Array, costs: Array) -> Array:
     line loses there to a cheaper one, which loses in turn down to it.  So
     the cost paid, max_j costs[j] [breakpoint_j > lam], changes only at
     breakpoints, and the breakpoints of lines that never lead change nothing.
-    Lines of equal cost are copies of one run: their crossing is 0/0, and
-    the NaN keeps the later copy from being paid."""
+    Of two lines of equal cost, a later one that is lower or a copy (a run
+    repeated in the window) crosses the earlier one at -inf or 0/0, and the
+    -inf or NaN keeps it from being paid; a later one that is higher crosses
+    it at +inf and is paid wherever the earlier one would be, at that cost."""
     breaks = values - stay
     breaks /= costs
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -437,7 +439,7 @@ def solve_window(
     since ``guess``, from a window of four runs per element, certified by one
     full evaluation of D.
 
-    costs:  (C,) strictly ascending, each cost one run, as a kernel's are
+    costs:  (C,) the cost row of ``solve_batch``
     guess:  (N,) finite multipliers >= 0, near each node's minimizer
     centre: (Q, N) run each element paid at ``guess`` (on the data of the
             step before), or None: one full evaluation at the guess gives it
@@ -463,21 +465,16 @@ def solve_window(
         raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         raise InputError("a window needs a positive radius and a cost above 0")
-    if np.any(costs[1:] == costs[:-1]):
-        # a run is one cost: the certificate locates the paid cost's run by
-        # ``searchsorted``, which cannot tell equal columns apart
-        raise InputError("a window needs distinct costs; merge equal ones by their max")
     rp = radius ** p
     g = np.ascontiguousarray(gvals)
     if centre is None:
-        centre = np.searchsorted(costs, _best_candidates(g, costs, guess)[1])
+        centre = _best_candidates(g, costs, guess)[1]
     out, stopped_at, runs = np.empty(n), np.empty(n), np.empty(centre.shape, np.intp)
     nodes, lam0 = np.arange(n), guess
     for _ in range(2):
         sub = g if nodes.size == n else g[:, :, nodes]
         first, lam = _window_minimizer(sub, costs, weights, rp, centre, lam0)
-        mx, paid = _best_candidates(sub, costs, lam)
-        centre = np.searchsorted(costs, paid)
+        mx, centre = _best_candidates(sub, costs, lam)
         runs[:, nodes] = centre
         inside = (centre == 0) | ((centre >= first) & (centre <= first + 2))
         certified = np.all(inside, axis=0)
@@ -488,5 +485,5 @@ def solve_window(
             return out, stopped_at, runs
     sub = g[:, :, nodes]
     out[nodes], stopped_at[nodes] = solve_batch(sub, costs, weights, radius, p)
-    runs[:, nodes] = np.searchsorted(costs, _best_candidates(sub, costs, stopped_at[nodes])[1])
+    runs[:, nodes] = _best_candidates(sub, costs, stopped_at[nodes])[1]
     return out, stopped_at, runs

@@ -137,8 +137,10 @@ def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
 # parameter ranges, also checked by the CLI before it writes any output
 
 def validate_pairs(pairs) -> None:
-    """Refuse semigroup pairs other than two finite numbers s, t >= 0 with
-    s + t <= 1."""
+    """Refuse no pairs, or semigroup pairs other than two finite numbers
+    s, t >= 0 with s + t <= 1."""
+    if not pairs:
+        raise InputError("need one or more semigroup pairs")
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(v, numbers.Real) for v in pair)):
@@ -161,10 +163,18 @@ def validate_nonnegative(value: float) -> None:
 
 
 def validate_limit_time(t: float, max_level: int) -> None:
-    """Refuse a horizon that is negative or not finite, or whose dyadic
-    partition at ``max_level`` has more than ``operators.MAX_GAPS`` gaps."""
+    """Refuse a horizon that is negative or not finite, whose dyadic
+    partition at ``max_level`` has more than ``operators.MAX_GAPS`` gaps, or
+    whose partition is the same at every level up to ``max_level``, so that
+    no level gap can be measured (t > 0 with t <= 2^-max_level, or
+    max_level = 0)."""
     validate_nonnegative(t)
     dyadic_partition(t, max_level)
+    if t > 0 and (max_level == 0 or t <= 2.0 ** -max_level):
+        raise InputError(
+            f"t = {t!r} has one dyadic partition at every level up to {max_level};"
+            " no level gap can be measured"
+        )
 
 
 def validate_times(ts) -> None:
@@ -179,8 +189,11 @@ def validate_trials(trials: int) -> None:
 
 
 def validate_experiments(names) -> None:
+    """Refuse an empty list of anchors or a name that is not one."""
+    if not names:
+        raise InputError("need one or more certifiable experiments")
     for name in names:
-        if not isinstance(name, str) or name not in _CERTIFIABLE:
+        if not isinstance(name, str) or name not in _ANCHORS:
             raise InputError(f"unknown certifiable experiment {name!r}")
 
 
@@ -521,75 +534,61 @@ def with_model(cfg: OperatorConfig, drifts, sigma, m: float) -> OperatorConfig:
     return replace(cfg, model=model, ambiguity=AmbiguitySpec(m=m, p=cfg.ambiguity.p))
 
 
-def heat_anchor_check(cfg: OperatorConfig, window: CompactWindow) -> CheckReport:
-    """m = 0 reduction: both routes must reproduce e^{-t/2} cos at t = 1/2."""
-    tol = 5e-3
-    run = with_model(cfg, [[0.0]], [[1.0]], m=0.0)
-    u0 = named_field(run.grid, "cos")
-    ref = lambda x: math.exp(-0.25) * np.cos(x)
+# anchor name -> (Brownian drifts, one action each with sigma = 1, m, initial
+# function, horizon, stop_tol, gate, closed form or None); ``anchor_check``
+# runs each to level 8
+_ANCHORS = {
+    # m = 0 reduction: both routes must reproduce e^{-t/2} cos at t = 1/2
+    "heat_anchor": (
+        [[0.0]], 0.0, "cos", 0.5, 1e-4, 5e-3, lambda x: math.exp(-0.25) * np.cos(x),
+    ),
+    # monotone data: S(1) applied to the normal CDF with m = 1/2 equals
+    # Phi((x + 1/2) / sqrt(2)) because the gradient term linearizes
+    "cdf_anchor": (
+        [[0.0]], 0.5, "normal_cdf", 1.0, 1e-3, 1e-2,
+        lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0)),
+    ),
+    # genuine min-max, no closed form: the operator limit against the PDE
+    # alone, the part of ``game_crosscheck`` its certificate reads
+    "game_crosscheck": ([[-0.5], [0.5]], 0.25, "tanh", 0.5, 1e-3, 2e-2, None),
+}
+
+
+def anchor_check(cfg: OperatorConfig, window: CompactWindow, name: str) -> CheckReport:
+    """``cross_check_pde`` on the named row of ``_ANCHORS``, with the config's
+    grid and numerics."""
+    validate_experiments([name])
+    drifts, m, function, horizon, stop_tol, tol, reference = _ANCHORS[name]
+    run = with_model(cfg, drifts, [[1.0]], m)
     return cross_check_pde(
-        run, u0, 0.5, window=window, stop_tol=1e-4, max_level=8,
-        tol=tol, reference=ref, name="heat_anchor",
-    )
-
-
-def cdf_anchor_check(cfg: OperatorConfig, window: CompactWindow) -> CheckReport:
-    """Monotone-data closed form: S(1) applied to the normal CDF with m = 1/2
-    equals Phi((x + 1/2) / sqrt(2)) because the gradient term linearizes."""
-    tol = 1e-2
-    run = with_model(cfg, [[0.0]], [[1.0]], m=0.5)
-    u0 = named_field(run.grid, "normal_cdf")
-    ref = lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0))
-    return cross_check_pde(
-        run, u0, 1.0, window=window, stop_tol=1e-3, max_level=8,
-        tol=tol, reference=ref, name="cdf_anchor",
-    )
-
-
-_GAME_DRIFTS = [[-0.5], [0.5]]
-_GAME_HORIZON = 0.5
-_GAME_LEVEL = 8
-
-
-def _game(cfg: OperatorConfig, drifts) -> OperatorConfig:
-    """The game's Brownian model with the given drifts: sigma = 1, m = 1/4."""
-    return with_model(cfg, drifts, [[1.0]], m=0.25)
-
-
-def _game_pde_check(cfg: OperatorConfig, window: CompactWindow) -> CheckReport:
-    """The two-action game's operator limit against the PDE at the horizon
-    (the certifiable part of ``game_crosscheck``)."""
-    two = _game(cfg, _GAME_DRIFTS)
-    return cross_check_pde(
-        two, named_field(two.grid, "tanh"), _GAME_HORIZON, window=window, stop_tol=1e-3,
-        max_level=_GAME_LEVEL, tol=2e-2, name="game_crosscheck",
+        run, named_field(run.grid, function), horizon, window=window, stop_tol=stop_tol,
+        tol=tol, reference=reference, name=name,
     )
 
 
 def _game_dominance_violation(cfg: OperatorConfig) -> float:
     """Largest node-wise excess of the two-action composition over either
-    single-action one, over the whole grid.  All three compose over the same
-    level's dyadic partition: there the two-action composition is an exact
-    node-wise min of the same single-action kernels, so the stopping rule
-    cannot inject asymmetric truncation error and no slack is needed."""
-    u0 = named_field(cfg.grid, "tanh")
-    part = dyadic_partition(_GAME_HORIZON, _GAME_LEVEL)
-    two = compose(_game(cfg, _GAME_DRIFTS), part, u0)
+    single-action one, over the whole grid.  All three compose over the
+    dyadic partition of level 8, the anchor's top level: there the
+    two-action composition is an exact node-wise min of the same
+    single-action kernels, so the stopping rule cannot inject asymmetric
+    truncation error and no slack is needed."""
+    drifts, m, function, horizon = _ANCHORS["game_crosscheck"][:4]
+    u0 = named_field(cfg.grid, function)
+    part = dyadic_partition(horizon, 8)
+    two = compose(with_model(cfg, drifts, [[1.0]], m), part, u0)
     return max(
-        float(np.max(two.values - compose(_game(cfg, [b]), part, u0).values))
-        for b in _GAME_DRIFTS
+        float(np.max(two.values - compose(with_model(cfg, [b], [[1.0]], m), part, u0).values))
+        for b in drifts
     )
 
 
 def game_crosscheck(cfg: OperatorConfig, window: CompactWindow) -> CheckReport:
-    """Genuine min-max: two drifts b = -1/2, +1/2, sigma = 1, m = 1/4.
-
-    Checks the operator limit against the PDE (``_game_pde_check``) and that
-    the two-action value never exceeds either single-action robust value
-    (``_game_dominance_violation``).
-    """
+    """The game's anchor (``anchor_check``), and that the two-action value
+    never exceeds either single-action robust value
+    (``_game_dominance_violation``)."""
     t0 = time.perf_counter()
-    report = _game_pde_check(cfg, window)
+    report = anchor_check(cfg, window, "game_crosscheck")
     measured = report.measured + [("dominance_violation", _game_dominance_violation(cfg))]
     thresholds = dict(report.thresholds)
     thresholds["dominance_violation"] = 1e-8
@@ -607,14 +606,6 @@ def refined_config(cfg: OperatorConfig) -> OperatorConfig:
         quad_order=min(2 * cfg.quad_order, 64),
         cand_per_side=2 * cfg.cand_per_side,
     )
-
-
-_CERTIFIABLE = {
-    "heat_anchor": heat_anchor_check,
-    "cdf_anchor": cdf_anchor_check,
-    # the certificate reads the game's operator-PDE gap alone
-    "game_crosscheck": _game_pde_check,
-}
 
 
 def _headline(report: CheckReport) -> float:
@@ -640,11 +631,10 @@ def refinement_certificates(
     thresholds = {}
     validate_experiments(experiments)
     for name in experiments:
-        check = _CERTIFIABLE[name]
         base = base_reports.get(name) if base_reports else None
         if base is None:
-            base = check(cfg, window)
-        refined = check(fine, window)
+            base = anchor_check(cfg, window, name)
+        refined = anchor_check(fine, window, name)
         change = abs(_headline(refined) - _headline(base))
         label = f"change_{name}"
         measured.append((label, change))

@@ -32,7 +32,7 @@ from drolimit import (
     dro_step,
 )
 from drolimit.validation import (
-    cdf_anchor_check,
+    anchor_check,
     check_dual_oracle,
     check_generator,
     check_operator_properties,
@@ -40,7 +40,6 @@ from drolimit.validation import (
     check_semigroup,
     check_sensitivity,
     game_crosscheck,
-    heat_anchor_check,
     named_field,
     non_robust_config,
     refinement_certificates,
@@ -69,12 +68,12 @@ def property_report():
 
 @pytest.fixture(scope="module")
 def heat_report():
-    return heat_anchor_check(base_cfg(0.5), WINDOW)
+    return anchor_check(base_cfg(0.5), WINDOW, "heat_anchor")
 
 
 @pytest.fixture(scope="module")
 def cdf_report():
-    return cdf_anchor_check(base_cfg(0.5), WINDOW)
+    return anchor_check(base_cfg(0.5), WINDOW, "cdf_anchor")
 
 
 @pytest.fixture(scope="module")

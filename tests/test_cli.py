@@ -74,6 +74,11 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ("certify", TWO_D, "error: certify runs on 1-d grids only"),
         ("certify", ('experiment.parameters.experiments=["foo"]',),
          "error: experiment.parameters.experiments: unknown certifiable experiment 'foo'"),
+        # no experiments or no pairs would pass on no evidence
+        ("certify", ("experiment.parameters.experiments=[]",),
+         "error: experiment.parameters.experiments: need one or more certifiable experiments"),
+        ("semigroup", ("experiment.parameters.pairs=[]",),
+         "error: experiment.parameters.pairs: need one or more semigroup pairs"),
         ("crosscheck", ("experiment.parameters.horizon=2.0",),
          "error: experiment.parameters.horizon: cross-check horizons are limited to T <= 1"),
         ("semigroup", ("experiment.parameters.pairs=[[0.25, 0.25], [0.75, 0.5]]",),
@@ -144,6 +149,13 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: experiment.parameters.t: t = 1e+300 needs more than 65536 dyadic gaps at level 8"),
         ("limit", ("experiment.parameters.t=65", "numerics.max_level=10"),
          "error: experiment.parameters.t: t = 65 needs more than 65536 dyadic gaps at level 10"),
+        # a horizon with one dyadic partition at every level has no level gap
+        ("limit", ("experiment.parameters.t=0.001",),
+         "error: experiment.parameters.t: t = 0.001 has one dyadic partition at every level"
+         " up to 8"),
+        ("limit", ("numerics.max_level=0",),
+         "error: experiment.parameters.t: t = 1.0 has one dyadic partition at every level"
+         " up to 0"),
         ("pde", ("experiment.parameters.horizon=1e300", "grid.n=[65]"),
          "error: experiment.parameters.horizon: horizon 1e+300 takes more than 1048576 time steps"),
     ]

@@ -8,6 +8,7 @@ from drolimit import AmbiguitySpec, CompactWindow, Grid, InputError, OperatorCon
 from drolimit import operators, validation
 from drolimit.operators import dro_step
 from drolimit.validation import (
+    anchor_check,
     check_dual_oracle,
     check_generator,
     check_operator_properties,
@@ -16,7 +17,6 @@ from drolimit.validation import (
     check_sensitivity,
     cross_check_pde,
     fourier_field,
-    heat_anchor_check,
     named_field,
     non_robust_config,
     normal_cdf,
@@ -162,6 +162,16 @@ def test_checks_refuse_zero_trials(grid):
         check_operator_properties(cfg_for(grid), trials=0)
 
 
+def test_checks_refuse_no_pairs_and_no_or_unknown_anchors(grid, window):
+    # no pairs or no anchors would pass on no evidence, like zero trials
+    with pytest.raises(InputError, match="one or more semigroup pairs"):
+        check_semigroup(cfg_for(grid), named_field(grid, "tanh"), window, pairs=[])
+    with pytest.raises(InputError, match="one or more certifiable experiments"):
+        refinement_certificates(cfg_for(grid), window, experiments=())
+    with pytest.raises(InputError, match="unknown certifiable experiment 'foo'"):
+        anchor_check(cfg_for(grid), window, "foo")
+
+
 def test_check_dual_oracle_deterministic():
     a = check_dual_oracle(trials=20, seed=7)
     b = check_dual_oracle(trials=20, seed=7)
@@ -200,7 +210,7 @@ def test_refined_config_doubles(grid):
 
 def test_refinement_certificate_heat(grid, window):
     cfg = cfg_for(grid)
-    base = heat_anchor_check(cfg, window)
+    base = anchor_check(cfg, window, "heat_anchor")
     rep = refinement_certificates(
         cfg, window, experiments=("heat_anchor",), base_reports={"heat_anchor": base}
     )

@@ -196,63 +196,62 @@ def _run_all(cfg, op, params, args) -> List[CheckReport]:
     return reports
 
 
-# subcommand -> (runner, the experiment.parameters it reads, with their defaults)
+# subcommand -> (runner, the experiment.parameters it reads with their
+# defaults, {parameter: its range check on all parameters, the config and the
+# operator}); the checks run before any output, and ``limit`` and ``pde``
+# bound the steps a run takes (operators.MAX_GAPS, pde.MAX_STEPS)
 _SUBCOMMANDS = {
     "sensitivity": (
         functools.partial(_run_rates, val.check_sensitivity, "sensitivity.csv"),
         {"function": "sin", "t_list": [0.2, 0.1, 0.05, 0.025]},
+        {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
     ),
     "generator": (
         functools.partial(_run_rates, val.check_generator, "generator.csv"),
         {"function": "cos", "t_list": [0.2, 0.1, 0.05]},
+        {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
     ),
-    "semigroup": (_run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]}),
-    "limit": (_run_limit, {"function": "tanh", "t": 1.0}),
-    "pde": (_run_pde, {"function": "cos", "horizon": 0.5, "snapshots": []}),
-    "crosscheck": (_run_crosscheck, {"function": "tanh", "horizon": 0.5}),
-    "properties": (_run_properties, {"trials": 100, "dual_trials": 200}),
+    "semigroup": (
+        _run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]},
+        {"pairs": lambda p, cfg, op: val.validate_pairs(p["pairs"], cfg["numerics"]["max_level"])},
+    ),
+    "limit": (
+        _run_limit, {"function": "tanh", "t": 1.0},
+        {"t": lambda p, cfg, op: val.validate_limit_time(p["t"], cfg["numerics"]["max_level"])},
+    ),
+    "pde": (
+        _run_pde, {"function": "cos", "horizon": 0.5, "snapshots": []},
+        {"horizon": lambda p, cfg, op: time_step(op, build_scheme(cfg), p["horizon"]),
+         "snapshots": lambda p, cfg, op: snapshot_schedule(p["horizon"], p["snapshots"])},
+    ),
+    "crosscheck": (
+        _run_crosscheck, {"function": "tanh", "horizon": 0.5},
+        {"horizon": lambda p, cfg, op: val.validate_horizon(p["horizon"], cfg["numerics"]["max_level"])},
+    ),
+    "properties": (
+        _run_properties, {"trials": 100, "dual_trials": 200},
+        {"trials": lambda p, cfg, op: val.validate_trials(p["trials"]),
+         "dual_trials": lambda p, cfg, op: val.validate_trials(p["dual_trials"])},
+    ),
     "certify": (
-        _run_certify,
-        {"experiments": ["heat_anchor", "cdf_anchor", "game_crosscheck"]},
+        _run_certify, {"experiments": ["heat_anchor", "cdf_anchor", "game_crosscheck"]},
+        {"experiments": lambda p, cfg, op: val.validate_experiments(p["experiments"])},
     ),
-    "all": (_run_all, {}),
-}
-
-
-# subcommand -> {parameter: its range check on all parameters, the config and
-# the operator}, run before any output; ``limit`` and ``pde`` bound the steps
-# a run takes (operators.MAX_GAPS, pde.MAX_STEPS)
-_RANGES = {
-    "sensitivity": {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
-    "generator": {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
-    "semigroup": {"pairs": lambda p, cfg, op: val.validate_pairs(p["pairs"])},
-    "limit": {
-        "t": lambda p, cfg, op: val.validate_limit_time(p["t"], cfg["numerics"]["max_level"]),
-    },
-    "pde": {
-        "horizon": lambda p, cfg, op: time_step(op, build_scheme(cfg), p["horizon"]),
-        "snapshots": lambda p, cfg, op: snapshot_schedule(p["horizon"], p["snapshots"]),
-    },
-    "crosscheck": {"horizon": lambda p, cfg, op: val.validate_horizon(p["horizon"])},
-    "properties": {
-        "trials": lambda p, cfg, op: val.validate_trials(p["trials"]),
-        "dual_trials": lambda p, cfg, op: val.validate_trials(p["dual_trials"]),
-    },
-    "certify": {"experiments": lambda p, cfg, op: val.validate_experiments(p["experiments"])},
+    "all": (_run_all, {}, {}),
 }
 
 
 def _parameters(subcommand: str, cfg: dict, op) -> dict:
     """The subcommand's experiment.parameters over its defaults, with the
     ``function`` name replaced by its field; ConfigError if it cannot run."""
-    defaults = _SUBCOMMANDS[subcommand][1]
+    _, defaults, ranges = _SUBCOMMANDS[subcommand]
     given = cfg["experiment"]["parameters"]
     check_values(given, defaults, "experiment.parameters")
     grid = op.grid
     if subcommand != "properties" and grid.dim != 1:
         raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
     params = {**defaults, **given}
-    for key, validate in _RANGES.get(subcommand, {}).items():
+    for key, validate in ranges.items():
         try:
             validate(params, cfg, op)
         except (InputError, TypeError, ValueError) as e:

@@ -450,11 +450,10 @@ def solve_window(
     (``_best_candidates``).  A node where every atom's full max is paid by a
     run of its window, so that it equals the window's max bit for bit, has
     D(lam) = D_w(lam) = min D_w <= min D: its value is that evaluation,
-    attained up to rounding as in ``solve_batch``, and its multiplier lam.  A
-    node that fails is re-windowed once around the runs the evaluation paid
-    and walked from lam; one that fails again goes to ``solve_batch``, and
-    one more evaluation at the multiplier it stops at gives its runs.  Every
-    step is per node, so a node's result is the same bits in any batch.
+    attained up to rounding as in ``solve_batch``, and its multiplier lam.
+    Every other node goes to ``solve_batch``, and one more evaluation at the
+    multiplier it stops at gives its runs.  Every step is per node, so a
+    node's result is the same bits in any batch.
 
     Returns the per-node values, the multipliers, and the (Q, N) run each
     element paid at the last full evaluation of its node: the next centres.
@@ -469,21 +468,13 @@ def solve_window(
     g = np.ascontiguousarray(gvals)
     if centre is None:
         centre = _best_candidates(g, costs, guess)[1]
-    out, stopped_at, runs = np.empty(n), np.empty(n), np.empty(centre.shape, np.intp)
-    nodes, lam0 = np.arange(n), guess
-    for _ in range(2):
-        sub = g if nodes.size == n else g[:, :, nodes]
-        first, lam = _window_minimizer(sub, costs, weights, rp, centre, lam0)
-        mx, centre = _best_candidates(sub, costs, lam)
-        runs[:, nodes] = centre
-        inside = (centre == 0) | ((centre >= first) & (centre <= first + 2))
-        certified = np.all(inside, axis=0)
-        out[nodes[certified]] = (lam * rp + _weighted_sum(mx, weights))[certified]
-        stopped_at[nodes[certified]] = lam[certified]
-        nodes, lam0, centre = nodes[~certified], lam[~certified], centre[:, ~certified]
-        if not nodes.size:
-            return out, stopped_at, runs
-    sub = g[:, :, nodes]
-    out[nodes], stopped_at[nodes] = solve_batch(sub, costs, weights, radius, p)
-    runs[:, nodes] = _best_candidates(sub, costs, stopped_at[nodes])[1]
-    return out, stopped_at, runs
+    first, lam = _window_minimizer(g, costs, weights, rp, centre, guess)
+    mx, runs = _best_candidates(g, costs, lam)
+    out = lam * rp + _weighted_sum(mx, weights)
+    inside = (runs == 0) | ((runs >= first) & (runs <= first + 2))
+    cold = np.flatnonzero(~np.all(inside, axis=0))
+    if cold.size:
+        sub = g[:, :, cold]
+        out[cold], lam[cold] = solve_batch(sub, costs, weights, radius, p)
+        runs[:, cold] = _best_candidates(sub, costs, lam[cold])[1]
+    return out, lam, runs

@@ -136,9 +136,10 @@ def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
 # ----------------------------------------------------------------------
 # parameter ranges, also checked by the CLI before it writes any output
 
-def validate_pairs(pairs) -> None:
-    """Refuse no pairs, or semigroup pairs other than two finite numbers
-    s, t >= 0 with s + t <= 1."""
+def validate_pairs(pairs, max_level: int) -> None:
+    """Refuse no pairs, semigroup pairs other than two finite numbers
+    s, t >= 0 with s + t <= 1, or a pair whose s, t or s + t
+    ``validate_limit_time`` refuses."""
     if not pairs:
         raise InputError("need one or more semigroup pairs")
     for pair in pairs:
@@ -149,17 +150,16 @@ def validate_pairs(pairs) -> None:
             raise InputError(f"semigroup pairs must be nonnegative and finite, got {pair!r}")
         if pair[0] + pair[1] > 1.0 + 1e-12:
             raise InputError("semigroup pairs must satisfy s + t <= 1")
+        for t in (*pair, pair[0] + pair[1]):
+            validate_limit_time(t, max_level)
 
 
-def validate_horizon(horizon: float) -> None:
+def validate_horizon(horizon: float, max_level: int) -> None:
+    """Refuse a cross-check horizon above 1, or one ``validate_limit_time``
+    refuses."""
     if horizon > 1.0 + 1e-12:
         raise InputError("cross-check horizons are limited to T <= 1")
-    validate_nonnegative(horizon)
-
-
-def validate_nonnegative(value: float) -> None:
-    if not 0 <= value < math.inf:
-        raise InputError(f"must be nonnegative and finite, got {value!r}")
+    validate_limit_time(horizon, max_level)
 
 
 def validate_limit_time(t: float, max_level: int) -> None:
@@ -168,7 +168,8 @@ def validate_limit_time(t: float, max_level: int) -> None:
     whose partition is the same at every level up to ``max_level``, so that
     no level gap can be measured (t > 0 with t <= 2^-max_level, or
     max_level = 0)."""
-    validate_nonnegative(t)
+    if not 0 <= t < math.inf:
+        raise InputError(f"must be nonnegative and finite, got {t!r}")
     dyadic_partition(t, max_level)
     if t > 0 and (max_level == 0 or t <= 2.0 ** -max_level):
         raise InputError(
@@ -254,7 +255,8 @@ def check_generator(
     The dyadic depth is capped at level 6: each composition stage re-samples
     the grid, and past it the accumulated interpolation bias (of order
     spacing^2 per stage, divided by t in the quotient) would dominate the
-    quantity under test.  Each limit stops at a level gap of 2e-5.
+    quantity under test.  Each limit runs to level 6 unless a level gap
+    reaches 2e-5 first.
     """
     t0 = time.perf_counter()
     stop_tol = 2e-5
@@ -290,7 +292,7 @@ def check_semigroup(
     measured = []
     thresholds = {}
     threshold = 5.0 * stop_tol + 1e-3
-    validate_pairs(pairs)
+    validate_pairs(pairs, max_level)
     for s, t in pairs:
         joint = scaling_limit(cfg, s + t, f, max_level=max_level, stop_tol=stop_tol, window=window)
         inner = scaling_limit(cfg, s, f, max_level=max_level, stop_tol=stop_tol, window=window)
@@ -494,7 +496,7 @@ def cross_check_pde(
 ) -> CheckReport:
     """Window gap between the scaling limit and the PDE solution at the
     horizon; optionally both against a closed-form reference, all within tol."""
-    validate_horizon(horizon)
+    validate_horizon(horizon, max_level)
     t0 = time.perf_counter()
     scheme = scheme or PdeScheme()
     lim = scaling_limit(cfg, horizon, u0, max_level=max_level, stop_tol=stop_tol, window=window)
@@ -548,8 +550,10 @@ _ANCHORS = {
         [[0.0]], 0.5, "normal_cdf", 1.0, 1e-3, 1e-2,
         lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0)),
     ),
-    # genuine min-max, no closed form: the operator limit against the PDE
-    # alone, the part of ``game_crosscheck`` its certificate reads
+    # tanh is increasing and the flow keeps it so: the min takes drift -1/2
+    # and the value is E tanh(x - t/4 + W_t), a closed form this row does
+    # not yet read; it gates the operator limit against the PDE alone, the
+    # part of ``game_crosscheck`` its certificate reads
     "game_crosscheck": ([[-0.5], [0.5]], 0.25, "tanh", 0.5, 1e-3, 2e-2, None),
 }
 

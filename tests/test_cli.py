@@ -156,6 +156,19 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ("limit", ("numerics.max_level=0",),
          "error: experiment.parameters.t: t = 1.0 has one dyadic partition at every level"
          " up to 0"),
+        # the same for a cross-check horizon and every s, t and s + t of a pair
+        ("crosscheck", ("experiment.parameters.horizon=0.001",),
+         "error: experiment.parameters.horizon: t = 0.001 has one dyadic partition at every"
+         " level up to 8"),
+        ("crosscheck", ("numerics.max_level=0",),
+         "error: experiment.parameters.horizon: t = 0.5 has one dyadic partition at every"
+         " level up to 0"),
+        ("semigroup", ("experiment.parameters.pairs=[[0.001, 0.001]]",),
+         "error: experiment.parameters.pairs: t = 0.001 has one dyadic partition at every"
+         " level up to 8"),
+        ("semigroup", ("experiment.parameters.pairs=[[0.25, 0.001]]",),
+         "error: experiment.parameters.pairs: t = 0.001 has one dyadic partition at every"
+         " level up to 8"),
         ("pde", ("experiment.parameters.horizon=1e300", "grid.n=[65]"),
          "error: experiment.parameters.horizon: horizon 1e+300 takes more than 1048576 time steps"),
     ]

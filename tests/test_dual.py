@@ -519,9 +519,9 @@ def test_any_subset_of_nodes_gives_the_full_batch_bits():
             part = solve_batch(gvals[:, :, rows], costs, w, radius, 2.0)
             assert np.array_equal(part[0], full[0][rows])
             assert np.array_equal(part[1], full[1][rows])
-        # a windowed solve walks, certifies, re-windows and falls back node
-        # by node: from centres found at the guess, and from every element
-        # at the last run
+        # a windowed solve walks, certifies and falls back node by node:
+        # from centres found at the guess, and from every element at the
+        # last run
         guess = lam_star * guesses.uniform(0.9, 1.1, n)
         for centre in (None, np.full(gvals.shape[1:], len(costs) - 1)):
             full = solve_window(gvals, costs, w, radius, 2.0, guess, centre)
@@ -563,8 +563,8 @@ def test_cold_start_keeps_its_bits(monkeypatch):
 
 def test_warm_start_gives_the_cold_values():
     # a window walked from any guess, from centres found at the guess or
-    # from every element at the last run, certifies, re-windows or falls
-    # back to the cold solve: the values stay the cold ones up to rounding
+    # from every element at the last run, certifies or falls back to the
+    # cold solve: the values stay the cold ones up to rounding
     # (relative to the batch's largest value, as tanh crosses 0),
     # and the exact LP value up to 8 ulps of 1 on a sample of nodes (HiGHS
     # misses it by up to 7e-8 on the tails of tanh, at its default tolerances)
@@ -655,8 +655,8 @@ def test_window_walk_gives_the_exact_lp_of_the_window():
 
 def test_bad_window_centres_fall_back_to_solve_batch(monkeypatch):
     # every element centred on the last run: at t = 1 no node certifies on
-    # that window, some certify once re-windowed around the runs they paid,
-    # and the rest go to ``solve_batch``; all give its values up to rounding
+    # that window, so all of them go to one ``solve_batch``, which gives its
+    # values up to rounding
     fallback = []
 
     def counted(g, *args):
@@ -670,10 +670,42 @@ def test_bad_window_centres_fall_back_to_solve_batch(monkeypatch):
     monkeypatch.setattr(dual, "solve_batch", counted)
     last = np.full(run_max.shape[1:], len(kernel.costs) - 1)
     value, lam, runs = solve_window(*args, lam_star, last)
-    assert len(fallback) == 1 and 0 < fallback[0] < n
+    assert fallback == [n]
     assert np.max(np.abs(value - cold)) <= 1e-14 * np.max(np.abs(cold))
     # the runs returned are those paid at the returned multipliers
     assert np.array_equal(runs, _best_candidates(run_max, kernel.costs, lam)[1])
+
+
+def test_one_window_then_solve_batch_on_the_rest(monkeypatch):
+    # even nodes centred on the runs they pay at the minimizer, odd ones on
+    # the last run: one window, then one ``solve_batch`` on exactly the
+    # nodes that window left uncertified, some but not all of them
+    windows, fallback = [], []
+
+    def window(g, costs, *args):
+        first, lam = _window_minimizer(g, costs, *args)
+        windows.append((first, _best_candidates(g, costs, lam)[1]))
+        return first, lam
+
+    def counted(g, *args):
+        fallback.append(g)
+        return solve_batch(g, *args)
+
+    kernel, run_max = tanh_step(1.0)
+    args = (run_max, kernel.costs, kernel.weights, kernel.radius, 2.0)
+    cold, lam_star = solve_batch(*args)
+    centre = _best_candidates(run_max, kernel.costs, lam_star)[1]
+    centre[:, 1::2] = len(kernel.costs) - 1
+    monkeypatch.setattr(dual, "_window_minimizer", window)
+    monkeypatch.setattr(dual, "solve_batch", counted)
+    value, _, _ = solve_window(*args, lam_star, centre)
+    assert len(windows) == 1 and len(fallback) == 1
+    first, runs = windows[0]
+    inside = (runs == 0) | ((runs >= first) & (runs <= first + 2))
+    left = np.flatnonzero(~np.all(inside, axis=0))
+    assert 0 < len(left) < run_max.shape[2]
+    assert np.array_equal(fallback[0], run_max[:, :, left])
+    assert np.max(np.abs(value - cold)) <= 1e-14 * np.max(np.abs(cold))
 
 
 def test_windowed_steps_give_the_exact_lp(monkeypatch):

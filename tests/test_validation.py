@@ -172,6 +172,18 @@ def test_checks_refuse_no_pairs_and_no_or_unknown_anchors(grid, window):
         anchor_check(cfg_for(grid), window, "foo")
 
 
+def test_checks_refuse_horizons_with_one_partition(grid, window):
+    # a horizon or pair time at most 2^-max_level has one dyadic partition
+    # at every level, so its limit measures no level gap
+    f = named_field(grid, "tanh")
+    with pytest.raises(InputError, match="one dyadic partition at every level up to 8"):
+        cross_check_pde(cfg_for(grid), f, 0.001, window)
+    with pytest.raises(InputError, match="one dyadic partition at every level up to 0"):
+        cross_check_pde(cfg_for(grid), f, 0.5, window, max_level=0)
+    with pytest.raises(InputError, match="one dyadic partition at every level up to 8"):
+        check_semigroup(cfg_for(grid), f, window, pairs=[(0.25, 0.001)])
+
+
 def test_check_dual_oracle_deterministic():
     a = check_dual_oracle(trials=20, seed=7)
     b = check_dual_oracle(trials=20, seed=7)

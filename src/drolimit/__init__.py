@@ -38,6 +38,6 @@ from .operators import (
     dyadic_partition,
     scaling_limit,
 )
-from .pde import PdeScheme, SpaceTimeField, cfl_time_step, generator_apply, solve, step_forward
+from .pde import SpaceTimeField, cfl_time_step, generator_apply, solve, step_forward
 
 __version__ = "0.1.0"

@@ -93,36 +93,19 @@ def _run_limit(cfg, op, params, args) -> List[CheckReport]:
     save_csv(res.field, os.path.join(args.out, "limit_field.csv"))
     measured = [("final_gap", res.level_gaps[-1] if res.level_gaps else 0.0)]
     thresholds = {"final_gap": float(cfg["numerics"]["stop_tol"])}
-    report = CheckReport(
-        name="scaling_limit",
-        parameters={"t": horizon, "levels": res.levels, "converged": res.converged},
-        measured=measured,
-        thresholds=thresholds,
-        passed=res.converged,
-        runtime_seconds=time.perf_counter() - t0,
-    )
-    return [report]
+    params = {"t": horizon, "levels": res.levels, "converged": res.converged}
+    return [val._finish("scaling_limit", params, measured, thresholds, t0)]
 
 
 def _run_pde(cfg, op, params, args) -> List[CheckReport]:
     t0 = time.perf_counter()
-    scheme = build_scheme(cfg)
+    cfl_safety = build_scheme(cfg)
     horizon = float(params["horizon"])
-    run = solve(op, scheme, params["function"], horizon, snapshot_times=params["snapshots"])
+    run = solve(op, cfl_safety, params["function"], horizon, snapshot_times=params["snapshots"])
     run.save_csv(os.path.join(args.out, "pde_snapshots.csv"))
-    summary = {
-        "dt": run.dt,
-        "steps": run.steps,
-        "cfl_safety": scheme.cfl_safety,
-        "horizon": horizon,
-    }
+    summary = {"dt": run.dt, "steps": run.steps, "cfl_safety": cfl_safety, "horizon": horizon}
     _write_json(os.path.join(args.out, "pde_summary.json"), summary)
-    report = CheckReport(
-        name="pde_solve", parameters=summary, measured=[("completed", 0.0)],
-        thresholds={"completed": 1.0}, passed=True,
-        runtime_seconds=time.perf_counter() - t0,
-    )
-    return [report]
+    return [val._finish("pde_solve", summary, [("completed", 0.0)], {"completed": 1.0}, t0)]
 
 
 def _run_crosscheck(cfg, op, params, args) -> List[CheckReport]:
@@ -130,7 +113,7 @@ def _run_crosscheck(cfg, op, params, args) -> List[CheckReport]:
         op, params["function"], float(params["horizon"]), window=build_window(cfg),
         stop_tol=float(cfg["numerics"]["stop_tol"]),
         max_level=int(cfg["numerics"]["max_level"]),
-        scheme=build_scheme(cfg),
+        cfl_safety=build_scheme(cfg),
     )
     if report.artifacts:
         save_csv(report.artifacts["limit"].field, os.path.join(args.out, "crosscheck_limit.csv"))
@@ -146,19 +129,23 @@ def _run_properties(cfg, op, params, args) -> List[CheckReport]:
 
 
 def _run_certify(cfg, op, params, args) -> List[CheckReport]:
-    return [val.refinement_certificates(op, build_window(cfg), experiments=params["experiments"])]
+    return [val.refinement_certificates(
+        op, build_window(cfg), experiments=params["experiments"], cfl_safety=build_scheme(cfg),
+    )]
 
 
 def _run_all(cfg, op, params, args) -> List[CheckReport]:
     window = build_window(cfg)
+    cfl_safety = build_scheme(cfg)
     grid = op.grid
     fine_grid = grid.refined()
     reports: List[CheckReport] = []
     reports.append(val.check_dual_oracle(trials=200, seed=args.seed))
     reports.append(val.check_operator_properties(op, trials=100, seed=args.seed))
-    # refinement monotonicity: first six comparisons at the config grid, the
-    # seventh at doubled resolution: at 513 nodes the per-stage resampling
-    # bias (~h^2/dt) overtakes the margin between levels 6 and 7
+    # refinement monotonicity: the six comparisons of levels 0-6 at the config
+    # grid, then all seven of levels 0-7 at doubled resolution (1,025 nodes by
+    # default): at 513 nodes the per-stage resampling bias (~h^2/dt)
+    # overtakes the margin between levels 6 and 7
     reports.append(
         val.check_refinement_monotonicity(
             val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
@@ -189,10 +176,12 @@ def _run_all(cfg, op, params, args) -> List[CheckReport]:
             pairs=((0.25, 0.25),), window=window,
         )
     )
-    anchors = {name: val.anchor_check(op, window, name) for name in ("heat_anchor", "cdf_anchor")}
-    anchors["game_crosscheck"] = val.game_crosscheck(op, window)
+    anchors = {
+        name: val.anchor_check(op, window, name, cfl_safety) for name in ("heat_anchor", "cdf_anchor")
+    }
+    anchors["game_crosscheck"] = val.game_crosscheck(op, window, cfl_safety)
     reports += anchors.values()
-    reports.append(val.refinement_certificates(op, window, base_reports=anchors))
+    reports.append(val.refinement_certificates(op, window, base_reports=anchors, cfl_safety=cfl_safety))
     return reports
 
 

@@ -13,7 +13,6 @@ from .errors import ConfigError
 from .fields import CompactWindow, Grid
 from .models import Action, BROWNIAN, ORNSTEIN_UHLENBECK, ReferenceModel
 from .operators import MAX_LEVEL, OperatorConfig
-from .pde import PdeScheme
 
 DEFAULT_CONFIG: Dict[str, Any] = {
     "model": {
@@ -92,7 +91,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("ambiguity.m must be nonnegative")
     if not amb.get("p", 2.0) > 1:
         raise ConfigError("ambiguity.p must exceed 1")
-    # the ranges that ``law``, ``scaling_limit`` and ``PdeScheme`` check
+    # the ranges that ``law``, ``scaling_limit`` and the PDE solver check
     num = cfg.get("numerics", {})
     for key, lo, hi in (("quad_order", 4, 64), ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
         if not lo <= num.get(key, lo) <= hi:
@@ -181,5 +180,6 @@ def build_operator_config(cfg: dict) -> OperatorConfig:
     )
 
 
-def build_scheme(cfg: dict) -> PdeScheme:
-    return PdeScheme(cfl_safety=float(cfg["numerics"]["cfl_safety"]))
+def build_scheme(cfg: dict) -> float:
+    """The PDE solver's ``cfl_safety``."""
+    return float(cfg["numerics"]["cfl_safety"])

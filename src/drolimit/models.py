@@ -149,38 +149,21 @@ def _exp_decay_integral(lam: Array, t: float) -> Array:
         -np.expm1(-a), np.where(small, 1.0, lam)))
 
 
-def _points(x, d: int):
-    """Normalize x to an (N, d) array, remembering the caller's shape."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("points must be finite")
-    if arr.ndim == 0:
-        if d != 1:
-            raise InputError(f"scalar point given for a {d}-dimensional model")
-        return arr.reshape(1, 1), (d,)
-    if arr.ndim == 1:
-        if arr.shape[0] == d:
-            return arr.reshape(1, d), (d,)
-        if d == 1:
-            return arr.reshape(-1, 1), arr.shape
-        raise InputError(f"point of length {arr.shape[0]} in dimension {d}")
-    if arr.shape[-1] != d:
-        raise InputError(f"points must have trailing dimension {d}")
-    return arr.reshape(-1, d), arr.shape
-
-
 def psi(model: ReferenceModel, a, t: float, x) -> Array:
-    """Deterministic drift flow psi_t^a applied to x of shape (d,) or (..., d)."""
+    """Deterministic drift flow psi_t^a applied to finite points x of shape
+    (..., d); InputError for any other shape."""
     if t < 0:
         raise InputError(f"time must be nonnegative, got {t}")
     act = model.action(a)
-    pts, out_shape = _points(x, model.dim)
+    x = np.asarray(x, dtype=float)
+    d = model.dim
+    if x.ndim == 0 or x.shape[-1] != d or not np.all(np.isfinite(x)):
+        raise InputError(f"points must be finite with trailing dimension {d}, got shape {x.shape}")
     lam, q = model._theta_eig[act.label]
     decay = np.exp(-np.clip(lam, 0.0, None) * t)
     flow = (q * decay) @ q.T
     pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.kappa))
-    out = pts @ flow.T + pull
-    return out.reshape(out_shape)
+    return (x.reshape(-1, d) @ flow.T + pull).reshape(x.shape)
 
 
 def covariance(model: ReferenceModel, a, t: float) -> Array:

@@ -75,8 +75,6 @@ def dyadic_partition(t: float, level: int) -> Partition:
     InputError beyond MAX_GAPS gaps."""
     if t < 0 or level < 0:
         raise InputError("need t >= 0 and level >= 0")
-    if t == 0.0:
-        return Partition((0.0,))
     step = 2.0 ** (-level)
     if not t <= MAX_GAPS * step:
         raise InputError(f"t = {t!r} needs more than {MAX_GAPS} dyadic gaps at level {level}")

@@ -38,17 +38,6 @@ MAX_STEPS = 2 ** 20
 
 
 @dataclass
-class PdeScheme:
-    """Time step control: steps are ``cfl_safety`` times the stability limit."""
-
-    cfl_safety: float = 0.8
-
-    def __post_init__(self):
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigError("cfl_safety must lie in (0, 1]")
-
-
-@dataclass
 class SpaceTimeField:
     """Snapshots of one ``solve``, with the step it marched with (``dt``,
     shortened only to land on a snapshot time) and the steps it took."""
@@ -99,7 +88,9 @@ def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
     return out
 
 
-def _cfl_bound(cfg: OperatorConfig, scheme: PdeScheme, coeffs) -> float:
+def _cfl_bound(cfg: OperatorConfig, cfl_safety: float, coeffs) -> float:
+    if not 0 < cfl_safety <= 1:
+        raise ConfigError("cfl_safety must lie in (0, 1]")
     denom = 0.0
     for ax in range(cfg.grid.dim):
         h = cfg.grid.spacing[ax]
@@ -108,13 +99,13 @@ def _cfl_bound(cfg: OperatorConfig, scheme: PdeScheme, coeffs) -> float:
         denom += max_diff / h ** 2 + (max_drift + cfg.ambiguity.m) / h
     if denom == 0.0:
         return np.inf
-    return scheme.cfl_safety / denom
+    return cfl_safety / denom
 
 
-def cfl_time_step(cfg: OperatorConfig, scheme: PdeScheme) -> float:
+def cfl_time_step(cfg: OperatorConfig, cfl_safety: float) -> float:
     """Largest dt with dt * [sum_ax max_a (ssT)_aa / h_ax^2
     + sum_ax (max_a |b_ax| + m) / h_ax] <= cfl_safety."""
-    return _cfl_bound(cfg, scheme, _coefficients(cfg))
+    return _cfl_bound(cfg, cfl_safety, _coefficients(cfg))
 
 
 def _shift(v: Array, axis: int, by: int) -> Array:
@@ -148,10 +139,10 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
     return ScalarField(grid, best + cfg.ambiguity.m * grad_norm)
 
 
-def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
+def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
     """One explicit Euler step of size dt (defaults to the CFL bound)."""
     coeffs = _coefficients(cfg)
-    bound = _cfl_bound(cfg, scheme, coeffs)
+    bound = _cfl_bound(cfg, cfl_safety, coeffs)
     if dt is None:
         dt = bound
     if dt > bound * (1 + 1e-12):
@@ -181,13 +172,13 @@ def step_forward(cfg: OperatorConfig, scheme: PdeScheme, v: ScalarField, dt: Opt
     return ScalarField(grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
 
 
-def time_step(cfg: OperatorConfig, scheme: PdeScheme, horizon: float) -> float:
+def time_step(cfg: OperatorConfig, cfl_safety: float, horizon: float) -> float:
     """The step ``solve`` marches with: the CFL bound, or the horizon where
     no bound applies.  InputError unless the horizon is nonnegative and
     finite and takes at most MAX_STEPS of them."""
     if not 0 <= horizon < np.inf:
         raise InputError("horizon must be nonnegative and finite")
-    dt = cfl_time_step(cfg, scheme)
+    dt = cfl_time_step(cfg, cfl_safety)
     if not np.isfinite(dt):
         return horizon if horizon > 0 else 1.0
     if horizon > MAX_STEPS * dt:
@@ -206,7 +197,7 @@ def snapshot_schedule(horizon: float, snapshot_times: Optional[Sequence[float]] 
 
 def solve(
     cfg: OperatorConfig,
-    scheme: PdeScheme,
+    cfl_safety: float,
     u0: ScalarField,
     horizon: float,
     snapshot_times: Optional[Sequence[float]] = None,
@@ -216,21 +207,17 @@ def solve(
     Snapshot times are hit exactly by shortening the step that would
     overshoot them (shorter steps keep the CFL bound).
     """
-    dt = time_step(cfg, scheme, horizon)
+    dt = time_step(cfg, cfl_safety, horizon)
     snaps = snapshot_schedule(horizon, snapshot_times)
     times: List[float] = []
     fields: List[ScalarField] = []
     t = 0.0
     steps = 0
     v = u0
-    if snaps and snaps[0] == 0.0:
-        times.append(0.0)
-        fields.append(v)
-        snaps = snaps[1:]
     for target in snaps:
         while t < target - 1e-12:
             step = min(dt, target - t)
-            v = step_forward(cfg, scheme, v, dt=step)
+            v = step_forward(cfg, cfl_safety, v, dt=step)
             t += step
             steps += 1
         t = target

@@ -28,7 +28,7 @@ from .fields import (
 )
 from .models import DiscreteMeasure, brownian_model
 from .operators import OperatorConfig, action_values, compose, dro_step, dyadic_partition, scaling_limit
-from .pde import PdeScheme, generator_apply, solve
+from .pde import generator_apply, solve
 
 Array = np.ndarray
 
@@ -489,27 +489,25 @@ def cross_check_pde(
     window: CompactWindow,
     stop_tol: float = 1e-3,
     max_level: int = 8,
-    scheme: Optional[PdeScheme] = None,
+    cfl_safety: float = 0.8,
     tol: float = 2e-2,
     reference: Optional[Callable] = None,
     name: str = "operator_pde_crosscheck",
 ) -> CheckReport:
     """Window gap between the scaling limit and the PDE solution at the
-    horizon; optionally both against a closed-form reference, all within tol."""
+    horizon; optionally both against a closed form ``reference(*grid.mesh())``,
+    all within tol."""
     validate_horizon(horizon, max_level)
     t0 = time.perf_counter()
-    scheme = scheme or PdeScheme()
     lim = scaling_limit(cfg, horizon, u0, max_level=max_level, stop_tol=stop_tol, window=window)
-    pde_run = solve(cfg, scheme, u0, horizon)
+    pde_run = solve(cfg, cfl_safety, u0, horizon)
     pde_final = pde_run.at(horizon)
     gap = sup_distance(lim.field, pde_final, window)
     measured = [("operator_pde_gap", gap)]
     thresholds = {"operator_pde_gap": tol}
     mask = window.mask(cfg.grid)
     if reference is not None:
-        if cfg.grid.dim != 1:
-            raise InputError("closed-form references are one-dimensional")
-        ref_vals = np.asarray(reference(cfg.grid.axes[0]), dtype=float)
+        ref_vals = np.asarray(reference(*cfg.grid.mesh()), dtype=float)
         err_limit = float(np.max(np.abs((lim.field.values - ref_vals)[mask])))
         err_pde = float(np.max(np.abs((pde_final.values - ref_vals)[mask])))
         measured += [("limit_vs_reference", err_limit), ("pde_vs_reference", err_pde)]
@@ -558,15 +556,17 @@ _ANCHORS = {
 }
 
 
-def anchor_check(cfg: OperatorConfig, window: CompactWindow, name: str) -> CheckReport:
+def anchor_check(
+    cfg: OperatorConfig, window: CompactWindow, name: str, cfl_safety: float = 0.8
+) -> CheckReport:
     """``cross_check_pde`` on the named row of ``_ANCHORS``, with the config's
-    grid and numerics."""
+    grid and numerics and the PDE solver's ``cfl_safety``."""
     validate_experiments([name])
     drifts, m, function, horizon, stop_tol, tol, reference = _ANCHORS[name]
     run = with_model(cfg, drifts, [[1.0]], m)
     return cross_check_pde(
         run, named_field(run.grid, function), horizon, window=window, stop_tol=stop_tol,
-        tol=tol, reference=reference, name=name,
+        cfl_safety=cfl_safety, tol=tol, reference=reference, name=name,
     )
 
 
@@ -587,12 +587,12 @@ def _game_dominance_violation(cfg: OperatorConfig) -> float:
     )
 
 
-def game_crosscheck(cfg: OperatorConfig, window: CompactWindow) -> CheckReport:
+def game_crosscheck(cfg: OperatorConfig, window: CompactWindow, cfl_safety: float = 0.8) -> CheckReport:
     """The game's anchor (``anchor_check``), and that the two-action value
     never exceeds either single-action robust value
     (``_game_dominance_violation``)."""
     t0 = time.perf_counter()
-    report = anchor_check(cfg, window, "game_crosscheck")
+    report = anchor_check(cfg, window, "game_crosscheck", cfl_safety)
     measured = report.measured + [("dominance_violation", _game_dominance_violation(cfg))]
     thresholds = dict(report.thresholds)
     thresholds["dominance_violation"] = 1e-8
@@ -624,10 +624,11 @@ def refinement_certificates(
     window: CompactWindow,
     experiments: Sequence[str] = ("heat_anchor", "cdf_anchor", "game_crosscheck"),
     base_reports: Optional[Dict[str, CheckReport]] = None,
+    cfl_safety: float = 0.8,
 ) -> CheckReport:
-    """Re-run the anchor experiments at doubled resolution; each headline
-    number must move by at most half the tolerance the anchor's own report
-    gates its PDE gap with."""
+    """Re-run the anchor experiments at doubled resolution, the PDE route at
+    ``cfl_safety``; each headline number must move by at most half the
+    tolerance the anchor's own report gates its PDE gap with."""
     t0 = time.perf_counter()
     factor = 0.5
     fine = refined_config(cfg)
@@ -637,8 +638,8 @@ def refinement_certificates(
     for name in experiments:
         base = base_reports.get(name) if base_reports else None
         if base is None:
-            base = anchor_check(cfg, window, name)
-        refined = anchor_check(fine, window, name)
+            base = anchor_check(cfg, window, name, cfl_safety)
+        refined = anchor_check(fine, window, name, cfl_safety)
         change = abs(_headline(refined) - _headline(base))
         label = f"change_{name}"
         measured.append((label, change))

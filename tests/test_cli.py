@@ -414,6 +414,34 @@ def test_certify_subcommand_heat_only(tmp_path):
     assert report[0]["passed"]
 
 
+def test_all_and_certify_run_the_anchors_at_the_configs_cfl_safety(tmp_path, monkeypatch):
+    # every PDE route of the anchors and of their certificates, base and
+    # refined, marches at numerics.cfl_safety; the other checks are stubbed
+    from drolimit import validation
+
+    seen = []
+
+    def report(name):
+        return validation.CheckReport(
+            name, {}, [("operator_pde_gap", 0.0)], {"operator_pde_gap": 1.0}, True, 0.0
+        )
+
+    def crosscheck(*args, cfl_safety=None, name="", **kwargs):
+        seen.append(cfl_safety)
+        return report(name)
+
+    monkeypatch.setattr(validation, "cross_check_pde", crosscheck)
+    monkeypatch.setattr(validation, "_game_dominance_violation", lambda cfg: 0.0)
+    for check in ("check_dual_oracle", "check_operator_properties", "check_refinement_monotonicity",
+                  "check_sensitivity", "check_generator", "check_semigroup"):
+        monkeypatch.setattr(validation, check, lambda *args, **kwargs: report("stub"))
+    for sub in ("certify", "all"):
+        seen.clear()
+        out = str(tmp_path / sub)
+        assert run_cli([sub, "--set", "numerics.cfl_safety=0.5", "--out", out, "--quiet"]) == 0
+        assert seen == [0.5] * 6, sub
+
+
 def test_outputs_deterministic(tmp_path):
     args = ["limit", "--set", "experiment.parameters.t=0.25"] + SMALL
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -35,11 +35,22 @@ def test_psi_brownian():
 
 def test_psi_identity_at_time_zero():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(5)
+    x = rng.standard_normal((5, 1))
     m = brownian_model([[0.7]], [[1.0]])
     assert np.array_equal(psi(m, "a0", 0.0, x), x)
     ou = ou_model(1.3, 0.4, 1.0)
     assert np.allclose(psi(ou, "a0", 0.0, x), x, atol=1e-14)
+
+
+def test_psi_refuses_points_without_a_trailing_model_dimension():
+    m = brownian_model([[0.7]], [[1.0]])
+    for x in (np.zeros(5), 0.5, np.array([[0.0], [np.nan]])):
+        with pytest.raises(InputError):
+            psi(m, "a0", 0.5, x)
+    m2 = brownian_model([[0.7, 0.0]], np.eye(2), dim=2)
+    assert psi(m2, "a0", 1.0, np.zeros((3, 4, 2))).shape == (3, 4, 2)
+    with pytest.raises(InputError):
+        psi(m2, "a0", 1.0, np.zeros((4, 1)))
 
 
 def test_psi_ou_scalar_decay():

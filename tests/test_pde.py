@@ -12,7 +12,6 @@ from drolimit import (
     InputError,
     OperatorConfig,
     ORNSTEIN_UHLENBECK,
-    PdeScheme,
     ReferenceModel,
     ScalarField,
     brownian_model,
@@ -48,27 +47,37 @@ def test_cfl_bound_formula(grid):
     cfg = cfg_for(grid, m=0.5, drifts=((0.3,),), sigma=1.0)
     h = grid.spacing[0]
     expect = 0.8 / (1.0 / h ** 2 + (0.3 + 0.5) / h)
-    assert cfl_time_step(cfg, PdeScheme(cfl_safety=0.8)) == pytest.approx(expect)
+    assert cfl_time_step(cfg, 0.8) == pytest.approx(expect)
 
 
 def test_cfl_violation_rejected(grid):
     cfg = cfg_for(grid)
     v = named_field(grid, "cos")
     with pytest.raises(ConfigError):
-        step_forward(cfg, PdeScheme(), v, dt=1.0)
+        step_forward(cfg, 0.8, v, dt=1.0)
+
+
+def test_cfl_safety_outside_unit_interval_refused(grid):
+    cfg = cfg_for(grid)
+    v = named_field(grid, "cos")
+    for cfl_safety in (0.0, 1.5):
+        with pytest.raises(ConfigError, match="cfl_safety"):
+            cfl_time_step(cfg, cfl_safety)
+        with pytest.raises(ConfigError, match="cfl_safety"):
+            solve(cfg, cfl_safety, v, 0.1)
 
 
 def test_solve_refuses_more_than_max_steps(grid):
     # refused before the first step, at one step past the bound
-    cfg, scheme = cfg_for(grid), PdeScheme()
-    dt = cfl_time_step(cfg, scheme)
-    assert time_step(cfg, scheme, MAX_STEPS * dt) == dt
+    cfg, cfl_safety = cfg_for(grid), 0.8
+    dt = cfl_time_step(cfg, cfl_safety)
+    assert time_step(cfg, cfl_safety, MAX_STEPS * dt) == dt
     v = named_field(grid, "cos")
     with pytest.raises(InputError, match=f"more than {MAX_STEPS} time steps"):
-        solve(cfg, scheme, v, (MAX_STEPS + 1) * dt)
+        solve(cfg, cfl_safety, v, (MAX_STEPS + 1) * dt)
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(InputError, match="horizon must be nonnegative and finite"):
-            solve(cfg, scheme, v, horizon)
+            solve(cfg, cfl_safety, v, horizon)
 
 
 def test_step_builds_its_coefficients_once(monkeypatch, grid):
@@ -79,15 +88,15 @@ def test_step_builds_its_coefficients_once(monkeypatch, grid):
     build = pde._coefficients
     monkeypatch.setattr(pde, "_coefficients", lambda cfg: builds.append(1) or build(cfg))
     cfg = cfg_for(grid, m=0.5, drifts=((0.3,), (-0.2,)))
-    step_forward(cfg, PdeScheme(), named_field(grid, "cos"))
-    step_forward(cfg, PdeScheme(), named_field(grid, "cos"), dt=1e-4)
+    step_forward(cfg, 0.8, named_field(grid, "cos"))
+    step_forward(cfg, 0.8, named_field(grid, "cos"), dt=1e-4)
     assert len(builds) == 2
 
 
 def test_zero_generator_leaves_field(grid):
     cfg = cfg_for(grid, m=0.0, drifts=((0.0,),), sigma=0.0)
     v = named_field(grid, "tanh")
-    out = step_forward(cfg, PdeScheme(), v, dt=0.01)
+    out = step_forward(cfg, 0.8, v, dt=0.01)
     assert np.array_equal(out.values, v.values)
 
 
@@ -96,8 +105,8 @@ def test_affine_gradient_source(grid):
     cfg = cfg_for(grid, m=1.0, sigma=0.0)
     c = -1.7
     v = ScalarField.from_function(grid, lambda x: c * x)
-    dt = 0.5 * cfl_time_step(cfg, PdeScheme())
-    out = step_forward(cfg, PdeScheme(), v, dt=dt)
+    dt = 0.5 * cfl_time_step(cfg, 0.8)
+    out = step_forward(cfg, 0.8, v, dt=dt)
     interior = slice(1, -1)
     assert np.allclose(out.values[interior], v.values[interior] + dt * abs(c), atol=1e-12)
 
@@ -105,31 +114,31 @@ def test_affine_gradient_source(grid):
 def test_constant_preserved(grid):
     cfg = cfg_for(grid, m=0.7)
     v = ScalarField.constant(grid, 3.3)
-    out = step_forward(cfg, PdeScheme(), v)
+    out = step_forward(cfg, 0.8, v)
     assert np.allclose(out.values, 3.3, atol=1e-14)
 
 
 def test_step_monotone_in_data(grid):
     rng = np.random.default_rng(0)
     cfg = cfg_for(grid, m=0.5, drifts=((0.4,),))
-    dt = cfl_time_step(cfg, PdeScheme())
+    dt = cfl_time_step(cfg, 0.8)
     for _ in range(20):
         u = rng.standard_normal(grid.shape)
         v = u + rng.random(grid.shape)
-        su = step_forward(cfg, PdeScheme(), ScalarField(grid, u), dt=dt)
-        sv = step_forward(cfg, PdeScheme(), ScalarField(grid, v), dt=dt)
+        su = step_forward(cfg, 0.8, ScalarField(grid, u), dt=dt)
+        sv = step_forward(cfg, 0.8, ScalarField(grid, v), dt=dt)
         assert np.all(su.values <= sv.values + 1e-12)
 
 
 def test_step_nonexpansive_linear_case(grid):
     rng = np.random.default_rng(1)
     cfg = cfg_for(grid, m=0.0, drifts=((0.4,),))
-    dt = cfl_time_step(cfg, PdeScheme())
+    dt = cfl_time_step(cfg, 0.8)
     for _ in range(10):
         u = rng.standard_normal(grid.shape)
         v = rng.standard_normal(grid.shape)
-        su = step_forward(cfg, PdeScheme(), ScalarField(grid, u), dt=dt)
-        sv = step_forward(cfg, PdeScheme(), ScalarField(grid, v), dt=dt)
+        su = step_forward(cfg, 0.8, ScalarField(grid, u), dt=dt)
+        sv = step_forward(cfg, 0.8, ScalarField(grid, v), dt=dt)
         assert np.max(np.abs(su.values - sv.values)) <= np.max(np.abs(u - v)) + 1e-12
 
 
@@ -137,7 +146,7 @@ def test_gradient_source_nonnegative(grid):
     cfg = cfg_for(grid, m=0.8, sigma=0.0)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(grid.shape)
-    out = step_forward(cfg, PdeScheme(), ScalarField(grid, v))
+    out = step_forward(cfg, 0.8, ScalarField(grid, v))
     assert np.all(out.values >= v - 1e-14)
 
 
@@ -168,8 +177,8 @@ def test_generator_apply_ou_drift(grid):
 def test_step_consistent_with_generator(grid, window):
     cfg = cfg_for(grid, m=0.5, drifts=((0.3,),))
     f = named_field(grid, "cos")
-    dt = cfl_time_step(cfg, PdeScheme())
-    quotient = (step_forward(cfg, PdeScheme(), f, dt=dt).values - f.values) / dt
+    dt = cfl_time_step(cfg, 0.8)
+    quotient = (step_forward(cfg, 0.8, f, dt=dt).values - f.values) / dt
     gen = generator_apply(cfg, f).values
     mask = window.mask(grid)
     # upwind versus central differences: first order in the spacing
@@ -179,18 +188,18 @@ def test_step_consistent_with_generator(grid, window):
 def test_solve_heat_anchor(grid, window):
     cfg = cfg_for(grid, m=0.0)
     u0 = named_field(grid, "cos")
-    run = solve(cfg, PdeScheme(), u0, 0.5, snapshot_times=[0.0, 0.25, 0.5])
+    run = solve(cfg, 0.8, u0, 0.5, snapshot_times=[0.0, 0.25, 0.5])
     assert run.times == [0.0, 0.25, 0.5]
     ref = ScalarField.from_function(grid, lambda x: math.exp(-0.25) * np.cos(x))
     assert sup_distance(run.at(0.5), ref, window) <= 5e-3
-    const = solve(cfg, PdeScheme(), ScalarField.constant(grid, 1.5), 0.4)
+    const = solve(cfg, 0.8, ScalarField.constant(grid, 1.5), 0.4)
     assert np.allclose(const.at(0.4).values, 1.5, atol=1e-12)
 
 
 def test_solve_cdf_anchor(grid, window):
     cfg = cfg_for(grid, m=0.5)
     u0 = named_field(grid, "normal_cdf")
-    run = solve(cfg, PdeScheme(), u0, 1.0)
+    run = solve(cfg, 0.8, u0, 1.0)
     ref = ScalarField.from_function(grid, lambda x: normal_cdf((x + 0.5) / math.sqrt(2.0)))
     assert sup_distance(run.at(1.0), ref, window) <= 1e-2
 
@@ -201,7 +210,7 @@ def test_2d_requires_diagonal_diffusion():
     model = brownian_model([[0.0, 0.0]], sigma, dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.1), grid=g2)
     with pytest.raises(ConfigError):
-        cfl_time_step(cfg, PdeScheme())
+        cfl_time_step(cfg, 0.8)
 
 
 def test_2d_heat_smoke():
@@ -209,7 +218,7 @@ def test_2d_heat_smoke():
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
-    run = solve(cfg, PdeScheme(), u0, 0.25)
+    run = solve(cfg, 0.8, u0, 0.25)
     ref = ScalarField.from_function(g2, lambda x, y: math.exp(-0.25) * np.cos(x) * np.cos(y))
     w2 = CompactWindow((-2.0, -2.0), (2.0, 2.0))
     assert sup_distance(run.at(0.25), ref, w2) <= 2e-2
@@ -217,7 +226,7 @@ def test_2d_heat_smoke():
 
 def test_snapshot_csv(tmp_path, grid):
     cfg = cfg_for(grid, m=0.0)
-    run = solve(cfg, PdeScheme(), named_field(grid, "cos"), 0.1, snapshot_times=[0.05, 0.1])
+    run = solve(cfg, 0.8, named_field(grid, "cos"), 0.1, snapshot_times=[0.05, 0.1])
     path = tmp_path / "snaps.csv"
     run.save_csv(path)
     header = path.read_text().splitlines()[0]
@@ -231,7 +240,7 @@ def test_snapshot_csv_2d(tmp_path):
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.sin(y))
-    run = solve(cfg, PdeScheme(), u0, 0.1, snapshot_times=[0.0, 0.1])
+    run = solve(cfg, 0.8, u0, 0.1, snapshot_times=[0.0, 0.1])
     path = tmp_path / "snaps2.csv"
     run.save_csv(path)
     lines = path.read_text().splitlines()

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from drolimit import AmbiguitySpec, CompactWindow, Grid, InputError, OperatorConfig, brownian_model
+from drolimit import (
+    AmbiguitySpec, CompactWindow, Grid, InputError, OperatorConfig, ScalarField, brownian_model,
+)
 from drolimit import operators, validation
 from drolimit.operators import dro_step
 from drolimit.validation import (
@@ -210,6 +212,30 @@ def test_cross_check_pde_heat(grid, window):
     vals = dict(rep.measured)
     assert vals["operator_pde_gap"] <= 5e-3
     assert vals["limit_vs_reference"] <= 5e-3
+
+
+def test_cross_check_pde_2d_closed_form():
+    # heat flow of cos x cos y: e^{-t} cos x cos y; the operator limit's
+    # h^2/dt interpolation bias at 33^2 nodes is not gated here
+    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    cfg = OperatorConfig(
+        brownian_model([[0.0, 0.0]], np.eye(2), dim=2), AmbiguitySpec(m=0.0), g2,
+        quad_order=4, cand_per_side=2,
+    )
+    u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
+    rep = cross_check_pde(
+        cfg, u0, 0.25, CompactWindow((-3.0, -3.0), (3.0, 3.0)), max_level=4,
+        reference=lambda x, y: math.exp(-0.25) * np.cos(x) * np.cos(y),
+    )
+    assert dict(rep.measured)["pde_vs_reference"] <= 5e-3
+
+
+def test_anchor_pde_route_uses_the_given_cfl_safety(grid, window):
+    expected = {0.8: (2.22e-5, 1.138e-4), 0.5: (7.92e-6, 1.281e-4)}
+    for cfl_safety, (pde_err, gap) in expected.items():
+        vals = dict(anchor_check(cfg_for(grid), window, "heat_anchor", cfl_safety).measured)
+        assert vals["pde_vs_reference"] == pytest.approx(pde_err, rel=1e-2)
+        assert vals["operator_pde_gap"] == pytest.approx(gap, rel=1e-3)
 
 
 def test_refined_config_doubles(grid):

@@ -6,18 +6,18 @@ and compare what they write.
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory;
 the other side is ``src/`` as it stands in this checkout.  Each side runs,
 with one BLAS thread: ``drolimit limit``, ``pde`` with snapshots on and off
-its step grid, ``crosscheck``, ``sensitivity``, ``generator``, ``semigroup``,
-``properties --seed 1``, ``certify`` (the refinement certificates of its
-default experiments, each base run made afresh) and ``all`` on the default
-config, ``limit`` on a
-one-action Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a
-2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
+its step grid and with one at t = 0, ``crosscheck``, ``sensitivity``,
+``generator``, ``semigroup``, ``properties --seed 1``, ``certify`` (the
+refinement certificates of its default experiments, each base run made
+afresh) and ``all`` on the default config, ``limit`` on a one-action
+Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a 2-d
+one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
 3 candidates per side, 5 trials of each check), the same on a 2-d Brownian
-action with correlated sigma = [[1, 0], [0.6, 0.8]], and the ``game-2d`` workload
-of this checkout's ``perfbench/worker.py`` at seed 29, as it stands (max
-level 2) and at max level 3, where each 2-d kernel applies four times and so
-solves its last two steps through windows.  The two sides run side by side,
-one process each.  A run whose stderr holds a traceback prints its last
+action with correlated sigma = [[1, 0], [0.6, 0.8]], and the ``game-2d``
+workload of this checkout's ``perfbench/worker.py`` at seed 29, as it stands
+(max level 2) and at max level 3, where each 2-d kernel applies four times
+and so solves its last two steps through windows.  The two sides run side by
+side, one process each.  A run whose stderr holds a traceback prints its last
 line, so that a crash does not pass for a failed check (both exit 1).
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
@@ -49,6 +49,8 @@ RUNS = {
     "pde": ["pde", "--set", "experiment.parameters.snapshots=[0.1, 0.25]"],
     # a snapshot off the step grid: solve shortens one step to land on it
     "pde-offgrid": ["pde", "--set", "experiment.parameters.snapshots=[0.1234]"],
+    # a snapshot at t = 0: solve records the initial field without a step
+    "pde-zero": ["pde", "--set", "experiment.parameters.snapshots=[0.0, 0.25]"],
     "crosscheck": ["crosscheck"],
     "sensitivity": ["sensitivity"],
     "generator": ["generator"],

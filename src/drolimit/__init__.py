@@ -20,9 +20,7 @@ from .fields import (
 )
 from .models import (
     Action,
-    BROWNIAN,
     DiscreteMeasure,
-    ORNSTEIN_UHLENBECK,
     ReferenceModel,
     brownian_model,
     covariance,

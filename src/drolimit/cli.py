@@ -148,31 +148,31 @@ def _run_all(cfg, op, params, args) -> List[CheckReport]:
     # overtakes the margin between levels 6 and 7
     reports.append(
         val.check_refinement_monotonicity(
-            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
+            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "tanh"),
             t=1.0, levels=6, window=window,
         )
     )
     reports.append(
         val.check_refinement_monotonicity(
-            val.with_model(replace(op, grid=fine_grid), [[0.0]], [[1.0]], m=0.5),
+            val.with_model(replace(op, grid=fine_grid), [[0.0]], m=0.5),
             named_field(fine_grid, "tanh"), t=1.0, levels=7, window=window,
         )
     )
     reports.append(
         val.check_sensitivity(
-            val.with_model(op, [[0.0]], [[1.0]], m=1.0), named_field(grid, "sin"),
+            val.with_model(op, [[0.0]], m=1.0), named_field(grid, "sin"),
             window=window,
         )
     )
     reports.append(
         val.check_generator(
-            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "cos"),
+            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "cos"),
             t_list=(0.2, 0.1, 0.05), window=window,
         )
     )
     reports.append(
         val.check_semigroup(
-            val.with_model(op, [[0.0]], [[1.0]], m=0.5), named_field(grid, "tanh"),
+            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "tanh"),
             pairs=((0.25, 0.25),), window=window,
         )
     )

@@ -11,12 +11,11 @@ import numpy as np
 from .dual import AmbiguitySpec
 from .errors import ConfigError
 from .fields import CompactWindow, Grid
-from .models import Action, BROWNIAN, ORNSTEIN_UHLENBECK, ReferenceModel
+from .models import Action, ReferenceModel
 from .operators import MAX_LEVEL, OperatorConfig
 
 DEFAULT_CONFIG: Dict[str, Any] = {
     "model": {
-        "family": BROWNIAN,
         "actions": [{"label": "a0", "drift": [0.0], "sigma": [[1.0]]}],
     },
     "ambiguity": {"m": 0.5, "p": 2.0},
@@ -39,12 +38,9 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     "output": {"directory": "out"},
 }
 
-# per family, the keys an action may set, each with a value of its type; none
-# is a default: ``ReferenceModel`` requires every key but the label
-_ACTION_KEYS = {
-    BROWNIAN: {"label": "", "drift": [0.0], "sigma": [[0.0]]},
-    ORNSTEIN_UHLENBECK: {"label": "", "sigma": [[0.0]], "theta": [[0.0]], "kappa": [0.0]},
-}
+# the keys an action may set, each with a value of its type; none is a
+# default: ``ReferenceModel`` requires every key but the label and theta
+_ACTION_KEYS = {"label": "", "drift": [0.0], "sigma": [[0.0]], "theta": [[0.0]]}
 
 
 def check_values(values, defaults: dict, path: str) -> None:
@@ -81,11 +77,8 @@ def check_values(values, defaults: dict, path: str) -> None:
 
 def validate_config(cfg: dict) -> None:
     check_values(cfg, DEFAULT_CONFIG, "")
-    model = cfg.get("model", {})
-    keys = _ACTION_KEYS.get(model.get("family"))
-    if keys:  # an unknown family is refused by name while the model is built
-        for i, act in enumerate(model.get("actions", [])):
-            check_values(act, keys, f"model.actions[{i}]")
+    for i, act in enumerate(cfg.get("model", {}).get("actions", [])):
+        check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
     amb = cfg.get("ambiguity", {})
     if amb.get("m", 0.0) < 0:
         raise ConfigError("ambiguity.m must be nonnegative")
@@ -156,7 +149,7 @@ def build_model(cfg: dict) -> ReferenceModel:
         Action(label=str(spec.get("label", f"a{i}")), **{k: v for k, v in spec.items() if k != "label"})
         for i, spec in enumerate(cfg["model"]["actions"])
     ]
-    return ReferenceModel(cfg["model"]["family"], actions, dim=int(cfg["grid"]["dim"]))
+    return ReferenceModel(actions, dim=int(cfg["grid"]["dim"]))
 
 
 def build_grid(cfg: dict) -> Grid:

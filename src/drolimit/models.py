@@ -1,17 +1,17 @@
-"""Controlled reference Markov families with Gaussian transition laws.
+"""Controlled reference Markov processes with Gaussian transition laws.
 
-Both built-in families are Ornstein-Uhlenbeck processes, of the form
-X_t = psi_t(x) + Y_t with Y_t a centered Gaussian:
+Every action is an Ornstein-Uhlenbeck process dX = (b - theta X) dt + sigma dW,
+of the form X_t = psi_t(x) + Y_t with Y_t a centered Gaussian:
 
-    psi_t(x) = e^{-theta t} x + int_0^t e^{-theta s} kappa ds,
+    psi_t(x) = e^{-theta t} x + int_0^t e^{-theta s} b ds,
     Cov(Y_t) = int_0^t e^{-theta s} sigma sigma^T e^{-theta s} ds,
 
-with theta symmetric positive semi-definite.  Brownian motion with drift b
-is the case theta = 0, kappa = b (psi_t(x) = x + b t, Cov(Y_t) =
-sigma sigma^T t), and its actions are stored in that form.  The flows are
-1-Lipschitz in x, and the laws are represented for quadrature as tensor
-Gauss-Hermite discretizations (exact eigen mapping of the covariance), which
-the rest of the package consumes as finite measures.
+with theta symmetric positive semi-definite and 0 unless given, which is
+Brownian motion with drift b (psi_t(x) = x + b t, Cov(Y_t) =
+sigma sigma^T t).  The flows are 1-Lipschitz in x, and the laws are
+represented for quadrature as tensor Gauss-Hermite discretizations (exact
+eigen mapping of the covariance), which the rest of the package consumes as
+finite measures.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from .errors import InputError, ModelError
 
 Array = np.ndarray
-
-BROWNIAN = "brownian_drift"
-ORNSTEIN_UHLENBECK = "ornstein_uhlenbeck"
 
 _ATOL = 1e-12
 
@@ -58,24 +55,20 @@ class DiscreteMeasure:
 
 @dataclass(eq=False)
 class Action:
-    """One action's parameters; which fields apply depends on the family."""
+    """One action's parameters: dX = (drift - theta X) dt + sigma dW."""
 
     label: str
-    drift: Optional[Array] = None       # b(a), Brownian family
-    sigma: Optional[Array] = None       # diffusion matrix, both families
-    theta: Optional[Array] = None       # mean-reversion matrix; 0 for Brownian
-    kappa: Optional[Array] = None       # pull vector; b(a) for Brownian
+    drift: Optional[Array] = None       # the constant b(a)
+    sigma: Optional[Array] = None       # diffusion matrix
+    theta: Optional[Array] = None       # mean-reversion matrix; 0 unless given
 
 
 class ReferenceModel:
-    """A family tag plus a finite action set; all parameters bounded."""
+    """A finite action set; all parameters bounded."""
 
-    def __init__(self, family: str, actions: Sequence[Action], dim: int = 1):
-        if family not in (BROWNIAN, ORNSTEIN_UHLENBECK):
-            raise ModelError(f"unknown family {family!r}")
+    def __init__(self, actions: Sequence[Action], dim: int = 1):
         if not actions:
             raise ModelError("action set must be nonempty")
-        self.family = family
         self.dim = int(dim)
         self.actions = tuple(actions)
         self._by_label = {}
@@ -90,13 +83,8 @@ class ReferenceModel:
     def _validate_action(self, a: Action) -> None:
         d = self.dim
         a.sigma = _square(a.sigma, d, "sigma")
-        if self.family == BROWNIAN:
-            # x + b t is the affine flow with kappa = b and theta = 0
-            a.drift = a.kappa = _vector(a.drift, d, "drift")
-            a.theta = np.zeros((d, d))
-        else:
-            a.theta = _square(a.theta, d, "theta")
-            a.kappa = _vector(a.kappa, d, "kappa")
+        a.drift = _vector(a.drift, d, "drift")
+        a.theta = np.zeros((d, d)) if a.theta is None else _square(a.theta, d, "theta")
         if not np.allclose(a.theta, a.theta.T, atol=1e-10):
             raise ModelError(f"theta for action {a.label!r} is not symmetric")
         if np.linalg.eigvalsh(a.theta).min() < -1e-10:
@@ -113,7 +101,7 @@ class ReferenceModel:
 
 def _vector(v, d: int, name: str) -> Array:
     if v is None:
-        raise ModelError(f"{name} is required for this family")
+        raise ModelError(f"{name} is required")
     arr = np.asarray(v, dtype=float).ravel()
     if arr.shape != (d,):
         raise ModelError(f"{name} must have shape ({d},), got {arr.shape}")
@@ -138,7 +126,7 @@ def _square(v, d: int, name: str) -> Array:
 def brownian_model(drifts, sigma, dim: int = 1) -> ReferenceModel:
     """Convenience constructor: one action a<i> per drift vector, shared sigma."""
     acts = [Action(label=f"a{i}", drift=np.atleast_1d(b), sigma=sigma) for i, b in enumerate(drifts)]
-    return ReferenceModel(BROWNIAN, acts, dim=dim)
+    return ReferenceModel(acts, dim=dim)
 
 
 def _exp_decay_integral(lam: Array, t: float) -> Array:
@@ -162,7 +150,7 @@ def psi(model: ReferenceModel, a, t: float, x) -> Array:
     lam, q = model._theta_eig[act.label]
     decay = np.exp(-np.clip(lam, 0.0, None) * t)
     flow = (q * decay) @ q.T
-    pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.kappa))
+    pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.drift))
     return (x.reshape(-1, d) @ flow.T + pull).reshape(x.shape)
 
 
@@ -190,8 +178,6 @@ def law(model: ReferenceModel, a, t: float, quad_order: int = 16) -> DiscreteMea
     if not 4 <= quad_order <= 64:
         raise InputError(f"quad_order must be in [4, 64], got {quad_order}")
     d = model.dim
-    if t == 0:
-        return DiscreteMeasure(np.zeros((1, d)), np.ones(1))
     cov = covariance(model, a, t)
     evals, evecs = np.linalg.eigh(cov)
     if evals.min() < -1e-10 * max(1.0, abs(evals.max())):

@@ -124,8 +124,8 @@ class _StepKernel:
     and the stencil of the evaluation points (flowed nodes + atoms + offsets).
 
     For actions with theta = 0 (Brownian motion among them) the flow is the
-    translation ``psi(x) = x + kappa dt``, so every node sees the same shifts
-    ``kappa dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
+    translation ``psi(x) = x + b dt``, so every node sees the same shifts
+    ``b dt + atom + offset`` and the stencil is a ``ShiftStencil`` of
     Q * C shifts.  Flows with theta != 0 scale the nodes, so their stencil
     is a ``Stencil`` of all C * Q * N points.  Both stencils give the max
     over one run of candidates at a time through ``run_max``.

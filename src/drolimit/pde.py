@@ -5,8 +5,8 @@ Initial-value form:
     dv/dt = inf_a [ 1/2 tr(sigma(a) sigma(a)^T D^2 v) + <b(a, x), grad v> ]
             + m * ||grad v||
 
-with the affine drift b(a, x) = kappa(a) - theta(a) x (the constant b(a) for
-Brownian motion, theta = 0).  Diffusion uses centered second differences,
+with the affine drift b(a) - theta(a) x (the constant b(a) for Brownian
+motion, theta = 0).  Diffusion uses centered second differences,
 drift is upwinded by sign, and the gradient-magnitude source uses the
 monotone Godunov selector per axis
 
@@ -21,8 +21,9 @@ property; the explicit step is stable under the CFL bound below.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class SpaceTimeField:
 
 def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
     """Per action the diagonal of sigma sigma^T and, per axis, the drift
-    kappa - theta x at every node; rejects cross terms in 2-d (monotone
+    b - theta x at every node; rejects cross terms in 2-d (monotone
     discretization of mixed derivatives is out of scope)."""
     coords = cfg.grid.mesh()
     out = []
@@ -80,7 +81,7 @@ def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
             raise ConfigError("2-d solver requires diagonal sigma sigma^T")
         drift = []
         for ax in range(cfg.grid.dim):
-            vals = np.full(cfg.grid.shape, act.kappa[ax])
+            vals = np.full(cfg.grid.shape, act.drift[ax])
             for theta, c in zip(act.theta[ax], coords):
                 vals -= theta * c
             drift.append(vals)
@@ -108,12 +109,27 @@ def cfl_time_step(cfg: OperatorConfig, cfl_safety: float) -> float:
     return _cfl_bound(cfg, cfl_safety, _coefficients(cfg))
 
 
-def _shift(v: Array, axis: int, by: int) -> Array:
-    """Neighbor values with clamped (edge-replicated) boundary."""
+def _differences(v: Array, grid: Grid) -> List[Tuple[Array, Array, Array]]:
+    """Per axis the forward, backward and second differences of v, with a
+    clamped (edge-replicated) boundary."""
     padded = np.pad(v, 1, mode="edge")
-    sl = [slice(1, -1)] * v.ndim
-    sl[axis] = slice(1 + by, v.shape[axis] + 1 + by)
-    return padded[tuple(sl)]
+    out = []
+    for ax in range(v.ndim):
+        sl = [slice(1, -1)] * v.ndim
+        sl[ax] = slice(2, None)
+        up = padded[tuple(sl)]
+        sl[ax] = slice(0, -2)
+        dn = padded[tuple(sl)]
+        h = grid.spacing[ax]
+        out.append(((up - v) / h, (v - dn) / h, (up - 2 * v + dn) / h ** 2))
+    return out
+
+
+def _inf_over_actions(coeffs, term: Callable[[Array, List[Array], int], Array]) -> Array:
+    """min over actions of sum_ax term(diag, drift, ax)."""
+    return functools.reduce(np.minimum, (
+        sum(term(d, b, ax) for ax in range(len(d))) for d, b in coeffs
+    ))
 
 
 def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
@@ -122,21 +138,13 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
     Diagnostic only: meaningful where f is smooth; the time stepper uses the
     upwind forms instead.
     """
-    grid = cfg.grid
-    v = f.values
     grads = [g.values for g in gradient_fd(f)]
-    second = []
-    for ax in range(grid.dim):
-        h = grid.spacing[ax]
-        second.append((_shift(v, ax, 1) - 2 * v + _shift(v, ax, -1)) / h ** 2)
-    best = None
-    for d, b in _coefficients(cfg):
-        cand = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            cand += 0.5 * d[ax] * second[ax] + b[ax] * grads[ax]
-        best = cand if best is None else np.minimum(best, cand)
+    diffs = _differences(f.values, cfg.grid)
+    best = _inf_over_actions(
+        _coefficients(cfg), lambda d, b, ax: 0.5 * d[ax] * diffs[ax][2] + b[ax] * grads[ax]
+    )
     grad_norm = np.sqrt(sum(g ** 2 for g in grads))
-    return ScalarField(grid, best + cfg.ambiguity.m * grad_norm)
+    return ScalarField(cfg.grid, best + cfg.ambiguity.m * grad_norm)
 
 
 def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
@@ -147,29 +155,16 @@ def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Opt
         dt = bound
     if dt > bound * (1 + 1e-12):
         raise ConfigError(f"dt={dt} violates the CFL bound {bound}")
-    grid = cfg.grid
     vals = v.values
-    dplus, dminus, second = [], [], []
-    for ax in range(grid.dim):
-        h = grid.spacing[ax]
-        up = _shift(vals, ax, 1)
-        dn = _shift(vals, ax, -1)
-        dplus.append((up - vals) / h)
-        dminus.append((vals - dn) / h)
-        second.append((up - 2 * vals + dn) / h ** 2)
-    best = None
-    for d, b in coeffs:
-        cand = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            bp = np.maximum(b[ax], 0.0)
-            bm = np.minimum(b[ax], 0.0)
-            cand += 0.5 * d[ax] * second[ax] + bp * dplus[ax] + bm * dminus[ax]
-        best = cand if best is None else np.minimum(best, cand)
-    gsq = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        sel = np.maximum(0.0, np.maximum(-dminus[ax], dplus[ax]))
-        gsq += sel ** 2
-    return ScalarField(grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
+    diffs = _differences(vals, cfg.grid)
+
+    def upwind(d, b, ax):
+        dplus, dminus, second = diffs[ax]
+        return 0.5 * d[ax] * second + np.maximum(b[ax], 0.0) * dplus + np.minimum(b[ax], 0.0) * dminus
+
+    best = _inf_over_actions(coeffs, upwind)
+    gsq = sum(np.maximum(0.0, np.maximum(-dminus, dplus)) ** 2 for dplus, dminus, _ in diffs)
+    return ScalarField(cfg.grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
 
 
 def time_step(cfg: OperatorConfig, cfl_safety: float, horizon: float) -> float:

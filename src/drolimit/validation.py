@@ -201,15 +201,22 @@ def validate_experiments(names) -> None:
 # ----------------------------------------------------------------------
 # limit checks: sensitivity, generator, semigroup
 
-def _rate_report(ts, errors, final_threshold):
-    """Measured errors along shrinking t and their gates: the final error, and
+def _rate_check(name, cfg, window, t_list, quotient, target, final_threshold, params) -> CheckReport:
+    """Window error of ``quotient(t)`` against ``target`` along the distinct
+    times of ``t_list``, largest first, and its gates: the final error, and
     the largest relative increase between consecutive times (at most 10%)."""
+    t0 = time.perf_counter()
+    validate_times(t_list)
+    ts = sorted(set(float(t) for t in t_list), reverse=True)
+    mask = window.mask(cfg.grid)
+    errors = [float(np.max(np.abs((quotient(t) - target)[mask]))) for t in ts]
     max_ratio = 0.0
     for a, b in zip(errors, errors[1:]):
         max_ratio = max(max_ratio, (b - a) / max(a, 1e-15))
     measured = [("final_error", errors[-1]), ("max_increase_ratio", max_ratio)]
     measured += [(f"error_t={t:g}", e) for t, e in zip(ts, errors)]
-    return measured, {"final_error": final_threshold, "max_increase_ratio": 0.10}
+    thresholds = {"final_error": final_threshold, "max_increase_ratio": 0.10}
+    return _finish(name, {"t_list": ts, **params}, measured, thresholds, t0)
 
 
 def check_sensitivity(
@@ -223,24 +230,18 @@ def check_sensitivity(
     Passes when the window error is nonincreasing (within 10%) and the final
     error is below 0.05 m sup||grad f||.
     """
-    t0 = time.perf_counter()
-    validate_times(t_list)
-    ts = sorted(set(float(t) for t in t_list), reverse=True)
     m = cfg.ambiguity.m
     grad = gradient_norm(f)
-    target = m * grad.values
-    mask = window.mask(cfg.grid)
     bellman_cfg = non_robust_config(cfg)
-    errors = []
-    for t in ts:
-        robust = dro_step(cfg, t, f)
-        base = dro_step(bellman_cfg, t, f)
-        quotient = (robust.values - base.values) / t
-        errors.append(float(np.max(np.abs((quotient - target)[mask]))))
-    final_threshold = 0.05 * m * float(np.max(grad.values[mask]))
-    measured, thresholds = _rate_report(ts, errors, final_threshold)
-    params = {"t_list": ts, "m": m, "p": cfg.ambiguity.p, "function": "given"}
-    return _finish("sensitivity_limit", params, measured, thresholds, t0)
+
+    def quotient(t):
+        return (dro_step(cfg, t, f).values - dro_step(bellman_cfg, t, f).values) / t
+
+    final_threshold = 0.05 * m * float(np.max(grad.values[window.mask(cfg.grid)]))
+    params = {"m": m, "p": cfg.ambiguity.p, "function": "given"}
+    return _rate_check(
+        "sensitivity_limit", cfg, window, t_list, quotient, m * grad.values, final_threshold, params
+    )
 
 
 def check_generator(
@@ -258,24 +259,21 @@ def check_generator(
     quantity under test.  Each limit runs to level 6 unless a level gap
     reaches 2e-5 first.
     """
-    t0 = time.perf_counter()
     stop_tol = 2e-5
-    validate_times(t_list)
-    ts = sorted(set(float(t) for t in t_list), reverse=True)
-    target_field = generator_apply(cfg, f)
-    mask = window.mask(cfg.grid)
-    errors = []
-    for t in ts:
+
+    def quotient(t):
         lim = scaling_limit(cfg, t, f, max_level=6, stop_tol=stop_tol, window=window)
-        quotient = (lim.field.values - f.values) / t
-        errors.append(float(np.max(np.abs((quotient - target_field.values)[mask]))))
-    bellman_cfg = non_robust_config(cfg)
-    bellman_sup = float(np.max(np.abs(generator_apply(bellman_cfg, f).values[mask])))
+        return (lim.field.values - f.values) / t
+
+    mask = window.mask(cfg.grid)
+    bellman_sup = float(np.max(np.abs(generator_apply(non_robust_config(cfg), f).values[mask])))
     grad_sup = float(np.max(gradient_norm(f).values[mask]))
     threshold = 0.1 * (bellman_sup + cfg.ambiguity.m * grad_sup)
-    measured, thresholds = _rate_report(ts, errors, threshold)
-    params = {"t_list": ts, "m": cfg.ambiguity.m, "stop_tol": stop_tol}
-    return _finish("generator_identity", params, measured, thresholds, t0)
+    params = {"m": cfg.ambiguity.m, "stop_tol": stop_tol}
+    return _rate_check(
+        "generator_identity", cfg, window, t_list, quotient, generator_apply(cfg, f).values,
+        threshold, params,
+    )
 
 
 def check_semigroup(
@@ -527,10 +525,10 @@ def cross_check_pde(
     )
 
 
-def with_model(cfg: OperatorConfig, drifts, sigma, m: float) -> OperatorConfig:
+def with_model(cfg: OperatorConfig, drifts, m: float) -> OperatorConfig:
     """The config's grid and numerics with a Brownian model (one action per
-    drift, shared sigma) and uncertainty rate m."""
-    model = brownian_model(drifts, np.atleast_2d(sigma), dim=cfg.grid.dim)
+    drift, sigma = 1) and uncertainty rate m."""
+    model = brownian_model(drifts, [[1.0]], dim=cfg.grid.dim)
     return replace(cfg, model=model, ambiguity=AmbiguitySpec(m=m, p=cfg.ambiguity.p))
 
 
@@ -563,7 +561,7 @@ def anchor_check(
     grid and numerics and the PDE solver's ``cfl_safety``."""
     validate_experiments([name])
     drifts, m, function, horizon, stop_tol, tol, reference = _ANCHORS[name]
-    run = with_model(cfg, drifts, [[1.0]], m)
+    run = with_model(cfg, drifts, m)
     return cross_check_pde(
         run, named_field(run.grid, function), horizon, window=window, stop_tol=stop_tol,
         cfl_safety=cfl_safety, tol=tol, reference=reference, name=name,
@@ -580,9 +578,9 @@ def _game_dominance_violation(cfg: OperatorConfig) -> float:
     drifts, m, function, horizon = _ANCHORS["game_crosscheck"][:4]
     u0 = named_field(cfg.grid, function)
     part = dyadic_partition(horizon, 8)
-    two = compose(with_model(cfg, drifts, [[1.0]], m), part, u0)
+    two = compose(with_model(cfg, drifts, m), part, u0)
     return max(
-        float(np.max(two.values - compose(with_model(cfg, [b], [[1.0]], m), part, u0).values))
+        float(np.max(two.values - compose(with_model(cfg, [b], m), part, u0).values))
         for b in drifts
     )
 

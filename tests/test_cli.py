@@ -44,15 +44,14 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         # sigma of the wrong shape is a ModelError raised while building the model
         ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]',),
          "error: sigma"),
-        # action values are type-checked, and keys foreign to the family refused
+        # action values are type-checked; there is no family tag, and the
+        # constant drift is spelled `drift`, not `kappa`
         ("limit", ('model.actions=[{"label":"a0","drift":["a"],"sigma":[[1.0]]}]',),
          "error: model.actions[0].drift.0 must be a number"),
-        ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0]],"theta":[[1.0]]}]',),
-         "error: unknown configuration key model.actions[0].theta"),
-        ("limit", ("model.family=ornstein_uhlenbeck",
-                   'model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0]],'
-                   '"theta":[[1.0]],"kappa":[0.2]}]'),
-         "error: unknown configuration key model.actions[0].drift"),
+        ("limit", ("model.family=ornstein_uhlenbeck",),
+         "error: unknown configuration key model.family"),
+        ("limit", ('model.actions=[{"label":"a0","sigma":[[1.0]],"theta":[[1.0]],"kappa":[0.2]}]',),
+         "error: unknown configuration key model.actions[0].kappa"),
         ("limit", ('grid.window={"lo":[-7.9],"hi":[4.0]}',), "error: window"),
         ("limit", ('ambiguity.m="abc"',), "error: ambiguity.m"),
         ("limit", ('numerics.quad_order="x"',), "error: numerics.quad_order"),
@@ -216,6 +215,20 @@ def test_model_error_during_run_exits_two(tmp_path, monkeypatch, capsys):
 def test_readme_limit_example(tmp_path):
     # the README's `drolimit limit` example converges with the defaults
     assert run_cli(["limit", "--set", "experiment.parameters.t=0.25", "--out", str(tmp_path)]) == 0
+
+
+def test_limit_runs_an_action_with_theta(tmp_path):
+    # theta is an action key of its own: an Ornstein-Uhlenbeck action needs
+    # no family tag
+    action = {"label": "a0", "drift": [0.2], "sigma": [[1.0]], "theta": [[1.0]]}
+    code = run_cli(
+        ["limit", "--out", str(tmp_path), "--set", "model.actions=" + json.dumps([action]),
+         "--set", "experiment.parameters.t=0.25"]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["model"] == {"actions": [action]}
+    assert (tmp_path / "limit_field.csv").exists()
 
 
 def test_whole_section_override_keeps_defaults(tmp_path):

@@ -5,12 +5,10 @@ import pytest
 
 from drolimit import (
     Action,
-    BROWNIAN,
     DiscreteMeasure,
     Grid,
     InputError,
     ModelError,
-    ORNSTEIN_UHLENBECK,
     ReferenceModel,
     ScalarField,
     brownian_model,
@@ -20,10 +18,9 @@ from drolimit import (
 )
 
 
-def ou_model(theta, kappa, sigma, dim=1):
+def ou_model(theta, drift, sigma, dim=1):
     return ReferenceModel(
-        ORNSTEIN_UHLENBECK,
-        [Action("a0", sigma=np.atleast_2d(sigma), theta=np.atleast_2d(theta), kappa=np.atleast_1d(kappa))],
+        [Action("a0", sigma=np.atleast_2d(sigma), theta=np.atleast_2d(theta), drift=np.atleast_1d(drift))],
         dim=dim,
     )
 
@@ -63,10 +60,8 @@ def test_psi_ou_matches_quadrature_oracle():
     a = rng.standard_normal((2, 2))
     theta = a @ a.T / 2
     sigma = rng.standard_normal((2, 2)) * 0.6
-    kappa = rng.standard_normal(2)
-    ou = ReferenceModel(
-        ORNSTEIN_UHLENBECK, [Action("a0", sigma=sigma, theta=theta, kappa=kappa)], dim=2
-    )
+    b = rng.standard_normal(2)
+    ou = ReferenceModel([Action("a0", sigma=sigma, theta=theta, drift=b)], dim=2)
     t = 0.7
     lam, q = np.linalg.eigh(theta)
     s_grid = np.linspace(0, t, 20001)
@@ -74,7 +69,7 @@ def test_psi_ou_matches_quadrature_oracle():
     def expm_sym(s):
         return (q * np.exp(-lam * s)) @ q.T
 
-    pull = np.trapezoid(np.array([expm_sym(s) @ kappa for s in s_grid]), s_grid, axis=0)
+    pull = np.trapezoid(np.array([expm_sym(s) @ b for s in s_grid]), s_grid, axis=0)
     x0 = rng.standard_normal(2)
     assert np.allclose(psi(ou, "a0", t, x0), expm_sym(t) @ x0 + pull, atol=1e-9)
     ssT = sigma @ sigma.T
@@ -97,7 +92,7 @@ def test_psi_one_lipschitz():
 
 def test_psi_drift_increment_bound():
     # ||psi_t(x) - x|| <= t C (1 + ||x||) with C = |b| (Brownian) and
-    # C = max(|theta|, |kappa|) (OU)
+    # C = max(|theta|, |b|) (OU)
     rng = np.random.default_rng(6)
     for m, c in [(brownian_model([[1.5]], [[1.0]]), 1.5), (ou_model(2.0, 0.8, 1.0), 2.0)]:
         for _ in range(50):
@@ -147,7 +142,7 @@ def test_law_quad_order_bounds():
 
 def chapman_kolmogorov_residual(model, a, s, t, f, x, quad_order=16):
     """Residual at x of E f(X_{s+t}) taken in one step of s + t against two
-    steps, t then s, both by quadrature; for the built-in families it is
+    steps, t then s, both by quadrature; for Brownian and OU actions it is
     quadrature and interpolation error."""
     act = model.action(a)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -190,9 +185,7 @@ def test_chapman_kolmogorov_ou():
 
 def test_model_validation():
     with pytest.raises(ModelError):
-        ReferenceModel("levy", [Action("a0", drift=np.zeros(1), sigma=np.eye(1))])
-    with pytest.raises(ModelError):
-        ReferenceModel(BROWNIAN, [])
+        ReferenceModel([])
     with pytest.raises(ModelError):
         ou_model(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.eye(2), dim=2)  # not symmetric
     with pytest.raises(ModelError):

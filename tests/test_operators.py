@@ -11,7 +11,6 @@ from drolimit import (
     Grid,
     InputError,
     OperatorConfig,
-    ORNSTEIN_UHLENBECK,
     Partition,
     ReferenceModel,
     ScalarField,
@@ -251,8 +250,7 @@ def test_scaling_limit_cdf_oracle(grid, window):
 
 def test_ou_operator_contraction(grid):
     model = ReferenceModel(
-        ORNSTEIN_UHLENBECK,
-        [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), kappa=np.array([0.2]))],
+        [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), drift=np.array([0.2]))],
     )
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.3), grid=grid)
     f = named_field(grid, "sin")
@@ -423,8 +421,7 @@ def test_merged_costs_match_unmerged_solve(grid):
     )
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     ou = ReferenceModel(
-        ORNSTEIN_UHLENBECK,
-        [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), kappa=np.array([0.2]))],
+        [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), drift=np.array([0.2]))],
     )
     cfg_ou = OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid)
     cases = [(cfg_for(grid), named_field(grid, "tanh")), (cfg2, f2), (cfg_ou, named_field(grid, "sin"))]
@@ -445,7 +442,7 @@ def test_merged_costs_match_unmerged_solve(grid):
 
 
 def test_brownian_is_ou_with_zero_theta(grid):
-    # drift b is the OU flow with theta = 0 and kappa = b: the same flow,
+    # an action without theta is the OU flow with theta = 0: the same flow,
     # covariance, law and step, bitwise, both through a shift stencil
     g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
@@ -457,8 +454,7 @@ def test_brownian_is_ou_with_zero_theta(grid):
         d = g.dim
         bm = brownian_model([b], sigma, dim=d)
         ou = ReferenceModel(
-            ORNSTEIN_UHLENBECK,
-            [Action("a0", sigma=np.array(sigma), theta=np.zeros((d, d)), kappa=np.array(b))],
+            [Action("a0", sigma=np.array(sigma), theta=np.zeros((d, d)), drift=np.array(b))],
             dim=d,
         )
         cfgs = [
@@ -600,8 +596,7 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     # adds 4 + 8 d bytes per point, and a warm kernel's windowed applies the
     # stored run and the window's arrays of every atom and node
     ou = ReferenceModel(
-        ORNSTEIN_UHLENBECK,
-        [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[1.0]]), kappa=np.array([0.0]))],
+        [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[1.0]]), drift=np.array([0.0]))],
     )
     g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
     cfg2 = OperatorConfig(

@@ -11,7 +11,6 @@ from drolimit import (
     Grid,
     InputError,
     OperatorConfig,
-    ORNSTEIN_UHLENBECK,
     ReferenceModel,
     ScalarField,
     brownian_model,
@@ -163,8 +162,7 @@ def test_generator_apply_values(grid):
 
 def test_generator_apply_ou_drift(grid):
     model = ReferenceModel(
-        ORNSTEIN_UHLENBECK,
-        [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[0.7]]), kappa=np.array([0.2]))],
+        [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[0.7]]), drift=np.array([0.2]))],
     )
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=grid)
     f = named_field(grid, "cos")

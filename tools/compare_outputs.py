@@ -56,16 +56,16 @@ RUNS = {
     "generator": ["generator"],
     "semigroup": ["semigroup"],
     "limit-ou": [
-        "limit", "--set", "model.family=ornstein_uhlenbeck",
-        "--set", 'model.actions=[{"label": "a0", "sigma": [[1.0]], "theta": [[1.0]], "kappa": [0.2]}]',
+        "limit",
+        "--set", 'model.actions=[{"label": "a0", "drift": [0.2], "sigma": [[1.0]], "theta": [[1.0]]}]',
         "--set", "experiment.parameters.t=0.25",
     ],
     "properties": ["properties", "--seed", "1"],
     # the only run whose steps go through the 2-d point stencil
     "properties-ou-2d": [
-        "properties", "--seed", "1", "--set", "model.family=ornstein_uhlenbeck",
-        "--set", 'model.actions=[{"label": "a0", "sigma": [[1.0, 0.0], [0.0, 1.0]],'
-        ' "theta": [[1.0, 0.0], [0.0, 0.5]], "kappa": [0.2, 0.0]}]',
+        "properties", "--seed", "1",
+        "--set", 'model.actions=[{"label": "a0", "drift": [0.2, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],'
+        ' "theta": [[1.0, 0.0], [0.0, 0.5]]}]',
         "--set", 'grid={"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [17, 17],'
         ' "window": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]}}',
         "--set", "numerics.quad_order=4", "--set", "numerics.cand_per_side=3",

@@ -115,9 +115,8 @@ def _run_crosscheck(cfg, op, params, args) -> List[CheckReport]:
         max_level=int(cfg["numerics"]["max_level"]),
         cfl_safety=build_scheme(cfg),
     )
-    if report.artifacts:
-        save_csv(report.artifacts["limit"].field, os.path.join(args.out, "crosscheck_limit.csv"))
-        save_csv(report.artifacts["pde"], os.path.join(args.out, "crosscheck_pde.csv"))
+    save_csv(report.artifacts["limit"].field, os.path.join(args.out, "crosscheck_limit.csv"))
+    save_csv(report.artifacts["pde"], os.path.join(args.out, "crosscheck_pde.csv"))
     return [report]
 
 

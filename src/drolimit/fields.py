@@ -87,14 +87,6 @@ class Grid:
         """The same box with every spacing halved (the old nodes are kept)."""
         return Grid(self.lo, self.hi, tuple(2 * (n - 1) + 1 for n in self.n))
 
-    @classmethod
-    def line(cls, lo: float, hi: float, n: int) -> "Grid":
-        return cls((lo,), (hi,), (n,))
-
-    @classmethod
-    def box(cls, lo: Sequence[float], hi: Sequence[float], n: Sequence[int]) -> "Grid":
-        return cls(tuple(lo), tuple(hi), tuple(n))
-
 
 @dataclass(eq=False)
 class CompactWindow:
@@ -150,14 +142,14 @@ class ScalarField:
         vals = fn(*grid.mesh())
         return cls(grid, np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).copy())
 
-    @classmethod
-    def constant(cls, grid: Grid, c: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(c)))
-
     def eval(self, x) -> Array:
         """Interpolate at points ``x`` of shape (d,) or (..., d) (or bare
         floats in 1-d).  Outside the box the nearest boundary value is used."""
-        out = Stencil(self.grid, x).apply(self.values)
+        pts = np.asarray(x, dtype=float)
+        if self.grid.dim == 1 and pts.ndim > 1 and pts.shape[-1] == 1:
+            pts = pts[..., 0]
+        shape = pts.shape if self.grid.dim == 1 else pts.shape[:-1]
+        out = Stencil(self.grid, shape, [pts]).apply(self.values)
         return float(out) if out.ndim == 0 else out
 
     def sup_norm(self, window: Optional[CompactWindow] = None) -> float:
@@ -176,15 +168,11 @@ def _cells(u: Array) -> tuple:
     """The cells and cell fractions of positions ``u`` in cell units, with
     ``u = cells + fracs`` and ``0 <= fracs < 1``, once ``u`` is snapped to a
     node within 1e-12 cells so that node queries reproduce node values
-    bitwise.  ``u`` must be the caller's own working array: it is snapped
-    and floored in place and returned as the fractions."""
-    cells = np.rint(u)
-    gap = np.subtract(u, cells)
-    np.abs(gap, out=gap)
-    np.copyto(u, cells, where=gap < 1e-12)
-    np.floor(u, out=cells)
-    u -= cells
-    return cells, u
+    bitwise."""
+    near = np.rint(u)
+    u = np.where(np.abs(u - near) < 1e-12, near, u)
+    cells = np.floor(u)
+    return cells, u - cells
 
 
 def _padded(values: Array, pad) -> tuple:
@@ -196,24 +184,15 @@ def _padded(values: Array, pad) -> tuple:
     return padded[..., :-1], np.diff(padded, axis=-1)
 
 
-def _fold(rows: Array, out: Array) -> None:
-    """Write into ``out`` the max of ``rows`` over their first axis, folded
-    in order one row at a time, as ``np.max(rows, axis=0)`` reduces."""
-    if len(rows) == 1:
-        np.copyto(out, rows[0])
-        return
-    np.maximum(rows[0], rows[1], out=out)
-    for row in rows[2:]:
-        np.maximum(out, row, out=out)
-
-
 class Stencil:
     """Where fixed points fall on a grid, found once and applied to any field
     on that grid by gathers and arithmetic.
 
-    Per point it stores ``index``, the flat lower corner of its cell in the
-    values padded by one node, and ``fracs`` (d, P), its cell fractions.  The
-    rule is ``ShiftStencil``'s: positions in cells from ``lo``, clipped to
+    The points are those that ``blocks`` yields one after another, shaped
+    ``shape``; they need never be held all at once.  Per point it stores
+    ``index``, the flat lower corner of its cell in the values padded by one
+    node, and ``fracs`` (d, P), its cell fractions.  The rule is
+    ``ShiftStencil``'s: positions in cells from ``lo``, clipped to
     [-1, n - 1] and located by ``_cells``, then ``a + f (b - a)`` on the
     edge-padded values along the last axis, in 2-d in the cell's row and the
     row above, then ``lower + f (upper - lower)`` between the two.
@@ -221,21 +200,7 @@ class Stencil:
 
     __slots__ = ("grid", "shape", "index", "fracs")
 
-    def __init__(self, grid: Grid, points):
-        pts = np.asarray(points, dtype=float)
-        if grid.dim == 1 and pts.ndim > 1 and pts.shape[-1] == 1:
-            pts = pts[..., 0]
-        self._locate(grid, pts.shape if grid.dim == 1 else pts.shape[:-1], [pts])
-
-    @classmethod
-    def from_blocks(cls, grid: Grid, shape: tuple, blocks) -> "Stencil":
-        """The stencil of the points that ``blocks`` yields one after another,
-        shaped ``shape``; the points need never be held all at once."""
-        stencil = cls.__new__(cls)
-        stencil._locate(grid, shape, blocks)
-        return stencil
-
-    def _locate(self, grid: Grid, shape: tuple, blocks) -> None:
+    def __init__(self, grid: Grid, shape: tuple, blocks):
         self.grid = grid
         self.shape = tuple(shape)
         size = int(np.prod(shape))
@@ -252,16 +217,10 @@ class Stencil:
             for part in np.array_split(flat, range(_BLOCK, len(flat), _BLOCK)):
                 if not np.all(np.isfinite(part)):
                     raise InputError("evaluation points must be finite")
-                # located in place in the stencil's own fractions, one row
-                # per axis, so that a block allocates only the cells
                 sl = slice(s, s + len(part))
-                u = self.fracs[:, sl]
-                np.subtract(part.T, lo, out=u)
-                u /= h
-                np.clip(u, -1.0, n[:, None] - 1.0, out=u)
-                cells, _ = _cells(u)
-                cells += 1
-                self.index[sl] = strides @ cells
+                u = np.clip((part.T - lo) / h, -1.0, n[:, None] - 1.0)
+                cells, self.fracs[:, sl] = _cells(u)
+                self.index[sl] = strides @ (cells + 1)
                 s += len(part)
         if s != size:
             raise InputError(f"blocks hold {s} points, not the {size} of shape {self.shape}")
@@ -276,7 +235,7 @@ class Stencil:
         interpolated values over the points ``start:end`` along the first
         axis of ``shape``; the run's values are read at once."""
         rows = self._interpolate(windows, start * out.size, end * out.size)
-        _fold(rows.reshape((end - start,) + out.shape), out)
+        np.maximum.reduce(rows.reshape((end - start,) + out.shape), axis=0, out=out)
 
     def apply(self, values: Array) -> Array:
         """Interpolated values at the points, shaped like the points, from the
@@ -386,7 +345,7 @@ class ShiftStencil:
             rows = steps[k]
             rows *= self.fracs[0, start:end, :, None]
             rows += vals[k]
-            _fold(rows, out)
+            np.maximum.reduce(rows, axis=0, out=out)
             return
         n0 = self.grid.n[0]
         outs = list(out)

@@ -72,9 +72,10 @@ class Partition:
 
 def dyadic_partition(t: float, level: int) -> Partition:
     """{0, 2^-n, 2*2^-n, ..., k 2^-n, t} with k the largest k 2^-n < t;
-    InputError beyond MAX_GAPS gaps."""
-    if t < 0 or level < 0:
-        raise InputError("need t >= 0 and level >= 0")
+    InputError for a level that is not a whole number, or beyond MAX_GAPS
+    gaps."""
+    if t < 0 or level < 0 or not float(level).is_integer():
+        raise InputError(f"need t >= 0 and a whole level >= 0, got {t!r} and {level!r}")
     step = 2.0 ** (-level)
     if not t <= MAX_GAPS * step:
         raise InputError(f"t = {t!r} needs more than {MAX_GAPS} dyadic gaps at level {level}")
@@ -208,7 +209,7 @@ class _StepKernel:
             # (C, Q, *grid.shape), so that each run of equal cost is one
             # contiguous block of rows; one candidate's points at a time, so
             # that building holds them only once
-            self.stencil = Stencil.from_blocks(
+            self.stencil = Stencil(
                 cfg.grid, (len(offs), q) + cfg.grid.shape, (near + off for off in offs)
             )
         self.runs = list(zip(starts, ends))
@@ -241,7 +242,7 @@ class _StepKernel:
         of the D runs of equal cost: one (Q, N) block per run, the
         candidate-major layout that ``solve_batch`` computes in, which the
         stencil's ``run_max`` writes in place.  A 1-d shift stencil or a
-        point stencil folds the run's rows with ``np.maximum``; a 2-d shift
+        point stencil reduces the run's rows with ``np.maximum``; a 2-d shift
         stencil folds one candidate and atom at a time, lerping once along
         the last axis per candidate and distinct shift along it.  Either
         way each block is the fold of the run's values in candidate order,
@@ -265,8 +266,6 @@ def action_values(
     """
     if t < 0:
         raise InputError("time must be nonnegative")
-    if t == 0.0:
-        return [f.values for _ in cfg.model.actions]
     out = []
     for act in cfg.model.actions:
         kernel = None if cache is None else cache.get((act.label, t))
@@ -290,10 +289,7 @@ def dro_step(
     ``reduce=np.minimum`` (the default) is the robust operator and
     ``np.maximum`` the best case.  ``cache`` is passed to ``action_values``.
     """
-    values = action_values(cfg, t, f, cache)
-    if t == 0.0:
-        return f
-    return ScalarField(cfg.grid, functools.reduce(reduce, values))
+    return ScalarField(cfg.grid, functools.reduce(reduce, action_values(cfg, t, f, cache)))
 
 
 def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
@@ -356,7 +352,7 @@ def scaling_limit(
     gaps: List[float] = []
     levels: List[int] = []
     converged = False
-    for n in range(max_level + 1):
+    for n in range(int(max_level) + 1):
         part = dyadic_partition(t, n)
         if prev_part is not None and part.times == prev_part.times:
             continue

@@ -45,7 +45,7 @@ from drolimit.validation import (
     refinement_certificates,
 )
 
-GRID = Grid.line(-8.0, 8.0, 513)
+GRID = Grid(-8.0, 8.0, 513)
 WINDOW = CompactWindow((-4.0,), (4.0,))
 
 
@@ -126,7 +126,7 @@ def test_criterion_04_refinement_monotonicity():
     )
     # comparison n=6 (levels 6 -> 7) needs the doubled grid: at 513 nodes the
     # per-stage resampling bias (~h^2/dt) overtakes the shrinking true margin
-    fine_grid = Grid.line(-8.0, 8.0, 1025)
+    fine_grid = Grid(-8.0, 8.0, 1025)
     rep_fine = check_refinement_monotonicity(
         base_cfg(0.5, grid=fine_grid), named_field(fine_grid, "tanh"),
         t=1.0, levels=7, window=WINDOW,

@@ -487,7 +487,7 @@ def test_solve_batch_ignores_memory_layout():
 def tanh_step(t):
     """One default 1-d step on tanh (513 nodes, 16 atoms, 17 distinct costs):
     its kernel and its (D, Q, N) run maxima."""
-    grid = Grid.line(-8.0, 8.0, 513)
+    grid = Grid(-8.0, 8.0, 513)
     cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
     kernel = _StepKernel(cfg, "a0", t)
     return kernel, kernel._run_max(np.tanh(grid.axes[0]))
@@ -719,7 +719,7 @@ def test_windowed_steps_give_the_exact_lp(monkeypatch):
         return solve_window(gvals, *args)
 
     monkeypatch.setattr(operators, "solve_window", recorded)
-    grid = Grid.line(-8.0, 8.0, 513)
+    grid = Grid(-8.0, 8.0, 513)
     cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
     kernel = _StepKernel(cfg, "a0", 2.0 ** -8, warm=True)
     values = np.tanh(grid.axes[0])

@@ -19,7 +19,7 @@ from drolimit.fields import ShiftStencil, Stencil
 
 
 def test_grid_nodes_exact():
-    g = Grid.line(-8.0, 8.0, 513)
+    g = Grid(-8.0, 8.0, 513)
     assert g.dim == 1
     assert g.spacing[0] == pytest.approx(16.0 / 512)
     assert g.axes[0][0] == -8.0
@@ -29,7 +29,7 @@ def test_grid_nodes_exact():
 
 def test_grid_mesh_and_nodes_c_order():
     # the last axis varies fastest, in the mesh and in the node list alike
-    g = Grid.box((-1.0, 0.0), (1.0, 2.0), (9, 11))
+    g = Grid((-1.0, 0.0), (1.0, 2.0), (9, 11))
     xx, yy = g.mesh()
     assert xx.shape == yy.shape == g.shape
     assert np.array_equal(xx[:, 0], g.axes[0]) and np.array_equal(yy[0], g.axes[1])
@@ -37,14 +37,14 @@ def test_grid_mesh_and_nodes_c_order():
     assert nodes.shape == (99, 2)
     assert np.array_equal(nodes[:11, 1], g.axes[1]) and np.all(nodes[:11, 0] == -1.0)
     assert np.array_equal(nodes[::11, 0], g.axes[0])
-    line = Grid.line(-1.0, 1.0, 9)
+    line = Grid(-1.0, 1.0, 9)
     assert np.array_equal(line.mesh()[0], line.axes[0])
     assert np.array_equal(line.nodes(), line.axes[0][:, None])
 
 
 def test_grid_refined():
     # same box, every spacing halved, every old node kept exactly
-    g = Grid.box((-1.0, 0.0), (1.3, 2.0), (9, 11))
+    g = Grid((-1.0, 0.0), (1.3, 2.0), (9, 11))
     fine = g.refined()
     assert fine.n == (17, 21) and fine.lo == g.lo and fine.hi == g.hi
     for coarse_ax, fine_ax in zip(g.axes, fine.axes):
@@ -53,27 +53,27 @@ def test_grid_refined():
 
 def test_grid_validation():
     with pytest.raises(InputError):
-        Grid.line(1.0, -1.0, 64)
+        Grid(1.0, -1.0, 64)
     with pytest.raises(InputError):
-        Grid.line(0.0, 1.0, 4)
+        Grid(0.0, 1.0, 4)
     with pytest.raises(InputError):
-        Grid.box((0, 0, 0), (1, 1, 1), (16, 16, 16))
+        Grid((0, 0, 0), (1, 1, 1), (16, 16, 16))
 
 
 def test_eval_constant_field():
-    g = Grid.line(-1.0, 1.0, 32)
-    f = ScalarField.constant(g, 3.0)
+    g = Grid(-1.0, 1.0, 32)
+    f = ScalarField(g, np.full(g.shape, 3.0))
     assert f.eval(0.37) == 3.0
 
 
 def test_eval_node_hit_sin():
-    g = Grid.line(-math.pi, math.pi, 513)
+    g = Grid(-math.pi, math.pi, 513)
     f = ScalarField.from_function(g, np.sin)
     assert abs(f.eval(0.0)) <= 1e-12
 
 
 def test_eval_clamp_outside_box():
-    g = Grid.line(-math.pi, math.pi, 513)
+    g = Grid(-math.pi, math.pi, 513)
     f = ScalarField.from_function(g, np.sin)
     # outside the box the boundary node value (sin(pi) ~ 1e-16) is returned
     assert f.eval(math.pi + 5.0) == f.values[-1]
@@ -82,7 +82,7 @@ def test_eval_clamp_outside_box():
 
 def test_eval_reproduces_nodes_bitwise():
     rng = np.random.default_rng(0)
-    g = Grid.line(-2.3, 1.7, 61)
+    g = Grid(-2.3, 1.7, 61)
     f = ScalarField(g, rng.standard_normal(g.shape))
     assert np.array_equal(f.eval(g.axes[0]), f.values)
 
@@ -90,7 +90,7 @@ def test_eval_reproduces_nodes_bitwise():
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-5, 5), st.floats(1e-6, 0.5))
 def test_eval_lipschitz_in_values(x, eps):
-    g = Grid.line(-4.0, 4.0, 65)
+    g = Grid(-4.0, 4.0, 65)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(g.shape)
     f = ScalarField(g, vals)
@@ -99,52 +99,52 @@ def test_eval_lipschitz_in_values(x, eps):
 
 
 def test_sup_norm():
-    g = Grid.line(-math.pi, math.pi, 257)
+    g = Grid(-math.pi, math.pi, 257)
     cos = ScalarField.from_function(g, np.cos)
     assert cos.sup_norm() == pytest.approx(1.0)
-    assert ScalarField.constant(g, -2.0).sup_norm() == 2.0
-    g2 = Grid.line(-1.0, 1.0, 257)
+    assert ScalarField(g, np.full(g.shape, -2.0)).sup_norm() == 2.0
+    g2 = Grid(-1.0, 1.0, 257)
     ident = ScalarField.from_function(g2, lambda x: x)
     w = CompactWindow((-0.5,), (0.5,))
     assert ident.sup_norm(w) == pytest.approx(0.5, abs=g2.spacing[0])
 
 
 def test_window_margin_enforced():
-    g = Grid.line(-8.0, 8.0, 65)
+    g = Grid(-8.0, 8.0, 65)
     with pytest.raises(InputError):
         CompactWindow((-7.5,), (7.5,)).mask(g)
     CompactWindow((-4.0,), (4.0,)).mask(g)  # fine
 
 
 def test_gradient_fd():
-    g = Grid.line(-2.0, 2.0, 513)
-    const = ScalarField.constant(g, 1.0)
+    g = Grid(-2.0, 2.0, 513)
+    const = ScalarField(g, np.full(g.shape, 1.0))
     assert gradient_fd(const)[0].sup_norm() == 0.0
     affine = ScalarField.from_function(g, lambda x: 2.0 * x)
     interior = gradient_fd(affine)[0].values[1:-1]
     assert np.allclose(interior, 2.0, atol=1e-12)
-    sin = ScalarField.from_function(Grid.line(-math.pi, math.pi, 2049), np.sin)
+    sin = ScalarField.from_function(Grid(-math.pi, math.pi, 2049), np.sin)
     at0 = gradient_fd(sin)[0].eval(0.0)
     assert at0 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_gradient_fd_kink_away_from_node():
-    g = Grid.line(-1.0, 1.0, 513)
+    g = Grid(-1.0, 1.0, 513)
     f = ScalarField.from_function(g, np.abs)
     d = gradient_fd(f)[0]
     assert d.eval(0.5) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lipschitz_estimate():
-    g = Grid.line(-1.0, 1.0, 257)
-    assert lipschitz_estimate(ScalarField.constant(g, 4.0)) == 0.0
+    g = Grid(-1.0, 1.0, 257)
+    assert lipschitz_estimate(ScalarField(g, np.full(g.shape, 4.0))) == 0.0
     assert lipschitz_estimate(ScalarField.from_function(g, lambda x: 2.0 * x)) == pytest.approx(2.0)
-    gs = Grid.line(-math.pi, math.pi, 4097)
+    gs = Grid(-math.pi, math.pi, 4097)
     assert lipschitz_estimate(ScalarField.from_function(gs, np.sin)) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_sup_distance_zero_iff_equal():
-    g = Grid.line(0.0, 1.0, 16)
+    g = Grid(0.0, 1.0, 16)
     rng = np.random.default_rng(1)
     a = ScalarField(g, rng.standard_normal(g.shape))
     b = ScalarField(g, a.values.copy())
@@ -154,14 +154,14 @@ def test_sup_distance_zero_iff_equal():
 
 
 def test_sup_distance_checks_grid_box(tmp_path):
-    a = ScalarField.constant(Grid.line(0.0, 1.0, 9), 1.0)
+    a = ScalarField(Grid(0.0, 1.0, 9), np.ones(9))
     with pytest.raises(InputError):
-        sup_distance(a, ScalarField.constant(Grid.line(5.0, 6.0, 9), 0.0))
+        sup_distance(a, ScalarField(Grid(5.0, 6.0, 9), np.zeros(9)))
     with pytest.raises(InputError):
-        sup_distance(a, ScalarField.constant(Grid.line(0.0, 1.0, 17), 1.0))
+        sup_distance(a, ScalarField(Grid(0.0, 1.0, 17), np.ones(17)))
     # a field read back from CSV has hi rebuilt from its last node (here
     # 1.2999999999999998) and still compares with the field it was saved from
-    fresh = ScalarField.from_function(Grid.line(-1.0, 1.3, 33), np.tanh)
+    fresh = ScalarField.from_function(Grid(-1.0, 1.3, 33), np.tanh)
     save_csv(fresh, tmp_path / "f.csv")
     back = load_csv(tmp_path / "f.csv")
     assert back.grid.hi != fresh.grid.hi
@@ -169,7 +169,7 @@ def test_sup_distance_checks_grid_box(tmp_path):
 
 
 def test_csv_roundtrip_1d(tmp_path):
-    g = Grid.line(-1.0, 1.0, 33)
+    g = Grid(-1.0, 1.0, 33)
     f = ScalarField.from_function(g, np.tanh)
     path = tmp_path / "field.csv"
     save_csv(f, path)
@@ -181,7 +181,7 @@ def test_csv_roundtrip_1d(tmp_path):
 
 
 def test_csv_roundtrip_2d(tmp_path):
-    g = Grid.box((-1.0, 0.0), (1.0, 2.0), (9, 11))
+    g = Grid((-1.0, 0.0), (1.0, 2.0), (9, 11))
     f = ScalarField.from_function(g, lambda x, y: x * y)
     path = tmp_path / "field2.csv"
     save_csv(f, path)
@@ -194,7 +194,7 @@ def test_csv_roundtrip_2d(tmp_path):
 
 
 def test_load_csv_refuses_rows_off_the_grid(tmp_path):
-    g = Grid.box((-1.0, 0.0), (1.0, 2.0), (9, 11))
+    g = Grid((-1.0, 0.0), (1.0, 2.0), (9, 11))
     xx, yy = g.mesh()
     vals = xx + 10.0 * yy
 
@@ -225,7 +225,7 @@ def test_load_csv_refuses_rows_off_the_grid(tmp_path):
 
 
 def test_bilinear_affine_exact_and_clamped():
-    g = Grid.box((-2.0, -3.0), (2.0, 3.0), (16, 24))
+    g = Grid((-2.0, -3.0), (2.0, 3.0), (16, 24))
     f = ScalarField.from_function(g, lambda x, y: 1.5 * x - 0.7 * y + 0.2)
     rng = np.random.default_rng(3)
     pts = rng.uniform((-2, -3), (2, 3), size=(100, 2))
@@ -262,7 +262,7 @@ def one_rule(g, values, pts):
 
 
 def test_stencil_matches_np_interp_1d():
-    g = Grid.line(-2.0, 3.0, 41)
+    g = Grid(-2.0, 3.0, 41)
     f = ScalarField.from_function(g, lambda x: np.sin(2 * x) + 0.1 * x ** 2)
     rng = np.random.default_rng(5)
     on_nodes = rng.integers(0, 41, 50)
@@ -271,7 +271,7 @@ def test_stencil_matches_np_interp_1d():
         g.axes[0][on_nodes],                    # exactly on nodes
         [-2.0, 3.0, -2.5, 3.5],                 # both ends, and beyond them
     ])
-    out = Stencil(g, pts).apply(f.values)
+    out = Stencil(g, pts.shape, [pts]).apply(f.values)
     assert np.array_equal(out, one_rule(g, f.values, pts))
     assert np.max(np.abs(out - np.interp(pts, g.axes[0], f.values))) <= 1e-15
     # node values, and both clamps, exactly
@@ -290,7 +290,7 @@ def test_stencil_matches_np_interp_1d():
 
 
 def test_stencil_matches_bilinear_2d():
-    g = Grid.box((-2.0, -3.0), (2.0, 3.0), (16, 24))
+    g = Grid((-2.0, -3.0), (2.0, 3.0), (16, 24))
     f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y) + 0.2 * x * y)
     rng = np.random.default_rng(6)
     on_nodes = rng.integers(0, g.num_nodes, 60)
@@ -300,7 +300,7 @@ def test_stencil_matches_bilinear_2d():
         nodes + rng.uniform(-1e-13, 1e-13, nodes.shape),    # snapped to nodes
         [[2.0, 3.0], [-2.0, -3.0], [9.0, -9.0]],
     ])
-    out = Stencil(g, pts).apply(f.values)
+    out = Stencil(g, (len(pts),), [pts]).apply(f.values)
     assert np.array_equal(out, one_rule(g, f.values, pts))
     assert np.array_equal(out[400:460], f.values.flat[on_nodes])
     assert np.array_equal(out[460:], f.values[[-1, 0, -1], [-1, 0, 0]])
@@ -311,13 +311,13 @@ def test_stencil_at_shifted_nodes_matches_shift_stencil():
     # whole box), every point node + shift is exact, so both stencils locate
     # it alike and interpolate it to the same bits
     rng = np.random.default_rng(8)
-    for g in (Grid.line(-4.0, 4.0, 33), Grid.box((-4.0, -4.0), (4.0, 4.0), (33, 33))):
+    for g in (Grid(-4.0, 4.0, 33), Grid((-4.0, -4.0), (4.0, 4.0), (33, 33))):
         shifts = rng.integers(-700, 701, (5, 3, g.dim)) / 64.0
         shifts[0, 0] = 9.5
         shifts[0, 1] = -10.0
         f = ScalarField(g, rng.standard_normal(g.shape))
         pts = (shifts[:, :, None, :] + g.nodes()).reshape(shifts.shape[:2] + g.shape + (g.dim,))
-        point, shift = Stencil(g, pts), ShiftStencil(g, shifts)
+        point, shift = Stencil(g, pts.shape[:-1], [pts]), ShiftStencil(g, shifts)
 
         def run_max(st, start, end):
             out = np.empty((3,) + g.shape)
@@ -331,13 +331,13 @@ def test_stencil_at_shifted_nodes_matches_shift_stencil():
             assert np.array_equal(run_max(shift, start, end), np.max(expected[start:end], axis=0))
 
 
-def test_stencil_locates_in_place_without_touching_the_points():
+def test_stencil_locates_by_the_rule_in_one_block_or_three():
     # the position in cells from lo, clipped to [-1, n - 1], snapped to a node
-    # within 1e-12 cells and floored, written out of place: the stencil's
-    # in-place blocks give the same index and fractions, bitwise, over
-    # several blocks, and leave the caller's points and shifts as they were
+    # within 1e-12 cells and floored, written out: the stencil gives the same
+    # index and fractions, bitwise, from the points in one block or in three,
+    # and leaves the caller's points and shifts as they were
     rng = np.random.default_rng(9)
-    for g in (Grid.line(-4.0, 4.0, 65), Grid.box((-4.0, -4.0), (4.0, 5.0), (33, 41))):
+    for g in (Grid(-4.0, 4.0, 65), Grid((-4.0, -4.0), (4.0, 5.0), (33, 41))):
         nodes = g.nodes()[rng.integers(0, g.num_nodes, 20000)]
         pts = np.concatenate([
             rng.uniform(-6.0, 7.0, (20000, g.dim)),                     # past the box too
@@ -351,9 +351,9 @@ def test_stencil_locates_in_place_without_touching_the_points():
         cells = np.floor(u)
         index = np.array([g.n[-1] + 1, 1][-g.dim:]) @ (cells + 1)
         given = pts.copy()
-        for st in (Stencil(g, pts), Stencil.from_blocks(g, (len(pts),), np.array_split(pts, 3))):
-            assert np.array_equal(st.index, index)
-            assert np.array_equal(st.fracs, u - cells)
+        one, three = (Stencil(g, (len(pts),), blocks) for blocks in ([pts], np.array_split(pts, 3)))
+        assert np.array_equal(one.index, index) and np.array_equal(one.fracs, u - cells)
+        assert np.array_equal(three.index, one.index) and np.array_equal(three.fracs, one.fracs)
         assert np.array_equal(pts, given)
         shifts = pts[:30].reshape(5, 6, g.dim)
         ShiftStencil(g, shifts)
@@ -362,19 +362,19 @@ def test_stencil_locates_in_place_without_touching_the_points():
 
 def test_stencil_reused_across_fields():
     for g, pts in [
-        (Grid.line(0.0, 1.0, 17), np.linspace(-0.2, 1.2, 57)),
-        (Grid.box((0.0, 0.0), (1.0, 2.0), (9, 12)), np.random.default_rng(7).uniform(-0.1, 2.1, (80, 2))),
+        (Grid(0.0, 1.0, 17), np.linspace(-0.2, 1.2, 57)),
+        (Grid((0.0, 0.0), (1.0, 2.0), (9, 12)), np.random.default_rng(7).uniform(-0.1, 2.1, (80, 2))),
     ]:
-        stencil = Stencil(g, pts)
+        stencil = Stencil(g, (len(pts),), [pts])
         for seed in (1, 2):
             f = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape))
             assert np.array_equal(stencil.apply(f.values), f.eval(pts))
 
 
 def test_nonfinite_rejected():
-    g = Grid.line(0.0, 1.0, 16)
+    g = Grid(0.0, 1.0, 16)
     with pytest.raises(InputError):
         ScalarField(g, np.full(g.shape, np.nan))
-    f = ScalarField.constant(g, 1.0)
+    f = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(InputError):
         f.eval(np.nan)

@@ -157,7 +157,7 @@ def chapman_kolmogorov_residual(model, a, s, t, f, x, quad_order=16):
 
 def test_chapman_kolmogorov_degenerate_time():
     m = brownian_model([[0.2]], [[1.0]])
-    g = Grid.line(-8, 8, 513)
+    g = Grid(-8, 8, 513)
     f = ScalarField.from_function(g, np.cos)
     assert chapman_kolmogorov_residual(m, "a0", 0.0, 0.5, f, np.array([0.0])) <= 1e-10
     assert chapman_kolmogorov_residual(m, "a0", 0.5, 0.0, f, np.array([0.0])) <= 1e-10
@@ -166,7 +166,7 @@ def test_chapman_kolmogorov_degenerate_time():
 def test_chapman_kolmogorov_brownian_cos():
     # both sides equal e^{-(s+t)/2} cos(x) for b=0; residual is discretization
     m = brownian_model([[0.0]], [[1.0]])
-    g = Grid.line(-8, 8, 4097)
+    g = Grid(-8, 8, 4097)
     f = ScalarField.from_function(g, np.cos)
     res = chapman_kolmogorov_residual(m, "a0", 0.5, 0.5, f, np.array([0.0]), quad_order=32)
     assert res <= 1e-6
@@ -177,7 +177,7 @@ def test_chapman_kolmogorov_brownian_cos():
 
 def test_chapman_kolmogorov_ou():
     ou = ou_model(1.0, 0.5, 1.0)
-    g = Grid.line(-8, 8, 513)
+    g = Grid(-8, 8, 513)
     f = ScalarField.from_function(g, np.tanh)
     res = chapman_kolmogorov_residual(ou, "a0", 0.25, 0.75, f, np.array([0.3]), quad_order=16)
     assert res <= 1e-4

@@ -33,7 +33,7 @@ from drolimit.validation import named_field, non_robust_config, normal_cdf
 
 @pytest.fixture(scope="module")
 def grid():
-    return Grid.line(-8.0, 8.0, 513)
+    return Grid(-8.0, 8.0, 513)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,22 @@ def test_dyadic_partitions():
             dyadic_partition(t, level)
 
 
+def test_dyadic_levels_are_whole_numbers(grid, window):
+    # a level of 0.5 would put the non-dyadic 2^-0.5 in the partition; 8.0,
+    # as a config may spell level 8, is level 8
+    assert dyadic_partition(1.0, 8.0).times == dyadic_partition(1.0, 8).times
+    for level in (0.5, 2.5, math.inf, math.nan):
+        with pytest.raises(InputError, match="whole level"):
+            dyadic_partition(1.0, level)
+    cfg, f = cfg_for(grid, quad_order=4, cand_per_side=4), named_field(grid, "tanh")
+    with pytest.raises(InputError, match="whole level"):
+        scaling_limit(cfg, 1.0, f, window, max_level=2.5)
+    whole = scaling_limit(cfg, 1.0, f, window, max_level=2.0, stop_tol=0.0)
+    assert whole.levels == [0, 1, 2]
+    level2 = scaling_limit(cfg, 1.0, f, window, max_level=2, stop_tol=0.0)
+    assert np.array_equal(whole.field.values, level2.field.values)
+
+
 def test_refinement_relation():
     # each dyadic level keeps every time of the previous one
     fine = set(dyadic_partition(1.0, 3).times)
@@ -106,8 +122,8 @@ def test_refinement_relation():
 def test_reference_step_identity_and_constant(grid):
     cfg = cfg_for(grid, m=0.0)
     f = named_field(grid, "cos")
-    assert dro_step(cfg, 0.0, f) is f
-    five = ScalarField.constant(grid, 5.0)
+    assert np.array_equal(dro_step(cfg, 0.0, f).values, f.values)
+    five = ScalarField(grid, np.full(grid.shape, 5.0))
     out = dro_step(cfg, 0.3, five)
     assert np.allclose(out.values, 5.0, atol=1e-12)
 
@@ -136,7 +152,7 @@ def test_dro_step_zero_m_equals_reference(grid):
 
 def test_dro_step_constant_passthrough(grid):
     cfg = cfg_for(grid, m=0.5)
-    c = ScalarField.constant(grid, 2.5)
+    c = ScalarField(grid, np.full(grid.shape, 2.5))
     out = dro_step(cfg, 0.2, c)
     assert np.allclose(out.values, 2.5, atol=1e-12)
 
@@ -261,7 +277,7 @@ def test_ou_operator_contraction(grid):
 
 
 def test_two_dimensional_smoke():
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (49, 49))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(
         model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2, quad_order=8, cand_per_side=4
@@ -314,7 +330,7 @@ def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
     from drolimit import operators
     from drolimit.models import DiscreteMeasure
 
-    g = Grid.box((-4.0, -4.0), (4.0, 4.0), (33, 33))
+    g = Grid((-4.0, -4.0), (4.0, 4.0), (33, 33))
     f = ScalarField(g, np.random.default_rng(12).standard_normal(g.shape))
     x, y = np.meshgrid(*[np.array([-0.75, -0.25, 0.25, 0.75])] * 2, indexing="ij")
     laws = [
@@ -337,7 +353,7 @@ def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
         assert max(end - start for start, end in kernel.runs) == 8
         assert all(len(groups) == lerps for groups in kernel.stencil.lerps)
         pts = base[None, None, :, :] + atoms[None, :, None, :] + offs[:, None, None, :]
-        values = Stencil(g, pts).apply(f.values)
+        values = Stencil(g, pts.shape[:-1], [pts]).apply(f.values)
         expected = np.stack([np.max(values[start:end], axis=0) for start, end in kernel.runs])
         assert np.array_equal(kernel._run_max(f.values), expected)
         if len(atoms) == 5:
@@ -352,7 +368,7 @@ def test_2d_run_max_folds_like_np_max():
     # axis), with candidates past the box at t = 1: each candidate's values
     # are ``eval``'s within rounding, and each run's max is np.max over the
     # run of them, bitwise
-    g = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 19))
+    g = Grid((-3.0, -3.0), (3.0, 3.0), (17, 19))
     f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     for sigma in (np.eye(2), np.array([[1.0, 0.0], [0.6, 0.8]])):
         cfg = OperatorConfig(
@@ -372,7 +388,7 @@ def test_shift_stencil_matches_eval(grid):
     # Brownian kernels with drift, atoms and candidates reaching past the box
     # at t = 1: within rounding of ``eval`` at the per-point positions, and
     # exactly the boundary value wherever the clamp decides alone
-    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     cfg2 = OperatorConfig(
         model=brownian_model([[0.5, -0.3], [-0.7, 0.2]], np.eye(2), dim=2),
         ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3,
@@ -414,7 +430,7 @@ def test_merged_costs_match_unmerged_solve(grid):
     # costs, equals the solve over all its unmerged values, bitwise; those
     # equal ``eval`` at the points bitwise for point stencils (OU) and
     # within rounding for shift stencils (Brownian)
-    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     model2 = brownian_model([[0.5, 0.0], [-0.5, 0.0]], np.eye(2), dim=2)
     cfg2 = OperatorConfig(
         model=model2, ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3
@@ -444,7 +460,7 @@ def test_merged_costs_match_unmerged_solve(grid):
 def test_brownian_is_ou_with_zero_theta(grid):
     # an action without theta is the OU flow with theta = 0: the same flow,
     # covariance, law and step, bitwise, both through a shift stencil
-    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     cases = [
         (grid, [0.3], [[0.9]], named_field(grid, "tanh")),
@@ -503,7 +519,7 @@ def test_windows_start_at_a_kernels_third_apply(grid, monkeypatch):
     monkeypatch.setattr(operators, "solve_batch", counted("batch", operators.solve_batch))
     monkeypatch.setattr(operators, "solve_window", counted("window", operators.solve_window))
     # the game-2d geometry at t = 1/2, level 2: two steps of 1/4 per action
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (49, 49))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     cfg2 = OperatorConfig(
         model=brownian_model([[-0.5, 0.0], [0.5, 0.0]], np.eye(2), dim=2),
         ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=8, cand_per_side=4,
@@ -560,15 +576,37 @@ def test_shared_cache_changes_no_step(grid):
 
 
 def test_step_refuses_field_on_other_grid(grid):
-    other = Grid.line(-8.0, 8.0, 257)
-    with pytest.raises(InputError, match="different grids"):
-        dro_step(cfg_for(grid), 0.25, ScalarField.constant(other, 1.0))
+    other = Grid(-8.0, 8.0, 257)
+    for t in (0.25, 0.0):
+        with pytest.raises(InputError, match="different grids"):
+            dro_step(cfg_for(grid), t, ScalarField(other, np.full(other.shape, 1.0)))
+
+
+def test_zero_step_returns_the_field_bitwise(grid):
+    # at t = 0 each kernel has a point-mass law, radius 0 and shift 0, so the
+    # step gives f's values bitwise under either reduction; a theta != 0 flow
+    # lands within 1e-12 cells of the nodes and is snapped back to them
+    g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    theta2 = np.array([[1.0, 0.3], [0.3, 0.5]])
+    models = [
+        (grid, brownian_model([[-0.5], [0.5]], [[1.0]])),
+        (grid, ReferenceModel([Action("a0", drift=[0.2], sigma=[[1.0]], theta=[[0.7]])])),
+        (g2, ReferenceModel([Action("a0", drift=[0.2, -0.1], sigma=np.eye(2), theta=theta2)], dim=2)),
+    ]
+    rng = np.random.default_rng(12)
+    for g, model in models:
+        cfg = OperatorConfig(
+            model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g, quad_order=4, cand_per_side=4
+        )
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        for reduce in (np.minimum, np.maximum):
+            assert np.array_equal(dro_step(cfg, 0.0, f, reduce=reduce).values, f.values)
 
 
 def test_two_dimensional_default_step_builds():
     # 4225 nodes x 256 atoms x 797 candidates (98 distinct costs): a shift
     # stencil holds the merged values, not the 862M evaluation points
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (65, 65))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (65, 65))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2)
     kernel = _StepKernel(cfg, "a0", 0.25)
@@ -579,13 +617,13 @@ def test_two_dimensional_default_step_builds():
 def test_two_dimensional_step_refused_beyond_memory():
     # 263169 nodes x 4096 atoms x 12853 candidates: refused with the projected
     # size before the evaluation points are built
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (513, 513))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (513, 513))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(
         model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2, quad_order=64, cand_per_side=64
     )
     with pytest.raises(InputError, match="GB of evaluation points"):
-        dro_step(cfg, 0.25, ScalarField.constant(g2, 1.0))
+        dro_step(cfg, 0.25, ScalarField(g2, np.full(g2.shape, 1.0)))
 
 
 def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
@@ -598,7 +636,7 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     ou = ReferenceModel(
         [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[1.0]]), drift=np.array([0.0]))],
     )
-    g2 = Grid.box((-3.0, -3.0), (3.0, 3.0), (17, 17))
+    g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     cfg2 = OperatorConfig(
         model=brownian_model([[0.5, 0.0]], np.eye(2), dim=2), ambiguity=AmbiguitySpec(m=0.25),
         grid=g2, quad_order=4, cand_per_side=3,

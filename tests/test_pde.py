@@ -26,7 +26,7 @@ from drolimit.validation import named_field, normal_cdf
 
 @pytest.fixture(scope="module")
 def grid():
-    return Grid.line(-8.0, 8.0, 513)
+    return Grid(-8.0, 8.0, 513)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_affine_gradient_source(grid):
 
 def test_constant_preserved(grid):
     cfg = cfg_for(grid, m=0.7)
-    v = ScalarField.constant(grid, 3.3)
+    v = ScalarField(grid, np.full(grid.shape, 3.3))
     out = step_forward(cfg, 0.8, v)
     assert np.allclose(out.values, 3.3, atol=1e-14)
 
@@ -156,7 +156,7 @@ def test_generator_apply_values(grid):
     # at 0: -1/2 cos(0) + m |sin(0)| = -1/2 ; at pi/2: 0 + 0.5
     assert gen.eval(0.0) == pytest.approx(-0.5, abs=1e-3)
     assert gen.eval(math.pi / 2) == pytest.approx(0.5, abs=1e-3)
-    const = ScalarField.constant(grid, 2.0)
+    const = ScalarField(grid, np.full(grid.shape, 2.0))
     assert generator_apply(cfg, const).sup_norm() == 0.0
 
 
@@ -190,7 +190,7 @@ def test_solve_heat_anchor(grid, window):
     assert run.times == [0.0, 0.25, 0.5]
     ref = ScalarField.from_function(grid, lambda x: math.exp(-0.25) * np.cos(x))
     assert sup_distance(run.at(0.5), ref, window) <= 5e-3
-    const = solve(cfg, 0.8, ScalarField.constant(grid, 1.5), 0.4)
+    const = solve(cfg, 0.8, ScalarField(grid, np.full(grid.shape, 1.5)), 0.4)
     assert np.allclose(const.at(0.4).values, 1.5, atol=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_solve_cdf_anchor(grid, window):
 
 
 def test_2d_requires_diagonal_diffusion():
-    g2 = Grid.box((-4.0, -4.0), (4.0, 4.0), (33, 33))
+    g2 = Grid((-4.0, -4.0), (4.0, 4.0), (33, 33))
     sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
     model = brownian_model([[0.0, 0.0]], sigma, dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.1), grid=g2)
@@ -212,7 +212,7 @@ def test_2d_requires_diagonal_diffusion():
 
 
 def test_2d_heat_smoke():
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (49, 49))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
@@ -234,7 +234,7 @@ def test_snapshot_csv(tmp_path, grid):
 def test_snapshot_csv_2d(tmp_path):
     # one block of t,x,y,value rows per snapshot, nodes in C order, every
     # number written by repr so the values read back exactly
-    g2 = Grid.box((-4.0, -3.0), (4.0, 3.0), (9, 11))
+    g2 = Grid((-4.0, -3.0), (4.0, 3.0), (9, 11))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.sin(y))

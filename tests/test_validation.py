@@ -29,7 +29,7 @@ from drolimit.validation import (
 
 @pytest.fixture(scope="module")
 def grid():
-    return Grid.line(-8.0, 8.0, 513)
+    return Grid(-8.0, 8.0, 513)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ def test_property_suite_shares_the_applies_of_each_field(monkeypatch):
     monkeypatch.setattr(
         operators._StepKernel, "apply", lambda self, f: applies.append(1) or apply(self, f)
     )
-    grid = Grid.line(-4.0, 4.0, 33)
+    grid = Grid(-4.0, 4.0, 33)
     for drifts in ([[0.0]], [[-0.5], [0.5]]):
         cfg = OperatorConfig(
             brownian_model(drifts, [[1.0]]), AmbiguitySpec(m=0.5), grid,
@@ -186,6 +186,28 @@ def test_checks_refuse_horizons_with_one_partition(grid, window):
         check_semigroup(cfg_for(grid), f, window, pairs=[(0.25, 0.001)])
 
 
+def test_checks_refuse_levels_that_are_not_whole_numbers():
+    # a level of 2.5 would measure non-dyadic partitions; 8.0, as a config
+    # may spell level 8, is level 8
+    validation.validate_limit_time(0.25, 8.0)
+    for check in (validation.validate_limit_time, validation.validate_horizon):
+        with pytest.raises(InputError, match="whole level"):
+            check(0.25, 2.5)
+
+
+def test_cross_check_refuses_a_closed_form_that_is_not_finite(grid, window, monkeypatch):
+    # refused before the scaling limit runs, not reported as a NaN error
+    def no_limit(*args, **kwargs):
+        raise AssertionError("the scaling limit ran")
+
+    monkeypatch.setattr(validation, "scaling_limit", no_limit)
+    with pytest.raises(InputError, match="finite"):
+        cross_check_pde(
+            cfg_for(grid), named_field(grid, "cos"), 0.5, window,
+            reference=lambda x: np.where(x > 0.0, np.nan, np.cos(x)),
+        )
+
+
 def test_check_dual_oracle_deterministic():
     a = check_dual_oracle(trials=20, seed=7)
     b = check_dual_oracle(trials=20, seed=7)
@@ -217,7 +239,7 @@ def test_cross_check_pde_heat(grid, window):
 def test_cross_check_pde_2d_closed_form():
     # heat flow of cos x cos y: e^{-t} cos x cos y; the operator limit's
     # h^2/dt interpolation bias at 33^2 nodes is not gated here
-    g2 = Grid.box((-6.0, -6.0), (6.0, 6.0), (33, 33))
+    g2 = Grid((-6.0, -6.0), (6.0, 6.0), (33, 33))
     cfg = OperatorConfig(
         brownian_model([[0.0, 0.0]], np.eye(2), dim=2), AmbiguitySpec(m=0.0), g2,
         quad_order=4, cand_per_side=2,
@@ -268,7 +290,7 @@ def test_game_certificate_composes_only_for_its_pde_check(monkeypatch, window):
 
         monkeypatch.setattr(module, "compose", recorded)
     cfg = OperatorConfig(
-        brownian_model([[0.0]], [[1.0]]), AmbiguitySpec(m=0.5), Grid.line(-6.0, 6.0, 65),
+        brownian_model([[0.0]], [[1.0]]), AmbiguitySpec(m=0.5), Grid(-6.0, 6.0, 65),
         quad_order=4, cand_per_side=2,
     )
     rep = refinement_certificates(cfg, window, experiments=("game_crosscheck",))

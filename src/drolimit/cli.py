@@ -233,12 +233,10 @@ def _parameters(subcommand: str, cfg: dict, op) -> dict:
     """The subcommand's experiment.parameters over its defaults, with the
     ``function`` name replaced by its field; ConfigError if it cannot run."""
     _, defaults, ranges = _SUBCOMMANDS[subcommand]
-    given = cfg["experiment"]["parameters"]
-    check_values(given, defaults, "experiment.parameters")
+    params = check_values(cfg["experiment"]["parameters"], defaults, "experiment.parameters")
     grid = op.grid
     if subcommand != "properties" and grid.dim != 1:
         raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
-    params = {**defaults, **given}
     for key, validate in ranges.items():
         try:
             validate(params, cfg, op)
@@ -275,9 +273,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         params = _parameters(args.subcommand, cfg, op)
         args.out = args.out or cfg["output"]["directory"]
         os.makedirs(args.out, exist_ok=True)
+        reports = _SUBCOMMANDS[args.subcommand][0](cfg, op, params, args)
+        # after the run, so that a run refused on its way writes none
         manifest = {"subcommand": args.subcommand, "seed": args.seed, "config": cfg}
         _write_json(os.path.join(args.out, "manifest.json"), manifest)
-        reports = _SUBCOMMANDS[args.subcommand][0](cfg, op, params, args)
         _write_json(os.path.join(args.out, "report.json"), [r.to_dict() for r in reports])
         _write_json(
             os.path.join(args.out, "timings.json"),

@@ -43,8 +43,12 @@ DEFAULT_CONFIG: Dict[str, Any] = {
 _ACTION_KEYS = {"label": "", "drift": [0.0], "sigma": [[0.0]], "theta": [[0.0]]}
 
 
-def check_values(values, defaults: dict, path: str) -> None:
-    """Refuse a key with no default, a non-object where the default is an
+def check_values(values, defaults: dict, path: str) -> dict:
+    """``values`` laid over ``defaults``: a key left out takes its default at
+    every depth, and a value that is not an object (the action list among
+    them) replaces its default whole.
+
+    Refuses a key with no default, a non-object where the default is an
     object, a non-list where it is a list, a non-number where it is a number,
     a fraction where it is an int, and a non-string where it is a string,
     naming the key.  A nonempty default object is checked recursively, an
@@ -52,6 +56,7 @@ def check_values(values, defaults: dict, path: str) -> None:
     items are checked against the default's first item unless it is an object."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path} must be an object, got {values!r}")
+    out = copy.deepcopy(defaults)
     for key, value in values.items():
         name = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -59,7 +64,7 @@ def check_values(values, defaults: dict, path: str) -> None:
         default = defaults[key]
         if isinstance(default, dict):
             if default or not isinstance(value, dict):
-                check_values(value, default, name)
+                value = check_values(value, default, name)
         elif isinstance(default, list):
             if not isinstance(value, list):
                 raise ConfigError(f"{name} must be a list, got {value!r}")
@@ -73,44 +78,15 @@ def check_values(values, defaults: dict, path: str) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         elif isinstance(default, str) and not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
-
-
-def validate_config(cfg: dict) -> None:
-    check_values(cfg, DEFAULT_CONFIG, "")
-    for i, act in enumerate(cfg.get("model", {}).get("actions", [])):
-        check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
-    amb = cfg.get("ambiguity", {})
-    if amb.get("m", 0.0) < 0:
-        raise ConfigError("ambiguity.m must be nonnegative")
-    if not amb.get("p", 2.0) > 1:
-        raise ConfigError("ambiguity.p must exceed 1")
-    # the ranges that ``law``, ``scaling_limit`` and the PDE solver check
-    num = cfg.get("numerics", {})
-    for key, lo, hi in (("quad_order", 4, 64), ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
-        if not lo <= num.get(key, lo) <= hi:
-            raise ConfigError(f"numerics.{key} must lie in [{lo}, {hi}], got {num[key]!r}")
-    if not 0 < num.get("cfl_safety", 1) <= 1:
-        raise ConfigError(f"numerics.cfl_safety must lie in (0, 1], got {num['cfl_safety']!r}")
-
-
-def merge_defaults(cfg: dict, defaults: dict = DEFAULT_CONFIG) -> dict:
-    """Fill missing sections and keys from the defaults, at every depth; a
-    value that is not an object (the action list among them) replaces its
-    default whole."""
-    out = copy.deepcopy(defaults)
-    for key, value in cfg.items():
-        default = defaults.get(key)
-        if isinstance(value, dict) and isinstance(default, dict):
-            out[key] = merge_defaults(value, default)
-        else:
-            out[key] = copy.deepcopy(value)
+        out[key] = value
     return out
 
 
 def load_config(path: Optional[str], overrides: Optional[List[str]] = None) -> dict:
-    if path is None:
-        cfg = copy.deepcopy(DEFAULT_CONFIG)
-    else:
+    """The config at ``path`` (none: the defaults) with the dotted
+    ``overrides`` applied, laid over the defaults and checked."""
+    cfg = {}
+    if path is not None:
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
@@ -122,8 +98,20 @@ def load_config(path: Optional[str], overrides: Optional[List[str]] = None) -> d
         _apply_override(cfg, item)
     # after the overrides, so that an override of a whole section keeps the
     # defaults of the keys it leaves out
-    cfg = merge_defaults(cfg)
-    validate_config(cfg)
+    cfg = check_values(cfg, DEFAULT_CONFIG, "")
+    for i, act in enumerate(cfg["model"]["actions"]):
+        check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
+    if cfg["ambiguity"]["m"] < 0:
+        raise ConfigError("ambiguity.m must be nonnegative")
+    if not cfg["ambiguity"]["p"] > 1:
+        raise ConfigError("ambiguity.p must exceed 1")
+    # the ranges that ``law``, ``scaling_limit`` and the PDE solver check
+    num = cfg["numerics"]
+    for key, lo, hi in (("quad_order", 4, 64), ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
+        if not lo <= num[key] <= hi:
+            raise ConfigError(f"numerics.{key} must lie in [{lo}, {hi}], got {num[key]!r}")
+    if not 0 < num["cfl_safety"] <= 1:
+        raise ConfigError(f"numerics.cfl_safety must lie in (0, 1], got {num['cfl_safety']!r}")
     return cfg
 
 
@@ -144,30 +132,18 @@ def _apply_override(cfg: dict, item: str) -> None:
     node[parts[-1]] = value
 
 
-def build_model(cfg: dict) -> ReferenceModel:
-    actions = [
-        Action(label=str(spec.get("label", f"a{i}")), **{k: v for k, v in spec.items() if k != "label"})
-        for i, spec in enumerate(cfg["model"]["actions"])
-    ]
-    return ReferenceModel(actions, dim=int(cfg["grid"]["dim"]))
-
-
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["grid"]
-    return Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"]))
-
-
 def build_window(cfg: dict) -> CompactWindow:
     w = cfg["grid"]["window"]
     return CompactWindow(tuple(w["lo"]), tuple(w["hi"]))
 
 
 def build_operator_config(cfg: dict) -> OperatorConfig:
-    num = cfg["numerics"]
+    g, num = cfg["grid"], cfg["numerics"]
+    actions = [Action(**{"label": f"a{i}", **spec}) for i, spec in enumerate(cfg["model"]["actions"])]
     return OperatorConfig(
-        model=build_model(cfg),
+        model=ReferenceModel(actions, dim=int(g["dim"])),
         ambiguity=AmbiguitySpec(m=float(cfg["ambiguity"]["m"]), p=float(cfg["ambiguity"]["p"])),
-        grid=build_grid(cfg),
+        grid=Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"])),
         quad_order=int(num["quad_order"]),
         cand_per_side=int(num["cand_per_side"]),
     )

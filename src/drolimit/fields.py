@@ -148,6 +148,8 @@ class ScalarField:
         pts = np.asarray(x, dtype=float)
         if self.grid.dim == 1 and pts.ndim > 1 and pts.shape[-1] == 1:
             pts = pts[..., 0]
+        elif self.grid.dim == 2 and pts.shape[-1:] != (2,):
+            raise InputError(f"points on a 2-d grid need a last axis of 2, got shape {pts.shape}")
         shape = pts.shape if self.grid.dim == 1 else pts.shape[:-1]
         out = Stencil(self.grid, shape, [pts]).apply(self.values)
         return float(out) if out.ndim == 0 else out

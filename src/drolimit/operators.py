@@ -260,19 +260,19 @@ def action_values(
     """Each action's worst case over the radius-(t m) ball around its law,
     one kernel apply per action, in the order of ``cfg.model.actions``.
 
-    ``cache`` maps (action label, t) to the step kernel; it is only valid for
-    the config it was filled with.  The kernels built here are cold, so a
-    shared cache changes no output.
+    ``cache`` maps (config, action label, t) to the step kernel, so that
+    configs may share it.  The kernels built here are cold, so a shared cache
+    changes no output.
     """
     if t < 0:
         raise InputError("time must be nonnegative")
     out = []
     for act in cfg.model.actions:
-        kernel = None if cache is None else cache.get((act.label, t))
+        kernel = None if cache is None else cache.get((cfg, act.label, t))
         if kernel is None:
             kernel = _StepKernel(cfg, act, t)
             if cache is not None:
-                cache[(act.label, t)] = kernel
+                cache[(cfg, act.label, t)] = kernel
         out.append(kernel.apply(f).reshape(cfg.grid.shape))
     return out
 
@@ -301,7 +301,7 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
     multipliers of the two steps before with that gap (``_StepKernel``).
     """
     cache = {
-        (act.label, gap): _StepKernel(cfg, act, gap, warm=True)
+        (cfg, act.label, gap): _StepKernel(cfg, act, gap, warm=True)
         for gap in dict.fromkeys(pi.gaps) for act in cfg.model.actions
     }
     out = f

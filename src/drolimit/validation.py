@@ -332,7 +332,6 @@ def check_operator_properties(
     worst = dict.fromkeys(thresholds, -np.inf)
     bellman_cfg = non_robust_config(cfg)
     cache: Dict = {}
-    bellman_cache: Dict = {}
     for trial in range(trials):
         f = fourier_field(grid, rng)
         g = fourier_field(grid, rng)
@@ -380,7 +379,7 @@ def check_operator_properties(
                     worst["subadditivity"],
                     float(np.max(best_sum.values - best_f.values - best_g.values)),
                 )
-                non_robust = dro_step(bellman_cfg, t, f, bellman_cache)
+                non_robust = dro_step(bellman_cfg, t, f, cache)
                 worst["sandwich"] = max(
                     worst["sandwich"],
                     float(np.max(non_robust.values - rob_f.values)),

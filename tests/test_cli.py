@@ -210,6 +210,16 @@ def test_model_error_during_run_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "scaling_limit", refuse)
     assert run_cli(["limit", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: no such law\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_memory_refusal_during_run_writes_no_manifest(tmp_path, capsys):
+    # the memory guard refuses in the run's first step: no machine holds one
+    # step of this lattice, and the run leaves no manifest behind
+    args = ["limit", "--set", "numerics.cand_per_side=100000000", "--out", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith("error: one step needs")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_readme_limit_example(tmp_path):
@@ -245,6 +255,22 @@ def test_whole_section_override_keeps_defaults(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["ambiguity"] == {"m": 0.25, "p": 2.0}
+
+
+def test_config_file_partial_section_keeps_defaults(tmp_path):
+    # a config file that sets some keys of a section, or of a nested one,
+    # keeps the defaults of the keys it leaves out
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({
+        "numerics": {"max_level": 6}, "grid": {"window": {"lo": [-3.0]}},
+        "experiment": {"parameters": {"t": 0.5}},
+    }))
+    cfg = load_config(str(path))
+    defaults = load_config(None)
+    assert cfg["numerics"] == {**defaults["numerics"], "max_level": 6}
+    assert cfg["grid"] == {**defaults["grid"], "window": {"lo": [-3.0], "hi": [4.0]}}
+    assert cfg["experiment"]["parameters"] == {"t": 0.5}
+    assert cfg["model"] == defaults["model"] and cfg["ambiguity"] == defaults["ambiguity"]
 
 
 def test_bad_config_file(tmp_path, capsys):

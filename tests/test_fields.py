@@ -371,6 +371,16 @@ def test_stencil_reused_across_fields():
             assert np.array_equal(stencil.apply(f.values), f.eval(pts))
 
 
+def test_eval_on_2d_field_refuses_points_without_a_last_axis_of_2():
+    g = Grid((0.0, 0.0), (1.0, 1.0), (9, 9))
+    f = ScalarField(g, np.ones(g.shape))
+    for x in (0.5, [0.1, 0.2, 0.3], np.zeros((4, 3))):
+        with pytest.raises(InputError, match="last axis of 2"):
+            f.eval(x)
+    assert f.eval([0.1, 0.2]) == 1.0
+    assert f.eval(np.zeros((3, 4, 2))).shape == (3, 4)
+
+
 def test_nonfinite_rejected():
     g = Grid(0.0, 1.0, 16)
     with pytest.raises(InputError):

@@ -132,6 +132,19 @@ def test_law_degenerate_sigma():
     assert mu.atoms[0, 0] == 0.0
 
 
+def test_law_degenerate_axis_in_2d():
+    # sigma = diag(1, 0): the covariance has a zero eigenvalue, so the law
+    # puts its quad_order atoms on the first axis, with exact second moments
+    m = brownian_model([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], dim=2)
+    t = 0.5
+    mu = law(m, "a0", t, quad_order=8)
+    assert mu.atoms.shape == (8, 2)
+    assert np.max(np.abs(mu.atoms[:, 1])) <= 1e-15
+    assert abs(mu.weights.sum() - 1.0) <= 1e-12
+    second = (mu.atoms * mu.weights[:, None]).T @ mu.atoms
+    assert np.allclose(second, [[t, 0.0], [0.0, 0.0]], rtol=0.0, atol=1e-12)
+
+
 def test_law_quad_order_bounds():
     m = brownian_model([[0.0]], [[1.0]])
     with pytest.raises(InputError):

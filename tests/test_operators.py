@@ -575,6 +575,21 @@ def test_shared_cache_changes_no_step(grid):
             assert np.array_equal(dro_step(cfg, 2.0 ** -6, fields[k], cache).values, alone[k])
 
 
+def test_one_cache_serves_two_configs():
+    # the cache is keyed by config as well: the m = 0 step taken after the
+    # robust one on a shared cache is the m = 0 step
+    g = Grid(-8.0, 8.0, 129)
+    cfg = cfg_for(g)
+    bellman_cfg = non_robust_config(cfg)
+    f = named_field(g, "tanh")
+    cache = {}
+    robust = dro_step(cfg, 0.1, f, cache)
+    bellman = dro_step(bellman_cfg, 0.1, f, cache)
+    assert np.array_equal(bellman.values, dro_step(bellman_cfg, 0.1, f).values)
+    assert np.array_equal(robust.values, dro_step(cfg, 0.1, f, cache).values)
+    assert len(cache) == 2
+
+
 def test_step_refuses_field_on_other_grid(grid):
     other = Grid(-8.0, 8.0, 257)
     for t in (0.25, 0.0):

@@ -57,6 +57,15 @@ def test_fourier_field_bounded(grid):
         assert f.sup_norm() <= 1.0 + 1e-12
 
 
+def test_fourier_field_2d_is_seeded_and_bounded():
+    g = Grid((-6.0, -6.0), (6.0, 6.0), (17, 13))
+    f = fourier_field(g, np.random.default_rng(3))
+    again = fourier_field(g, np.random.default_rng(3))
+    assert f.values.shape == (17, 13)
+    assert f.values.tobytes() == again.values.tobytes()
+    assert f.sup_norm() <= 1.0 + 1e-12
+
+
 def test_cdf_identity_quadrature_oracle():
     # E Phi(x + c + W_t) = Phi((x + c)/sqrt(1 + t)): the anchor behind the
     # monotone-data closed form, verified by plain Gauss-Hermite quadrature

@@ -10,14 +10,16 @@ its step grid and with one at t = 0, ``crosscheck``, ``sensitivity``,
 ``generator``, ``semigroup``, ``properties --seed 1``, ``certify`` (the
 refinement certificates of its default experiments, each base run made
 afresh) and ``all`` on the default config, ``limit`` on a one-action
-Ornstein-Uhlenbeck model at t = 1/4, ``properties --seed 1`` on a 2-d
-one-action Ornstein-Uhlenbeck model (17 x 17 nodes, quadrature order 4,
-3 candidates per side, 5 trials of each check), the same on a 2-d Brownian
-action with correlated sigma = [[1, 0], [0.6, 0.8]], and the ``game-2d``
-workload of this checkout's ``perfbench/worker.py`` at seed 29, as it stands
-(max level 2) and at max level 3, where each 2-d kernel applies four times
-and so solves its last two steps through windows.  The two sides run side by
-side, one process each.  A run whose stderr holds a traceback prints its last
+Ornstein-Uhlenbeck model at t = 1/4, ``limit`` from a config file whose
+sections set only some of their keys (written into the temporary directory;
+its ``manifest.json`` holds the tree merged with the defaults), ``properties
+--seed 1`` on a 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes,
+quadrature order 4, 3 candidates per side, 5 trials of each check), the
+same on a 2-d Brownian action with correlated sigma = [[1, 0], [0.6, 0.8]],
+and the ``game-2d`` workload of this checkout's ``perfbench/worker.py`` at
+seed 29, as it stands (max level 2) and at max level 3, where each 2-d
+kernel applies four times and so solves its last two steps through windows.
+The two sides run side by side, one process each.  A run whose stderr holds a traceback prints its last
 line, so that a crash does not pass for a failed check (both exit 1).
 
 Every output file except ``timings.json`` is compared byte for byte.  For a
@@ -85,6 +87,9 @@ RUNS = {
     "certify": ["certify"],
     "all": ["all"],
 }
+# read from a file by the ``limit-config`` run; every other section and key
+# keeps its default
+PARTIAL_CONFIG = {"numerics": {"max_level": 6}, "experiment": {"parameters": {"t": 0.5}}}
 GAME_SEED = 29
 # the game-2d workload with its max level raised to 3
 GAME_LEVEL3 = (
@@ -112,11 +117,12 @@ def _run(cmd: list, src: Path) -> tuple:
     return proc.returncode, lines[-1] if crashed else None
 
 
-def _run_side(src: Path, out: Path) -> dict:
+def _run_side(src: Path, out: Path, config: Path) -> dict:
     """Run every experiment with ``src`` on the path, each into its own
-    directory under ``out``; per run, ``_run``'s exit code and crash line."""
+    directory under ``out``, the ``limit-config`` run from the file
+    ``config``; per run, ``_run``'s exit code and crash line."""
     runs = {}
-    for name, args in RUNS.items():
+    for name, args in {**RUNS, "limit-config": ["limit", "--config", str(config)]}.items():
         cmd = [sys.executable, "-m", "drolimit.cli", *args, "--out", str(out / name), "--quiet"]
         runs[name] = _run(cmd, src)
     worker = ROOT / "perfbench" / "worker.py"
@@ -205,9 +211,13 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         old_src = _extract_src(argv[0], tmp / "rev")
+        config = tmp / "partial.json"
+        config.write_text(json.dumps(PARTIAL_CONFIG))
         sides = {"old": (old_src, tmp / "old"), "new": (ROOT / "src", tmp / "new")}
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = {k: pool.submit(_run_side, src, out) for k, (src, out) in sides.items()}
+            futures = {
+                k: pool.submit(_run_side, src, out, config) for k, (src, out) in sides.items()
+            }
             runs = {k: f.result() for k, f in futures.items()}
         same = True
         for name, (old_code, old_crash) in runs["old"].items():

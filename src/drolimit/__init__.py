@@ -1,7 +1,6 @@
 """Scaling limits of multi-period Wasserstein-DRO operators on grids."""
 
 from .dual import (
-    AmbiguitySpec,
     DualInstance,
     brute_force_sup,
     wasserstein_sup,

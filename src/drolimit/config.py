@@ -8,7 +8,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .dual import AmbiguitySpec
 from .errors import ConfigError
 from .fields import CompactWindow, Grid
 from .models import Action, ReferenceModel
@@ -142,8 +141,9 @@ def build_operator_config(cfg: dict) -> OperatorConfig:
     actions = [Action(**{"label": f"a{i}", **spec}) for i, spec in enumerate(cfg["model"]["actions"])]
     return OperatorConfig(
         model=ReferenceModel(actions, dim=int(g["dim"])),
-        ambiguity=AmbiguitySpec(m=float(cfg["ambiguity"]["m"]), p=float(cfg["ambiguity"]["p"])),
+        m=float(cfg["ambiguity"]["m"]),
         grid=Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"])),
+        p=float(cfg["ambiguity"]["p"]),
         quad_order=int(num["quad_order"]),
         cand_per_side=int(num["cand_per_side"]),
     )

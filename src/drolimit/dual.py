@@ -39,7 +39,6 @@ cutting planes have stopped, once at most half of it still runs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,28 +49,6 @@ from .models import DiscreteMeasure
 Array = np.ndarray
 
 _STAY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AmbiguitySpec:
-    """Uncertainty rate m >= 0 and Wasserstein order p in (1, inf).
-
-    The ambiguity ball at horizon t has radius t * m.
-    """
-
-    m: float
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m >= 0):
-            raise InputError(f"uncertainty rate m must be >= 0, got {self.m}")
-        if not (np.isfinite(self.p) and self.p > 1):
-            raise InputError(f"Wasserstein order p must be in (1, inf), got {self.p}")
-
-    def radius(self, t: float) -> float:
-        if t < 0:
-            raise InputError("time must be nonnegative")
-        return self.m * t
 
 
 class DualInstance:

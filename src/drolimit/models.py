@@ -55,69 +55,59 @@ class DiscreteMeasure:
 
 @dataclass(eq=False)
 class Action:
-    """One action's parameters: dX = (drift - theta X) dt + sigma dW."""
+    """One action's parameters: dX = (drift - theta X) dt + sigma dW.
+
+    The dimension d >= 1 is the drift's length; sigma and theta must be (d, d)
+    and finite (a scalar sigma or theta is (1, 1) in 1-d), theta symmetric
+    positive semi-definite, and 0 unless given.  ModelError otherwise."""
 
     label: str
     drift: Optional[Array] = None       # the constant b(a)
     sigma: Optional[Array] = None       # diffusion matrix
     theta: Optional[Array] = None       # mean-reversion matrix; 0 unless given
 
+    def __post_init__(self):
+        self.drift = _checked(self.drift, "drift").ravel()
+        d = len(self.drift)
+        if d == 0:
+            raise ModelError("drift must have one or more entries")
+        self.sigma = _checked(self.sigma, "sigma", d)
+        self.theta = np.zeros((d, d)) if self.theta is None else _checked(self.theta, "theta", d)
+        if not np.allclose(self.theta, self.theta.T, atol=1e-10):
+            raise ModelError(f"theta for action {self.label!r} is not symmetric")
+        if np.linalg.eigvalsh(self.theta).min() < -1e-10:
+            raise ModelError(f"theta for action {self.label!r} is not PSD")
+
 
 class ReferenceModel:
-    """A finite action set; all parameters bounded."""
+    """A finite action set of one dimension, with distinct labels."""
 
     def __init__(self, actions: Sequence[Action], dim: int = 1):
         if not actions:
             raise ModelError("action set must be nonempty")
         self.dim = int(dim)
         self.actions = tuple(actions)
-        self._by_label = {}
+        labels = set()
         for a in self.actions:
-            self._validate_action(a)
-            if a.label in self._by_label:
+            if a.drift.shape != (self.dim,):
+                raise ModelError(f"drift must have shape ({self.dim},), got {a.drift.shape}")
+            if a.label in labels:
                 raise ModelError(f"duplicate action label {a.label!r}")
-            self._by_label[a.label] = a
-        # eigendecompositions of theta, reused by psi and covariance
-        self._theta_eig = {a.label: np.linalg.eigh(a.theta) for a in self.actions}
-
-    def _validate_action(self, a: Action) -> None:
-        d = self.dim
-        a.sigma = _square(a.sigma, d, "sigma")
-        a.drift = _vector(a.drift, d, "drift")
-        a.theta = np.zeros((d, d)) if a.theta is None else _square(a.theta, d, "theta")
-        if not np.allclose(a.theta, a.theta.T, atol=1e-10):
-            raise ModelError(f"theta for action {a.label!r} is not symmetric")
-        if np.linalg.eigvalsh(a.theta).min() < -1e-10:
-            raise ModelError(f"theta for action {a.label!r} is not PSD")
-
-    def action(self, a) -> Action:
-        if isinstance(a, Action):
-            return a
-        try:
-            return self._by_label[a]
-        except KeyError:
-            raise InputError(f"unknown action {a!r}") from None
+            labels.add(a.label)
 
 
-def _vector(v, d: int, name: str) -> Array:
-    if v is None:
-        raise ModelError(f"{name} is required")
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.shape != (d,):
-        raise ModelError(f"{name} must have shape ({d},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{name} must be finite")
-    return arr
-
-
-def _square(v, d: int, name: str) -> Array:
+def _checked(v, name: str, d: Optional[int] = None) -> Array:
+    """``v`` as a float array, of shape (d, d) unless d is None (a scalar is
+    (1, 1) in 1-d); ModelError if it is missing, of another shape or not
+    finite."""
     if v is None:
         raise ModelError(f"{name} is required")
     arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0 and d == 1:
-        arr = arr.reshape(1, 1)
-    if arr.shape != (d, d):
-        raise ModelError(f"{name} must have shape ({d},{d}), got {arr.shape}")
+    if d is not None:
+        if arr.ndim == 0 and d == 1:
+            arr = arr.reshape(1, 1)
+        if arr.shape != (d, d):
+            raise ModelError(f"{name} must have shape ({d},{d}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ModelError(f"{name} must be finite")
     return arr
@@ -137,30 +127,28 @@ def _exp_decay_integral(lam: Array, t: float) -> Array:
         -np.expm1(-a), np.where(small, 1.0, lam)))
 
 
-def psi(model: ReferenceModel, a, t: float, x) -> Array:
+def psi(act: Action, t: float, x) -> Array:
     """Deterministic drift flow psi_t^a applied to finite points x of shape
     (..., d); InputError for any other shape."""
     if t < 0:
         raise InputError(f"time must be nonnegative, got {t}")
-    act = model.action(a)
     x = np.asarray(x, dtype=float)
-    d = model.dim
+    d = len(act.drift)
     if x.ndim == 0 or x.shape[-1] != d or not np.all(np.isfinite(x)):
         raise InputError(f"points must be finite with trailing dimension {d}, got shape {x.shape}")
-    lam, q = model._theta_eig[act.label]
+    lam, q = np.linalg.eigh(act.theta)
     decay = np.exp(-np.clip(lam, 0.0, None) * t)
     flow = (q * decay) @ q.T
     pull = q @ (_exp_decay_integral(np.clip(lam, 0.0, None), t) * (q.T @ act.drift))
     return (x.reshape(-1, d) @ flow.T + pull).reshape(x.shape)
 
 
-def covariance(model: ReferenceModel, a, t: float) -> Array:
+def covariance(act: Action, t: float) -> Array:
     """Closed-form covariance of Y_t^a."""
     if t < 0:
         raise InputError(f"time must be nonnegative, got {t}")
-    act = model.action(a)
     ssT = act.sigma @ act.sigma.T
-    lam, q = model._theta_eig[act.label]
+    lam, q = np.linalg.eigh(act.theta)
     lam = np.clip(lam, 0.0, None)
     m = q.T @ ssT @ q
     pair = lam[:, None] + lam[None, :]
@@ -168,7 +156,7 @@ def covariance(model: ReferenceModel, a, t: float) -> Array:
     return q @ (m * integ) @ q.T
 
 
-def law(model: ReferenceModel, a, t: float, quad_order: int = 16) -> DiscreteMeasure:
+def law(act: Action, t: float, quad_order: int = 16) -> DiscreteMeasure:
     """Gauss-Hermite discretization of the (possibly degenerate) law of Y_t^a.
 
     Exact for polynomial integrands up to degree 2*quad_order - 1 along every
@@ -177,8 +165,8 @@ def law(model: ReferenceModel, a, t: float, quad_order: int = 16) -> DiscreteMea
     """
     if not 4 <= quad_order <= 64:
         raise InputError(f"quad_order must be in [4, 64], got {quad_order}")
-    d = model.dim
-    cov = covariance(model, a, t)
+    d = len(act.drift)
+    cov = covariance(act, t)
     evals, evecs = np.linalg.eigh(cov)
     if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
         raise ModelError("covariance is not positive semi-definite")

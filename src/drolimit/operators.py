@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dual import AmbiguitySpec, solve_batch, solve_window
+from .dual import solve_batch, solve_window
 from .errors import InputError
 from .fields import (
     CompactWindow,
@@ -40,7 +40,7 @@ from .fields import (
     same_nodes,
     sup_distance,
 )
-from .models import ReferenceModel, law, psi
+from .models import Action, ReferenceModel, law, psi
 
 Array = np.ndarray
 
@@ -88,15 +88,22 @@ def dyadic_partition(t: float, level: int) -> Partition:
 
 @dataclass(eq=False)
 class OperatorConfig:
-    """Everything a one-period application needs."""
+    """Everything a one-period application needs: the uncertainty rate
+    m >= 0, so that a period of length t has the ball radius m t, and the
+    Wasserstein order p in (1, inf)."""
 
     model: ReferenceModel
-    ambiguity: AmbiguitySpec
+    m: float
     grid: Grid
+    p: float = 2.0
     quad_order: int = 16
     cand_per_side: int = 16
 
     def __post_init__(self):
+        if not (np.isfinite(self.m) and self.m >= 0):
+            raise InputError(f"uncertainty rate m must be >= 0, got {self.m}")
+        if not (np.isfinite(self.p) and self.p > 1):
+            raise InputError(f"Wasserstein order p must be in (1, inf), got {self.p}")
         if self.model.dim != self.grid.dim:
             raise InputError("model and grid dimensions differ")
         if self.cand_per_side < 1:
@@ -157,10 +164,10 @@ class _StepKernel:
         "weights", "costs", "runs", "stencil", "radius", "p", "warm", "lam", "prev", "paid"
     )
 
-    def __init__(self, cfg: OperatorConfig, action, dt: float, warm: bool = False):
-        meas = law(cfg.model, action, dt, cfg.quad_order)
-        radius = cfg.ambiguity.radius(dt)
-        shift = not np.any(cfg.model.action(action).theta)
+    def __init__(self, cfg: OperatorConfig, action: Action, dt: float, warm: bool = False):
+        meas = law(action, dt, cfg.quad_order)
+        radius = cfg.m * dt
+        shift = not np.any(action.theta)
         n, q, d = cfg.grid.num_nodes, len(meas.weights), cfg.grid.dim
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -194,17 +201,17 @@ class _StepKernel:
             # the axis offsets k step, k = 0..per_side, cost per_side + 1
             # distinct amounts: refuse before building a lattice that large
             refuse_beyond_memory(cfg.cand_per_side + 1, 1, cfg.cand_per_side + 1)
-        offs, costs = _radius_offsets(radius, cfg.cand_per_side, d, cfg.ambiguity.p)
+        offs, costs = _radius_offsets(radius, cfg.cand_per_side, d, cfg.p)
         starts = np.flatnonzero(np.diff(costs, prepend=-1.0))
         ends = np.append(starts[1:], len(costs))
         refuse_beyond_memory(len(starts), int(np.max(ends - starts)), len(costs))
         if shift:
-            flow = psi(cfg.model, action, dt, np.zeros(d))
+            flow = psi(action, dt, np.zeros(d))
             self.stencil = ShiftStencil(
                 cfg.grid, (flow + meas.atoms)[None, :, :] + offs[:, None, :]
             )
         else:
-            base = psi(cfg.model, action, dt, cfg.grid.nodes())          # (N, d)
+            base = psi(action, dt, cfg.grid.nodes())                     # (N, d)
             near = meas.atoms[:, None, :] + base[None, :, :]             # (Q, N, d)
             # (C, Q, *grid.shape), so that each run of equal cost is one
             # contiguous block of rows; one candidate's points at a time, so
@@ -216,7 +223,7 @@ class _StepKernel:
         self.costs = costs[starts]
         self.weights = meas.weights
         self.radius = radius
-        self.p = cfg.ambiguity.p
+        self.p = cfg.p
         self.warm = warm
         self.lam = self.prev = self.paid = None
 

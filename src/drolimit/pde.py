@@ -97,7 +97,7 @@ def _cfl_bound(cfg: OperatorConfig, cfl_safety: float, coeffs) -> float:
         h = cfg.grid.spacing[ax]
         max_diff = max(d[ax] for d, _ in coeffs)
         max_drift = max(float(np.max(np.abs(b[ax]))) for _, b in coeffs)
-        denom += max_diff / h ** 2 + (max_drift + cfg.ambiguity.m) / h
+        denom += max_diff / h ** 2 + (max_drift + cfg.m) / h
     if denom == 0.0:
         return np.inf
     return cfl_safety / denom
@@ -144,7 +144,7 @@ def generator_apply(cfg: OperatorConfig, f: ScalarField) -> ScalarField:
         _coefficients(cfg), lambda d, b, ax: 0.5 * d[ax] * diffs[ax][2] + b[ax] * grads[ax]
     )
     grad_norm = np.sqrt(sum(g ** 2 for g in grads))
-    return ScalarField(cfg.grid, best + cfg.ambiguity.m * grad_norm)
+    return ScalarField(cfg.grid, best + cfg.m * grad_norm)
 
 
 def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Optional[float] = None) -> ScalarField:
@@ -164,7 +164,7 @@ def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Opt
 
     best = _inf_over_actions(coeffs, upwind)
     gsq = sum(np.maximum(0.0, np.maximum(-dminus, dplus)) ** 2 for dplus, dminus, _ in diffs)
-    return ScalarField(cfg.grid, vals + dt * (best + cfg.ambiguity.m * np.sqrt(gsq)))
+    return ScalarField(cfg.grid, vals + dt * (best + cfg.m * np.sqrt(gsq)))
 
 
 def time_step(cfg: OperatorConfig, cfl_safety: float, horizon: float) -> float:

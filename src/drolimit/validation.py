@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dual import AmbiguitySpec, DualInstance, brute_force_sup, oracle_resolution, wasserstein_sup
+from .dual import DualInstance, brute_force_sup, oracle_resolution, wasserstein_sup
 from .errors import InputError
 from .fields import (
     CompactWindow,
@@ -127,12 +127,6 @@ def fourier_field(grid: Grid, rng: np.random.Generator, max_wavenumber: int = 8)
     return ScalarField(grid, vals)
 
 
-def non_robust_config(cfg: OperatorConfig) -> OperatorConfig:
-    """The same model and numerics at m = 0: ``dro_step`` on it is the
-    non-robust Bellman step (min over actions of the reference expectation)."""
-    return replace(cfg, ambiguity=AmbiguitySpec(m=0.0, p=cfg.ambiguity.p))
-
-
 # ----------------------------------------------------------------------
 # parameter ranges, also checked by the CLI before it writes any output
 
@@ -230,15 +224,15 @@ def check_sensitivity(
     Passes when the window error is nonincreasing (within 10%) and the final
     error is below 0.05 m sup||grad f||.
     """
-    m = cfg.ambiguity.m
+    m = cfg.m
     grad = gradient_norm(f)
-    bellman_cfg = non_robust_config(cfg)
+    bellman_cfg = replace(cfg, m=0.0)
 
     def quotient(t):
         return (dro_step(cfg, t, f).values - dro_step(bellman_cfg, t, f).values) / t
 
     final_threshold = 0.05 * m * float(np.max(grad.values[window.mask(cfg.grid)]))
-    params = {"m": m, "p": cfg.ambiguity.p, "function": "given"}
+    params = {"m": m, "p": cfg.p, "function": "given"}
     return _rate_check(
         "sensitivity_limit", cfg, window, t_list, quotient, m * grad.values, final_threshold, params
     )
@@ -266,10 +260,10 @@ def check_generator(
         return (lim.field.values - f.values) / t
 
     mask = window.mask(cfg.grid)
-    bellman_sup = float(np.max(np.abs(generator_apply(non_robust_config(cfg), f).values[mask])))
+    bellman_sup = float(np.max(np.abs(generator_apply(replace(cfg, m=0.0), f).values[mask])))
     grad_sup = float(np.max(gradient_norm(f).values[mask]))
-    threshold = 0.1 * (bellman_sup + cfg.ambiguity.m * grad_sup)
-    params = {"m": cfg.ambiguity.m, "stop_tol": stop_tol}
+    threshold = 0.1 * (bellman_sup + cfg.m * grad_sup)
+    params = {"m": cfg.m, "stop_tol": stop_tol}
     return _rate_check(
         "generator_identity", cfg, window, t_list, quotient, generator_apply(cfg, f).values,
         threshold, params,
@@ -298,7 +292,7 @@ def check_semigroup(
         label = f"gap_s={s:g}_t={t:g}"
         measured.append((label, sup_distance(joint.field, outer.field, window)))
         thresholds[label] = threshold
-    params = {"pairs": list(pairs), "stop_tol": stop_tol, "m": cfg.ambiguity.m}
+    params = {"pairs": list(pairs), "stop_tol": stop_tol, "m": cfg.m}
     return _finish("semigroup_property", params, measured, thresholds, t0)
 
 
@@ -316,6 +310,7 @@ def check_operator_properties(
     order sandwich) on the first 10 trials.
     """
     validate_trials(trials)
+    validate_times(t_list)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     grid = cfg.grid
@@ -330,7 +325,7 @@ def check_operator_properties(
         "sandwich": 1e-9,
     }
     worst = dict.fromkeys(thresholds, -np.inf)
-    bellman_cfg = non_robust_config(cfg)
+    bellman_cfg = replace(cfg, m=0.0)
     cache: Dict = {}
     for trial in range(trials):
         f = fourier_field(grid, rng)
@@ -386,7 +381,7 @@ def check_operator_properties(
                     float(np.max(rob_f.values - best_f.values)),
                 )
     measured = list(worst.items())
-    params = {"trials": trials, "seed": seed, "t_list": list(t_list), "m": cfg.ambiguity.m}
+    params = {"trials": trials, "seed": seed, "t_list": list(t_list), "m": cfg.m}
     return _finish("operator_properties", params, measured, thresholds, t0)
 
 
@@ -397,7 +392,11 @@ def check_refinement_monotonicity(
     t: float,
     levels: int,
 ) -> CheckReport:
-    """Node-wise decrease of the dyadic composition sequence on the window."""
+    """Node-wise decrease of the dyadic composition sequence on the window,
+    over levels 0 to ``levels``.  Refuses t <= 0, whose every level composes
+    nothing, and a t and levels that ``validate_limit_time`` refuses."""
+    validate_times([t])
+    validate_limit_time(t, levels)
     t0 = time.perf_counter()
     mask = window.mask(cfg.grid)
     worst = -np.inf
@@ -410,7 +409,7 @@ def check_refinement_monotonicity(
         prev = cur
     measured = [("max_refinement_increase", worst)]
     thresholds = {"max_refinement_increase": 1e-8}
-    params = {"t": t, "levels": levels, "m": cfg.ambiguity.m}
+    params = {"t": t, "levels": levels, "m": cfg.m}
     return _finish("refinement_monotonicity", params, measured, thresholds, t0)
 
 
@@ -511,7 +510,7 @@ def cross_check_pde(
         thresholds.update(limit_vs_reference=tol, pde_vs_reference=tol)
     params = {
         "horizon": horizon,
-        "m": cfg.ambiguity.m,
+        "m": cfg.m,
         "stop_tol": stop_tol,
         "levels": lim.levels,
         "level_gaps": [float(g) for g in lim.level_gaps],
@@ -527,7 +526,7 @@ def with_model(cfg: OperatorConfig, drifts, m: float) -> OperatorConfig:
     """The config's grid and numerics with a Brownian model (one action per
     drift, sigma = 1) and uncertainty rate m."""
     model = brownian_model(drifts, [[1.0]], dim=cfg.grid.dim)
-    return replace(cfg, model=model, ambiguity=AmbiguitySpec(m=m, p=cfg.ambiguity.p))
+    return replace(cfg, model=model, m=m)
 
 
 # anchor name -> (Brownian drifts, one action each with sigma = 1, m, initial

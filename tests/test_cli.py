@@ -54,6 +54,9 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: unknown configuration key model.actions[0].kappa"),
         ("limit", ('grid.window={"lo":[-7.9],"hi":[4.0]}',), "error: window"),
         ("limit", ('ambiguity.m="abc"',), "error: ambiguity.m"),
+        ("limit", ("ambiguity.p=1",), "error: ambiguity.p must exceed 1"),
+        # a 2-d grid under the default 1-d action: the model names the drift
+        ("properties", TWO_D[1:], "error: drift must have shape (2,), got (1,)"),
         ("limit", ('numerics.quad_order="x"',), "error: numerics.quad_order"),
         ("limit", ("numerics.quad_order=2.5",), "error: numerics.quad_order"),
         ("limit", ("numerics.max_level=3.7",), "error: numerics.max_level"),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from drolimit import (
-    AmbiguitySpec,
+    Action,
+    DataError,
     DiscreteMeasure,
     DualInstance,
     InputError,
@@ -44,18 +45,47 @@ def neg_abs(z):
 
 
 def test_ambiguity_spec():
-    spec = AmbiguitySpec(m=0.5, p=2.0)
-    assert spec.radius(0.2) == pytest.approx(0.1)
-    with pytest.raises(InputError):
-        AmbiguitySpec(m=-1.0)
-    with pytest.raises(InputError):
-        AmbiguitySpec(m=0.0, p=1.0)
+    # the operator config holds the ambiguity: m >= 0 and p in (1, inf)
+    model, grid = brownian_model([[0.0]], [[1.0]]), Grid(-8.0, 8.0, 17)
+    assert OperatorConfig(model, 0.5, grid, 3.0).p == 3.0
+    with pytest.raises(InputError, match="uncertainty rate m must be >= 0, got -1.0"):
+        OperatorConfig(model, -1.0, grid)
+    with pytest.raises(InputError, match=r"Wasserstein order p must be in \(1, inf\), got 1.0"):
+        OperatorConfig(model, 0.0, grid, p=1.0)
 
 
 def test_stay_option_required():
     src = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
     with pytest.raises(InputError):
         DualInstance(src, [np.array([[1.0], [2.0]])], linear, 1.0)
+
+
+def test_dual_instance_and_oracle_refusals():
+    # a bad radius, order or candidate count, or an integrand that does not
+    # give one finite value per candidate, is refused while the instance is
+    # built; the oracle refuses no lattice steps and a plan product past 5e6
+    src = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
+    stay = [np.array([[0.0], [1.0]])]
+    for radius, p, sets, message in (
+        (-0.1, 2.0, stay, "radius must be nonnegative"),
+        (0.1, 1.0, stay, r"order p must be > 1"),
+        (0.1, 2.0, stay * 2, "need one candidate set per source atom"),
+    ):
+        with pytest.raises(InputError, match=message):
+            DualInstance(src, sets, linear, radius, p)
+    for integrand, message in (
+        (lambda z: np.zeros(3), "integrand returned wrong number of values"),
+        (lambda z: np.full(len(z), np.nan), "integrand returned non-finite values"),
+    ):
+        with pytest.raises(DataError, match=message):
+            DualInstance(src, stay, integrand, 0.1)
+    with pytest.raises(InputError, match="grid_steps must be >= 1"):
+        brute_force_sup(DualInstance(src, stay, linear, 0.1), grid_steps=0)
+    # two atoms of 12 candidates: 75,582 plans each at 8 steps
+    src2 = DiscreteMeasure(np.zeros((2, 1)), np.full(2, 0.5))
+    twelve = np.linspace(0.0, 1.1, 12).reshape(-1, 1)
+    with pytest.raises(InputError, match="instance too large for the enumeration oracle$"):
+        brute_force_sup(DualInstance(src2, [twelve, twelve], linear, 0.1), 8)
 
 
 def test_candidate_sets_must_be_k_by_d():
@@ -184,7 +214,7 @@ def test_pruned_brute_force_keeps_its_bits():
 
 def test_radius_zero_is_plain_expectation():
     m = brownian_model([[0.0]], [[1.0]])
-    mu = law(m, "a0", 1.0, quad_order=32)
+    mu = law(m.actions[0], 1.0, quad_order=32)
     inst = DualInstance(
         mu, [mu.atoms[i : i + 1] for i in range(mu.atoms.shape[0])],
         lambda z: np.cos(np.asarray(z)[:, 0]), radius=0.0,
@@ -456,8 +486,8 @@ def ulp_level_batch(seed):
     """(C, Q, N) values within 8 ulps of 1 on the costs, weights and radius
     of a default step at t = 2^-6: D is flat up to rounding."""
     t = 2.0 ** -6
-    weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
-    radius = AmbiguitySpec(m=0.5).radius(t)
+    weights = law(Action("a0", drift=[0.0], sigma=[[1.0]]), t, quad_order=16).weights
+    radius = 0.5 * t
     _, costs = _radius_offsets(radius, 16, 1, 2.0)
     k = np.random.default_rng(seed).integers(0, 8, (costs.size, 16, 64))
     return 1.0 - k * 2.0 ** -53, costs, weights, radius
@@ -474,8 +504,8 @@ def test_solve_batch_ignores_memory_layout():
     # the stay column's product with the weights takes BLAS or not by the
     # column's layout; Fortran order gives the C bits
     t = 2.0 ** -4
-    weights = law(brownian_model([[0.0]], [[1.0]]), "a0", t, quad_order=16).weights
-    radius = AmbiguitySpec(m=0.5).radius(t)
+    weights = law(Action("a0", drift=[0.0], sigma=[[1.0]]), t, quad_order=16).weights
+    radius = 0.5 * t
     _, costs = _radius_offsets(radius, 16, 1, 2.0)
     gvals = np.random.default_rng(3).standard_normal((costs.size, 16, 513))
     for r in (radius, 0.0):
@@ -488,8 +518,8 @@ def tanh_step(t):
     """One default 1-d step on tanh (513 nodes, 16 atoms, 17 distinct costs):
     its kernel and its (D, Q, N) run maxima."""
     grid = Grid(-8.0, 8.0, 513)
-    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
-    kernel = _StepKernel(cfg, "a0", t)
+    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), 0.5, grid)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], t)
     return kernel, kernel._run_max(np.tanh(grid.axes[0]))
 
 
@@ -720,8 +750,8 @@ def test_windowed_steps_give_the_exact_lp(monkeypatch):
 
     monkeypatch.setattr(operators, "solve_window", recorded)
     grid = Grid(-8.0, 8.0, 513)
-    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m=0.5), grid)
-    kernel = _StepKernel(cfg, "a0", 2.0 ** -8, warm=True)
+    cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), 0.5, grid)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 2.0 ** -8, warm=True)
     values = np.tanh(grid.axes[0])
     rng = np.random.default_rng(41)
     for step in range(5):

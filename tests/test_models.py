@@ -18,41 +18,42 @@ from drolimit import (
 )
 
 
-def ou_model(theta, drift, sigma, dim=1):
-    return ReferenceModel(
-        [Action("a0", sigma=np.atleast_2d(sigma), theta=np.atleast_2d(theta), drift=np.atleast_1d(drift))],
-        dim=dim,
-    )
+def ou_action(theta, drift, sigma):
+    return Action("a0", sigma=np.atleast_2d(sigma), theta=np.atleast_2d(theta), drift=np.atleast_1d(drift))
+
+
+def brownian_action(drift, sigma):
+    return Action("a0", drift=drift, sigma=sigma)
 
 
 def test_psi_brownian():
-    m = brownian_model([[0.3]], [[1.0]])
-    assert psi(m, "a0", 2.0, np.array([1.0]))[0] == pytest.approx(1.6)
+    act = brownian_action([0.3], [[1.0]])
+    assert psi(act, 2.0, np.array([1.0]))[0] == pytest.approx(1.6)
 
 
 def test_psi_identity_at_time_zero():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 1))
-    m = brownian_model([[0.7]], [[1.0]])
-    assert np.array_equal(psi(m, "a0", 0.0, x), x)
-    ou = ou_model(1.3, 0.4, 1.0)
-    assert np.allclose(psi(ou, "a0", 0.0, x), x, atol=1e-14)
+    act = brownian_action([0.7], [[1.0]])
+    assert np.array_equal(psi(act, 0.0, x), x)
+    ou = ou_action(1.3, 0.4, 1.0)
+    assert np.allclose(psi(ou, 0.0, x), x, atol=1e-14)
 
 
 def test_psi_refuses_points_without_a_trailing_model_dimension():
-    m = brownian_model([[0.7]], [[1.0]])
+    act = brownian_action([0.7], [[1.0]])
     for x in (np.zeros(5), 0.5, np.array([[0.0], [np.nan]])):
         with pytest.raises(InputError):
-            psi(m, "a0", 0.5, x)
-    m2 = brownian_model([[0.7, 0.0]], np.eye(2), dim=2)
-    assert psi(m2, "a0", 1.0, np.zeros((3, 4, 2))).shape == (3, 4, 2)
+            psi(act, 0.5, x)
+    act2 = brownian_action([0.7, 0.0], np.eye(2))
+    assert psi(act2, 1.0, np.zeros((3, 4, 2))).shape == (3, 4, 2)
     with pytest.raises(InputError):
-        psi(m2, "a0", 1.0, np.zeros((4, 1)))
+        psi(act2, 1.0, np.zeros((4, 1)))
 
 
 def test_psi_ou_scalar_decay():
-    ou = ou_model(1.0, 0.0, 1.0)
-    assert psi(ou, "a0", math.log(2.0), np.array([4.0]))[0] == pytest.approx(2.0, abs=1e-12)
+    ou = ou_action(1.0, 0.0, 1.0)
+    assert psi(ou, math.log(2.0), np.array([4.0]))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_psi_ou_matches_quadrature_oracle():
@@ -61,7 +62,7 @@ def test_psi_ou_matches_quadrature_oracle():
     theta = a @ a.T / 2
     sigma = rng.standard_normal((2, 2)) * 0.6
     b = rng.standard_normal(2)
-    ou = ReferenceModel([Action("a0", sigma=sigma, theta=theta, drift=b)], dim=2)
+    ou = Action("a0", sigma=sigma, theta=theta, drift=b)
     t = 0.7
     lam, q = np.linalg.eigh(theta)
     s_grid = np.linspace(0, t, 20001)
@@ -71,22 +72,22 @@ def test_psi_ou_matches_quadrature_oracle():
 
     pull = np.trapezoid(np.array([expm_sym(s) @ b for s in s_grid]), s_grid, axis=0)
     x0 = rng.standard_normal(2)
-    assert np.allclose(psi(ou, "a0", t, x0), expm_sym(t) @ x0 + pull, atol=1e-9)
+    assert np.allclose(psi(ou, t, x0), expm_sym(t) @ x0 + pull, atol=1e-9)
     ssT = sigma @ sigma.T
     cov_oracle = np.trapezoid(
         np.array([expm_sym(s) @ ssT @ expm_sym(s) for s in s_grid]), s_grid, axis=0
     )
-    assert np.allclose(covariance(ou, "a0", t), cov_oracle, atol=1e-8)
+    assert np.allclose(covariance(ou, t), cov_oracle, atol=1e-8)
 
 
 def test_psi_one_lipschitz():
     rng = np.random.default_rng(5)
-    models = [brownian_model([[0.9]], [[1.0]]), ou_model(2.0, -0.3, 0.7)]
-    for m in models:
+    actions = [brownian_action([0.9], [[1.0]]), ou_action(2.0, -0.3, 0.7)]
+    for act in actions:
         for _ in range(50):
             x1, x2 = rng.standard_normal(2) * 3
             t = rng.random() * 2
-            d = abs(psi(m, "a0", t, np.array([x1]))[0] - psi(m, "a0", t, np.array([x2]))[0])
+            d = abs(psi(act, t, np.array([x1]))[0] - psi(act, t, np.array([x2]))[0])
             assert d <= abs(x1 - x2) + 1e-12
 
 
@@ -94,24 +95,24 @@ def test_psi_drift_increment_bound():
     # ||psi_t(x) - x|| <= t C (1 + ||x||) with C = |b| (Brownian) and
     # C = max(|theta|, |b|) (OU)
     rng = np.random.default_rng(6)
-    for m, c in [(brownian_model([[1.5]], [[1.0]]), 1.5), (ou_model(2.0, 0.8, 1.0), 2.0)]:
+    for act, c in [(brownian_action([1.5], [[1.0]]), 1.5), (ou_action(2.0, 0.8, 1.0), 2.0)]:
         for _ in range(50):
             x = rng.standard_normal(1) * 4
             t = rng.random() * 0.5 + 1e-3
-            moved = psi(m, "a0", t, x)
+            moved = psi(act, t, x)
             assert np.linalg.norm(moved - x) <= t * c * (1 + np.linalg.norm(x)) + 1e-12
 
 
 def test_law_delta_at_zero():
-    m = brownian_model([[0.0]], [[1.0]])
-    mu = law(m, "a0", 0.0)
+    act = brownian_action([0.0], [[1.0]])
+    mu = law(act, 0.0)
     assert mu.atoms.shape == (1, 1) and mu.weights[0] == 1.0 and mu.atoms[0, 0] == 0.0
 
 
 def test_law_brownian_moments():
-    m = brownian_model([[0.0]], [[1.0]])
+    act = brownian_action([0.0], [[1.0]])
     for t in (1.0, 0.25):
-        mu = law(m, "a0", t, quad_order=16)
+        mu = law(act, t, quad_order=16)
         mean = mu.weights @ mu.atoms[:, 0]
         assert abs(mean) <= 1e-12
         assert mu.weights @ (mu.atoms[:, 0] - mean) ** 2 == pytest.approx(t, abs=1e-10)
@@ -120,14 +121,14 @@ def test_law_brownian_moments():
 
 def test_law_moment_vanishes_smalltime():
     # second moment at t=1e-3 stays within 10 * t^{p/2} * bound for p=2
-    m = brownian_model([[0.0]], [[1.3]])
-    mu = law(m, "a0", 1e-3, quad_order=8)
+    act = brownian_action([0.0], [[1.3]])
+    mu = law(act, 1e-3, quad_order=8)
     assert mu.weights @ np.sum(mu.atoms ** 2, axis=1) <= 10 * 1e-3 * 1.3 ** 2
 
 
 def test_law_degenerate_sigma():
-    m = brownian_model([[0.5]], [[0.0]])
-    mu = law(m, "a0", 1.0)
+    act = brownian_action([0.5], [[0.0]])
+    mu = law(act, 1.0)
     assert mu.atoms.shape[0] == 1
     assert mu.atoms[0, 0] == 0.0
 
@@ -135,9 +136,9 @@ def test_law_degenerate_sigma():
 def test_law_degenerate_axis_in_2d():
     # sigma = diag(1, 0): the covariance has a zero eigenvalue, so the law
     # puts its quad_order atoms on the first axis, with exact second moments
-    m = brownian_model([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], dim=2)
+    act = brownian_action([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
     t = 0.5
-    mu = law(m, "a0", t, quad_order=8)
+    mu = law(act, t, quad_order=8)
     assert mu.atoms.shape == (8, 2)
     assert np.max(np.abs(mu.atoms[:, 1])) <= 1e-15
     assert abs(mu.weights.sum() - 1.0) <= 1e-12
@@ -146,53 +147,52 @@ def test_law_degenerate_axis_in_2d():
 
 
 def test_law_quad_order_bounds():
-    m = brownian_model([[0.0]], [[1.0]])
+    act = brownian_action([0.0], [[1.0]])
     with pytest.raises(InputError):
-        law(m, "a0", 1.0, quad_order=3)
+        law(act, 1.0, quad_order=3)
     with pytest.raises(InputError):
-        law(m, "a0", 1.0, quad_order=65)
+        law(act, 1.0, quad_order=65)
 
 
-def chapman_kolmogorov_residual(model, a, s, t, f, x, quad_order=16):
+def chapman_kolmogorov_residual(act, s, t, f, x, quad_order=16):
     """Residual at x of E f(X_{s+t}) taken in one step of s + t against two
     steps, t then s, both by quadrature; for Brownian and OU actions it is
     quadrature and interpolation error."""
-    act = model.action(a)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mu_st = law(model, act, s + t, quad_order)
-    lhs = float(mu_st.weights @ f.eval(psi(model, act, s + t, x)[None, :] + mu_st.atoms))
-    mu_s = law(model, act, s, quad_order)
-    mu_t = law(model, act, t, quad_order)
-    mid = psi(model, act, s, psi(model, act, t, x)[None, :] + mu_t.atoms)   # (kt, d)
+    mu_st = law(act, s + t, quad_order)
+    lhs = float(mu_st.weights @ f.eval(psi(act, s + t, x)[None, :] + mu_st.atoms))
+    mu_s = law(act, s, quad_order)
+    mu_t = law(act, t, quad_order)
+    mid = psi(act, s, psi(act, t, x)[None, :] + mu_t.atoms)   # (kt, d)
     vals = f.eval(mid[:, None, :] + mu_s.atoms[None, :, :])                  # (kt, ks)
     return abs(lhs - float(mu_t.weights @ vals @ mu_s.weights))
 
 
 def test_chapman_kolmogorov_degenerate_time():
-    m = brownian_model([[0.2]], [[1.0]])
+    act = brownian_action([0.2], [[1.0]])
     g = Grid(-8, 8, 513)
     f = ScalarField.from_function(g, np.cos)
-    assert chapman_kolmogorov_residual(m, "a0", 0.0, 0.5, f, np.array([0.0])) <= 1e-10
-    assert chapman_kolmogorov_residual(m, "a0", 0.5, 0.0, f, np.array([0.0])) <= 1e-10
+    assert chapman_kolmogorov_residual(act, 0.0, 0.5, f, np.array([0.0])) <= 1e-10
+    assert chapman_kolmogorov_residual(act, 0.5, 0.0, f, np.array([0.0])) <= 1e-10
 
 
 def test_chapman_kolmogorov_brownian_cos():
     # both sides equal e^{-(s+t)/2} cos(x) for b=0; residual is discretization
-    m = brownian_model([[0.0]], [[1.0]])
+    act = brownian_action([0.0], [[1.0]])
     g = Grid(-8, 8, 4097)
     f = ScalarField.from_function(g, np.cos)
-    res = chapman_kolmogorov_residual(m, "a0", 0.5, 0.5, f, np.array([0.0]), quad_order=32)
+    res = chapman_kolmogorov_residual(act, 0.5, 0.5, f, np.array([0.0]), quad_order=32)
     assert res <= 1e-6
-    mu = law(m, "a0", 1.0, 32)
+    mu = law(act, 1.0, 32)
     lhs = float(mu.weights @ f.eval(mu.atoms[:, 0]))
     assert lhs == pytest.approx(math.exp(-0.5), abs=2e-6)
 
 
 def test_chapman_kolmogorov_ou():
-    ou = ou_model(1.0, 0.5, 1.0)
+    ou = ou_action(1.0, 0.5, 1.0)
     g = Grid(-8, 8, 513)
     f = ScalarField.from_function(g, np.tanh)
-    res = chapman_kolmogorov_residual(ou, "a0", 0.25, 0.75, f, np.array([0.3]), quad_order=16)
+    res = chapman_kolmogorov_residual(ou, 0.25, 0.75, f, np.array([0.3]), quad_order=16)
     assert res <= 1e-4
 
 
@@ -200,9 +200,44 @@ def test_model_validation():
     with pytest.raises(ModelError):
         ReferenceModel([])
     with pytest.raises(ModelError):
-        ou_model(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.eye(2), dim=2)  # not symmetric
+        ou_action(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.eye(2))  # not symmetric
     with pytest.raises(ModelError):
-        ou_model(-1.0, 0.0, 1.0)  # not PSD
+        ou_action(-1.0, 0.0, 1.0)  # not PSD
+
+
+def test_action_checks_itself():
+    # each refusal comes while the action is built, before a model holds it;
+    # the drift's length sets the dimension the matrices must have
+    eye = np.eye(2)
+    cases = [
+        ({"sigma": [[1.0]]}, "drift is required"),
+        ({"drift": [0.0]}, "sigma is required"),
+        ({"drift": [np.nan], "sigma": [[1.0]]}, "drift must be finite"),
+        ({"drift": [], "sigma": [[1.0]]}, "drift must have one or more entries"),
+        ({"drift": [0.0], "sigma": [[np.inf]]}, "sigma must be finite"),
+        ({"drift": [0.0], "sigma": [[1.0]], "theta": [[np.nan]]}, "theta must be finite"),
+        ({"drift": [0.0, 0.0], "sigma": [[1.0]]}, r"sigma must have shape \(2,2\), got \(1, 1\)"),
+        ({"drift": [0.0, 0.0], "sigma": eye, "theta": [[0.0, 1.0], [0.0, 0.0]]},
+         "theta for action 'a0' is not symmetric"),
+        ({"drift": [0.0], "sigma": [[1.0]], "theta": [[-1.0]]}, "theta for action 'a0' is not PSD"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ModelError, match=message):
+            Action("a0", **kwargs)
+
+
+def test_model_checks_dimension_and_labels():
+    with pytest.raises(ModelError, match=r"drift must have shape \(2,\), got \(1,\)"):
+        brownian_model([[0.0]], [[1.0]], dim=2)
+    twice = [Action("a0", drift=[0.0], sigma=[[1.0]]), Action("a0", drift=[0.5], sigma=[[1.0]])]
+    with pytest.raises(ModelError, match="duplicate action label 'a0'"):
+        ReferenceModel(twice)
+    # a scalar sigma (and theta) is the (1, 1) matrix in 1-d
+    act = Action("a0", drift=[0.2], sigma=0.8, theta=0.5)
+    assert ReferenceModel([act]).actions == (act,)
+    assert act.sigma.shape == act.theta.shape == (1, 1)
+    matrix = Action("a0", drift=[0.2], sigma=[[0.8]], theta=[[0.5]])
+    assert np.array_equal(covariance(act, 1.0), covariance(matrix, 1.0))
 
 
 def test_discrete_measure_validation():

@@ -1,12 +1,12 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drolimit import (
     Action,
-    AmbiguitySpec,
     CompactWindow,
     Grid,
     InputError,
@@ -28,7 +28,7 @@ from drolimit import dual
 from drolimit.dual import solve_batch
 from drolimit.fields import ShiftStencil, Stencil
 from drolimit.operators import MAX_GAPS, _StepKernel, _radius_offsets
-from drolimit.validation import named_field, non_robust_config, normal_cdf
+from drolimit.validation import named_field, normal_cdf
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ SHIFT_TOL = 1e-14
 
 def cfg_for(grid, m=0.5, drifts=((0.0,),), sigma=1.0, **kw):
     model = brownian_model([list(b) for b in drifts], [[sigma]])
-    return OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=m), grid=grid, **kw)
+    return OperatorConfig(model=model, m=m, grid=grid, **kw)
 
 
 def reference_loop(cfg, t, f):
@@ -56,8 +56,8 @@ def reference_loop(cfg, t, f):
     f(psi_t^a(x) + y) at every node; then the node-wise min over actions."""
     vals = None
     for act in cfg.model.actions:
-        meas = law(cfg.model, act, t, cfg.quad_order)
-        base = psi(cfg.model, act, t, cfg.grid.nodes())
+        meas = law(act, t, cfg.quad_order)
+        base = psi(act, t, cfg.grid.nodes())
         pts = base[:, None, :] + meas.atoms[None, :, :]
         g = f.eval(pts.reshape(-1, cfg.grid.dim)).reshape(pts.shape[:2])
         out = g @ meas.weights
@@ -146,7 +146,7 @@ def test_dro_step_zero_m_equals_reference(grid):
         assert np.max(np.abs(diff)) <= SHIFT_TOL
     # the m = 0 config of a robust one gives the same step
     robust = cfg_for(grid, m=0.5, drifts=((-0.5,), (0.5,)))
-    diff = dro_step(non_robust_config(robust), 0.3, f).values - reference_loop(robust, 0.3, f).values
+    diff = dro_step(replace(robust, m=0.0), 0.3, f).values - reference_loop(robust, 0.3, f).values
     assert np.max(np.abs(diff)) <= SHIFT_TOL
 
 
@@ -268,7 +268,7 @@ def test_ou_operator_contraction(grid):
     model = ReferenceModel(
         [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), drift=np.array([0.2]))],
     )
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.3), grid=grid)
+    cfg = OperatorConfig(model=model, m=0.3, grid=grid)
     f = named_field(grid, "sin")
     g = named_field(grid, "tanh")
     out_f = dro_step(cfg, 0.2, f)
@@ -280,7 +280,7 @@ def test_two_dimensional_smoke():
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(
-        model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2, quad_order=8, cand_per_side=4
+        model=model, m=0.0, grid=g2, quad_order=8, cand_per_side=4
     )
     f = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
     out = dro_step(cfg, 0.25, f)
@@ -289,7 +289,7 @@ def test_two_dimensional_smoke():
     assert sup_distance(out, ref, w2) <= 2e-2
     # robust step stays above the plain expectation
     cfg_m = OperatorConfig(
-        model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2, quad_order=8, cand_per_side=4
+        model=model, m=0.5, grid=g2, quad_order=8, cand_per_side=4
     )
     rob = dro_step(cfg_m, 0.25, f)
     assert np.all(rob.values >= out.values - 1e-12)
@@ -298,11 +298,11 @@ def test_two_dimensional_smoke():
 def kernel_points(cfg, act, t):
     """Every (candidate, atom, node) point of one step, (C, Q, N, d), and the
     sorted candidate costs."""
-    meas = law(cfg.model, act, t, cfg.quad_order)
+    meas = law(act, t, cfg.quad_order)
     offs, costs = _radius_offsets(
-        cfg.ambiguity.radius(t), cfg.cand_per_side, cfg.grid.dim, cfg.ambiguity.p
+        cfg.m * t, cfg.cand_per_side, cfg.grid.dim, cfg.p
     )
-    base = psi(cfg.model, act, t, cfg.grid.nodes())
+    base = psi(act, t, cfg.grid.nodes())
     return base[None, None, :, :] + meas.atoms[None, :, None, :] + offs[:, None, None, :], costs
 
 
@@ -339,17 +339,17 @@ def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
         (np.array([[9.5, -11.25], [-10.0, 12.5], [9.0, 0.5], [0.25, -9.75], [-0.5, 0.75]]), 4),
     ]
     cfg = OperatorConfig(
-        brownian_model([[0.5, -0.25]], np.eye(2), dim=2), AmbiguitySpec(m=0.25), g,
+        brownian_model([[0.5, -0.25]], np.eye(2), dim=2), 0.25, g,
         quad_order=4, cand_per_side=4,
     )
     t = 0.25
-    offs, _ = _radius_offsets(cfg.ambiguity.radius(t), 4, 2, 2.0)
-    base = psi(cfg.model, "a0", t, g.nodes())
+    offs, _ = _radius_offsets(cfg.m * t, 4, 2, 2.0)
+    base = psi(cfg.model.actions[0], t, g.nodes())
     assert np.array_equal(base - g.nodes(), np.broadcast_to([0.125, -0.0625], base.shape))
     for atoms, lerps in laws:
         meas = DiscreteMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms)))
         monkeypatch.setattr(operators, "law", lambda *args: meas)
-        kernel = _StepKernel(cfg, "a0", t)
+        kernel = _StepKernel(cfg, cfg.model.actions[0], t)
         assert max(end - start for start, end in kernel.runs) == 8
         assert all(len(groups) == lerps for groups in kernel.stencil.lerps)
         pts = base[None, None, :, :] + atoms[None, :, None, :] + offs[:, None, None, :]
@@ -372,13 +372,13 @@ def test_2d_run_max_folds_like_np_max():
     f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     for sigma in (np.eye(2), np.array([[1.0, 0.0], [0.6, 0.8]])):
         cfg = OperatorConfig(
-            brownian_model([[0.5, 0.0]], sigma, dim=2), AmbiguitySpec(m=0.25), g,
+            brownian_model([[0.5, 0.0]], sigma, dim=2), 0.25, g,
             quad_order=4, cand_per_side=4,
         )
         for t in (1.0, 2.0 ** -4):
-            kernel = _StepKernel(cfg, "a0", t)
+            kernel = _StepKernel(cfg, cfg.model.actions[0], t)
             values = kernel_values(kernel, f)
-            pts, _ = kernel_points(cfg, "a0", t)
+            pts, _ = kernel_points(cfg, cfg.model.actions[0], t)
             assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
             expected = np.stack([np.max(values[start:end], axis=0) for start, end in kernel.runs])
             assert np.array_equal(kernel._run_max(f.values), expected)
@@ -391,7 +391,7 @@ def test_shift_stencil_matches_eval(grid):
     g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     cfg2 = OperatorConfig(
         model=brownian_model([[0.5, -0.3], [-0.7, 0.2]], np.eye(2), dim=2),
-        ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3,
+        m=0.25, grid=g2, quad_order=4, cand_per_side=3,
     )
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     cfg1 = cfg_for(grid, drifts=((0.3,), (-0.7,)))
@@ -433,13 +433,13 @@ def test_merged_costs_match_unmerged_solve(grid):
     g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     model2 = brownian_model([[0.5, 0.0], [-0.5, 0.0]], np.eye(2), dim=2)
     cfg2 = OperatorConfig(
-        model=model2, ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=4, cand_per_side=3
+        model=model2, m=0.25, grid=g2, quad_order=4, cand_per_side=3
     )
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y) + 0.1 * x)
     ou = ReferenceModel(
         [Action("a0", sigma=np.array([[0.8]]), theta=np.array([[1.0]]), drift=np.array([0.2]))],
     )
-    cfg_ou = OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid)
+    cfg_ou = OperatorConfig(model=ou, m=0.5, grid=grid)
     cases = [(cfg_for(grid), named_field(grid, "tanh")), (cfg2, f2), (cfg_ou, named_field(grid, "sin"))]
     for cfg, f in cases:
         for t in (1.0, 2.0 ** -4):
@@ -474,17 +474,17 @@ def test_brownian_is_ou_with_zero_theta(grid):
             dim=d,
         )
         cfgs = [
-            OperatorConfig(model=m, ambiguity=AmbiguitySpec(m=0.4), grid=g, quad_order=8, cand_per_side=4)
-            for m in (bm, ou)
+            OperatorConfig(model=model, m=0.4, grid=g, quad_order=8, cand_per_side=4)
+            for model in (bm, ou)
         ]
         for t in (0.25, 2.0 ** -5):
-            assert np.array_equal(psi(bm, "a0", t, g.nodes()), psi(ou, "a0", t, g.nodes()))
-            assert np.array_equal(covariance(bm, "a0", t), covariance(ou, "a0", t))
-            mu, nu = law(bm, "a0", t, 8), law(ou, "a0", t, 8)
+            assert np.array_equal(psi(bm.actions[0], t, g.nodes()), psi(ou.actions[0], t, g.nodes()))
+            assert np.array_equal(covariance(bm.actions[0], t), covariance(ou.actions[0], t))
+            mu, nu = law(bm.actions[0], t, 8), law(ou.actions[0], t, 8)
             assert np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights)
             assert np.array_equal(dro_step(cfgs[0], t, f).values, dro_step(cfgs[1], t, f).values)
             for cfg in cfgs:
-                assert isinstance(_StepKernel(cfg, "a0", t).stencil, ShiftStencil)
+                assert isinstance(_StepKernel(cfg, cfg.model.actions[0], t).stencil, ShiftStencil)
 
 
 def test_warm_kernel_solves_its_first_two_applies_cold(grid):
@@ -493,7 +493,8 @@ def test_warm_kernel_solves_its_first_two_applies_cold(grid):
     # and give its outputs bit for bit; only then does it hold the
     # multipliers a window starts from
     cfg = cfg_for(grid)
-    warm, cold = _StepKernel(cfg, "a0", 2.0 ** -8, warm=True), _StepKernel(cfg, "a0", 2.0 ** -8)
+    act = cfg.model.actions[0]
+    warm, cold = _StepKernel(cfg, act, 2.0 ** -8, warm=True), _StepKernel(cfg, act, 2.0 ** -8)
     values = named_field(grid, "tanh").values
     for _ in range(2):
         out = warm.apply(ScalarField(grid, values))
@@ -522,7 +523,7 @@ def test_windows_start_at_a_kernels_third_apply(grid, monkeypatch):
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     cfg2 = OperatorConfig(
         model=brownian_model([[-0.5, 0.0], [0.5, 0.0]], np.eye(2), dim=2),
-        ambiguity=AmbiguitySpec(m=0.25), grid=g2, quad_order=8, cand_per_side=4,
+        m=0.25, grid=g2, quad_order=8, cand_per_side=4,
     )
     f2 = ScalarField.from_function(g2, lambda x, y: np.sin(x) * np.cos(0.7 * y))
     compose(cfg2, dyadic_partition(0.5, 2), f2)
@@ -580,7 +581,7 @@ def test_one_cache_serves_two_configs():
     # robust one on a shared cache is the m = 0 step
     g = Grid(-8.0, 8.0, 129)
     cfg = cfg_for(g)
-    bellman_cfg = non_robust_config(cfg)
+    bellman_cfg = replace(cfg, m=0.0)
     f = named_field(g, "tanh")
     cache = {}
     robust = dro_step(cfg, 0.1, f, cache)
@@ -611,7 +612,7 @@ def test_zero_step_returns_the_field_bitwise(grid):
     rng = np.random.default_rng(12)
     for g, model in models:
         cfg = OperatorConfig(
-            model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g, quad_order=4, cand_per_side=4
+            model=model, m=0.5, grid=g, quad_order=4, cand_per_side=4
         )
         f = ScalarField(g, rng.standard_normal(g.shape))
         for reduce in (np.minimum, np.maximum):
@@ -623,8 +624,8 @@ def test_two_dimensional_default_step_builds():
     # stencil holds the merged values, not the 862M evaluation points
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (65, 65))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2)
-    kernel = _StepKernel(cfg, "a0", 0.25)
+    cfg = OperatorConfig(model=model, m=0.5, grid=g2)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25)
     assert kernel.stencil.cells.shape == (2, 797, 256)
     assert kernel.costs.size == 98
 
@@ -635,7 +636,7 @@ def test_two_dimensional_step_refused_beyond_memory():
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (513, 513))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(
-        model=model, ambiguity=AmbiguitySpec(m=0.5), grid=g2, quad_order=64, cand_per_side=64
+        model=model, m=0.5, grid=g2, quad_order=64, cand_per_side=64
     )
     with pytest.raises(InputError, match="GB of evaluation points"):
         dro_step(cfg, 0.25, ScalarField(g2, np.full(g2.shape, 1.0)))
@@ -653,14 +654,14 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     )
     g2 = Grid((-3.0, -3.0), (3.0, 3.0), (17, 17))
     cfg2 = OperatorConfig(
-        model=brownian_model([[0.5, 0.0]], np.eye(2), dim=2), ambiguity=AmbiguitySpec(m=0.25),
+        model=brownian_model([[0.5, 0.0]], np.eye(2), dim=2), m=0.25,
         grid=g2, quad_order=4, cand_per_side=3,
     )
     nq, nq2 = 513 * 16, 289 * 16
     cases = [
         # 33 candidates in 17 runs of at most 2
         (cfg_for(grid), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
-        (OperatorConfig(model=ou, ambiguity=AmbiguitySpec(m=0.5), grid=grid), False,
+        (OperatorConfig(model=ou, m=0.5, grid=grid), False,
          12 * nq * 17 + 8 * nq * (4 + 1 * 2) + 12 * nq * 33),
         # 29 lattice points in the disk, 7 runs of at most 8
         (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * 4),
@@ -674,9 +675,9 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
             monkeypatch.setattr(os, "sysconf", pages.__getitem__)
             if have < need:
                 with pytest.raises(InputError, match="GB of evaluation points"):
-                    _StepKernel(cfg, "a0", 0.25, warm)
+                    _StepKernel(cfg, cfg.model.actions[0], 0.25, warm)
             else:
-                _StepKernel(cfg, "a0", 0.25, warm)
+                _StepKernel(cfg, cfg.model.actions[0], 0.25, warm)
 
 
 def test_memory_guard_refuses_a_huge_lattice_before_building_it(grid, monkeypatch):
@@ -694,20 +695,20 @@ def test_memory_guard_refuses_a_huge_lattice_before_building_it(grid, monkeypatc
 
     monkeypatch.setattr(operators, "_radius_offsets", unbuilt)
     huge = [
-        OperatorConfig(brownian_model([[0.5]], [[1.0]]), AmbiguitySpec(m), grid, cand_per_side=10 ** 12)
+        OperatorConfig(brownian_model([[0.5]], [[1.0]]), m, grid, cand_per_side=10 ** 12)
         for m in (0.5, 0.0)
     ]
     for warm in (False, True):
         with pytest.raises(InputError, match="GB of evaluation points"):
-            _StepKernel(huge[0], "a0", 0.25, warm)
+            _StepKernel(huge[0], huge[0].model.actions[0], 0.25, warm)
     monkeypatch.setattr(operators, "_radius_offsets", radius_offsets)
-    assert _StepKernel(huge[1], "a0", 0.25).costs.tolist() == [0.0]
+    assert _StepKernel(huge[1], huge[1].model.actions[0], 0.25).costs.tolist() == [0.0]
 
 
 def test_config_validation(grid, window):
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     with pytest.raises(InputError):
-        OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.1), grid=grid)
+        OperatorConfig(model=model, m=0.1, grid=grid)
     with pytest.raises(InputError):
         scaling_limit(
             cfg_for(grid), 0.5, named_field(grid, "tanh"), window, max_level=11

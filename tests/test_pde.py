@@ -5,7 +5,6 @@ import pytest
 
 from drolimit import (
     Action,
-    AmbiguitySpec,
     CompactWindow,
     ConfigError,
     Grid,
@@ -37,7 +36,7 @@ def window():
 def cfg_for(grid, m=0.5, drifts=((0.0,),), sigma=1.0):
     return OperatorConfig(
         model=brownian_model([list(b) for b in drifts], [[sigma]]),
-        ambiguity=AmbiguitySpec(m=m),
+        m=m,
         grid=grid,
     )
 
@@ -164,7 +163,7 @@ def test_generator_apply_ou_drift(grid):
     model = ReferenceModel(
         [Action("a0", sigma=np.array([[1.0]]), theta=np.array([[0.7]]), drift=np.array([0.2]))],
     )
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=grid)
+    cfg = OperatorConfig(model=model, m=0.0, grid=grid)
     f = named_field(grid, "cos")
     gen = generator_apply(cfg, f)
     x = 1.5
@@ -206,7 +205,7 @@ def test_2d_requires_diagonal_diffusion():
     g2 = Grid((-4.0, -4.0), (4.0, 4.0), (33, 33))
     sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
     model = brownian_model([[0.0, 0.0]], sigma, dim=2)
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.1), grid=g2)
+    cfg = OperatorConfig(model=model, m=0.1, grid=g2)
     with pytest.raises(ConfigError):
         cfl_time_step(cfg, 0.8)
 
@@ -214,7 +213,7 @@ def test_2d_requires_diagonal_diffusion():
 def test_2d_heat_smoke():
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (49, 49))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
+    cfg = OperatorConfig(model=model, m=0.0, grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
     run = solve(cfg, 0.8, u0, 0.25)
     ref = ScalarField.from_function(g2, lambda x, y: math.exp(-0.25) * np.cos(x) * np.cos(y))
@@ -236,7 +235,7 @@ def test_snapshot_csv_2d(tmp_path):
     # number written by repr so the values read back exactly
     g2 = Grid((-4.0, -3.0), (4.0, 3.0), (9, 11))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
-    cfg = OperatorConfig(model=model, ambiguity=AmbiguitySpec(m=0.0), grid=g2)
+    cfg = OperatorConfig(model=model, m=0.0, grid=g2)
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.sin(y))
     run = solve(cfg, 0.8, u0, 0.1, snapshot_times=[0.0, 0.1])
     path = tmp_path / "snaps2.csv"

@@ -1,11 +1,12 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drolimit import (
-    AmbiguitySpec, CompactWindow, Grid, InputError, OperatorConfig, ScalarField, brownian_model,
+    CompactWindow, Grid, InputError, OperatorConfig, ScalarField, brownian_model,
 )
 from drolimit import operators, validation
 from drolimit.operators import dro_step
@@ -20,7 +21,6 @@ from drolimit.validation import (
     cross_check_pde,
     fourier_field,
     named_field,
-    non_robust_config,
     normal_cdf,
     refined_config,
     refinement_certificates,
@@ -39,7 +39,7 @@ def window():
 
 def cfg_for(grid, m=0.5):
     return OperatorConfig(
-        model=brownian_model([[0.0]], [[1.0]]), ambiguity=AmbiguitySpec(m=m), grid=grid
+        model=brownian_model([[0.0]], [[1.0]]), m=m, grid=grid
     )
 
 
@@ -97,7 +97,7 @@ def test_sensitivity_matches_l2_oracle(grid, window):
     mask = window.mask(grid)
     x = grid.axes[0]
     for t in (0.1, 0.05):
-        quotient = (dro_step(cfg, t, f).values - dro_step(non_robust_config(cfg), t, f).values) / t
+        quotient = (dro_step(cfg, t, f).values - dro_step(replace(cfg, m=0.0), t, f).values) / t
         theory = np.sqrt(0.5 * (1.0 + math.exp(-2 * t) * np.cos(2 * x)))
         assert np.max(np.abs(quotient - theory)[mask]) <= 1.2 * t
 
@@ -151,7 +151,7 @@ def test_property_suite_shares_the_applies_of_each_field(monkeypatch):
     grid = Grid(-4.0, 4.0, 33)
     for drifts in ([[0.0]], [[-0.5], [0.5]]):
         cfg = OperatorConfig(
-            brownian_model(drifts, [[1.0]]), AmbiguitySpec(m=0.5), grid,
+            brownian_model(drifts, [[1.0]]), 0.5, grid,
             quad_order=4, cand_per_side=2,
         )
         applies.clear()
@@ -193,6 +193,25 @@ def test_checks_refuse_horizons_with_one_partition(grid, window):
         cross_check_pde(cfg_for(grid), f, 0.5, window, max_level=0)
     with pytest.raises(InputError, match="one dyadic partition at every level up to 8"):
         check_semigroup(cfg_for(grid), f, window, pairs=[(0.25, 0.001)])
+
+
+def test_refinement_check_refuses_no_level_gap(window):
+    # with no level gap the worst increase would stay -inf and pass, and
+    # report.json would hold -Infinity
+    g = Grid(-8.0, 8.0, 65)
+    cfg, f = cfg_for(g), named_field(g, "tanh")
+    for levels in (0, -3, 2.5):
+        with pytest.raises(InputError):
+            check_refinement_monotonicity(cfg, f, window, t=0.5, levels=levels)
+    with pytest.raises(InputError, match="need one or more positive times"):
+        check_refinement_monotonicity(cfg, f, window, t=0.0, levels=3)
+
+
+def test_property_check_refuses_no_times():
+    # no times would leave all seven values at -inf, a pass on no evidence
+    g = Grid(-8.0, 8.0, 65)
+    with pytest.raises(InputError, match="need one or more positive times"):
+        check_operator_properties(cfg_for(g), trials=1, t_list=())
 
 
 def test_checks_refuse_levels_that_are_not_whole_numbers():
@@ -250,7 +269,7 @@ def test_cross_check_pde_2d_closed_form():
     # h^2/dt interpolation bias at 33^2 nodes is not gated here
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (33, 33))
     cfg = OperatorConfig(
-        brownian_model([[0.0, 0.0]], np.eye(2), dim=2), AmbiguitySpec(m=0.0), g2,
+        brownian_model([[0.0, 0.0]], np.eye(2), dim=2), 0.0, g2,
         quad_order=4, cand_per_side=2,
     )
     u0 = ScalarField.from_function(g2, lambda x, y: np.cos(x) * np.cos(y))
@@ -299,7 +318,7 @@ def test_game_certificate_composes_only_for_its_pde_check(monkeypatch, window):
 
         monkeypatch.setattr(module, "compose", recorded)
     cfg = OperatorConfig(
-        brownian_model([[0.0]], [[1.0]]), AmbiguitySpec(m=0.5), Grid(-6.0, 6.0, 65),
+        brownian_model([[0.0]], [[1.0]]), 0.5, Grid(-6.0, 6.0, 65),
         quad_order=4, cand_per_side=2,
     )
     rep = refinement_certificates(cfg, window, experiments=("game_crosscheck",))

@@ -5,7 +5,7 @@ from .dual import (
     brute_force_sup,
     wasserstein_sup,
 )
-from .errors import ConfigError, DataError, InputError, ModelError
+from .errors import InputError
 from .fields import (
     CompactWindow,
     Grid,

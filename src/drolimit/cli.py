@@ -1,9 +1,9 @@
 """Command-line front end: dispatch experiments, write CSV/JSON artifacts.
 
-Exit codes: 0 all executed checks pass, 1 a check failed, 2 configuration or
-input error, 3 internal error.  Identical (config, seed, subcommand) runs
-produce identical manifest/report/CSV files; wall-clock timings go to a
-separate timings.json.
+Exit codes: 0 all executed checks pass, 1 a check failed, 2 refused input
+(``InputError``) or an unwritable output, 3 internal error.  Identical
+(config, seed, subcommand) runs produce identical manifest/report/CSV files;
+wall-clock timings go to a separate timings.json.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import (
     check_values,
     load_config,
 )
-from .errors import ConfigError, InputError, ModelError
+from .errors import InputError
 from .fields import save_csv
 from .operators import scaling_limit
 from .pde import snapshot_schedule, solve, time_step
@@ -231,22 +231,22 @@ _SUBCOMMANDS = {
 
 def _parameters(subcommand: str, cfg: dict, op) -> dict:
     """The subcommand's experiment.parameters over its defaults, with the
-    ``function`` name replaced by its field; ConfigError if it cannot run."""
+    ``function`` name replaced by its field; InputError if it cannot run."""
     _, defaults, ranges = _SUBCOMMANDS[subcommand]
     params = check_values(cfg["experiment"]["parameters"], defaults, "experiment.parameters")
     grid = op.grid
     if subcommand != "properties" and grid.dim != 1:
-        raise ConfigError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
+        raise InputError(f"{subcommand} runs on 1-d grids only, got grid.dim={grid.dim}")
     for key, validate in ranges.items():
         try:
             validate(params, cfg, op)
-        except (InputError, TypeError, ValueError) as e:
-            raise ConfigError(f"experiment.parameters.{key}: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise InputError(f"experiment.parameters.{key}: {e}") from e
     if "function" in params:
         try:
             params["function"] = named_field(grid, params["function"])
         except InputError as e:
-            raise ConfigError(f"experiment.parameters.function: {e}") from e
+            raise InputError(f"experiment.parameters.function: {e}") from e
     return params
 
 
@@ -266,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         cfg = load_config(args.config, args.overrides)
         op = build_operator_config(cfg)
         build_window(cfg).validate_for(op.grid)
@@ -287,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ["check", "passed", "worst_label", "worst_margin"],
             [_summary_row(r) for r in reports],
         )
-    except (ConfigError, InputError, ModelError, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -8,7 +8,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import InputError
 from .fields import CompactWindow, Grid
 from .models import Action, ReferenceModel
 from .operators import MAX_LEVEL, OperatorConfig
@@ -54,29 +54,29 @@ def check_values(values, defaults: dict, path: str) -> dict:
     empty one (``experiment.parameters``) only has to be an object, and list
     items are checked against the default's first item unless it is an object."""
     if not isinstance(values, dict):
-        raise ConfigError(f"{path} must be an object, got {values!r}")
+        raise InputError(f"{path} must be an object, got {values!r}")
     out = copy.deepcopy(defaults)
     for key, value in values.items():
         name = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown configuration key {name}")
+            raise InputError(f"unknown configuration key {name}")
         default = defaults[key]
         if isinstance(default, dict):
             if default or not isinstance(value, dict):
                 value = check_values(value, default, name)
         elif isinstance(default, list):
             if not isinstance(value, list):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
+                raise InputError(f"{name} must be a list, got {value!r}")
             if default and not isinstance(default[0], dict):
                 check_values(dict(enumerate(value)), dict.fromkeys(range(len(value)), default[0]), name)
         elif isinstance(default, (int, float)) and (
             isinstance(value, bool) or not isinstance(value, (int, float))
         ):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+            raise InputError(f"{name} must be a number, got {value!r}")
         elif isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise InputError(f"{name} must be an integer, got {value!r}")
         elif isinstance(default, str) and not isinstance(value, str):
-            raise ConfigError(f"{name} must be a string, got {value!r}")
+            raise InputError(f"{name} must be a string, got {value!r}")
         out[key] = value
     return out
 
@@ -90,9 +90,9 @@ def load_config(path: Optional[str], overrides: Optional[List[str]] = None) -> d
             with open(path) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
+            raise InputError(f"cannot read config {path}: {e}") from e
         if not isinstance(cfg, dict):
-            raise ConfigError(f"config {path} must hold an object")
+            raise InputError(f"config {path} must hold an object")
     for item in overrides or []:
         _apply_override(cfg, item)
     # after the overrides, so that an override of a whole section keeps the
@@ -101,22 +101,25 @@ def load_config(path: Optional[str], overrides: Optional[List[str]] = None) -> d
     for i, act in enumerate(cfg["model"]["actions"]):
         check_values(act, _ACTION_KEYS, f"model.actions[{i}]")
     if cfg["ambiguity"]["m"] < 0:
-        raise ConfigError("ambiguity.m must be nonnegative")
+        raise InputError("ambiguity.m must be nonnegative")
     if not cfg["ambiguity"]["p"] > 1:
-        raise ConfigError("ambiguity.p must exceed 1")
-    # the ranges that ``law``, ``scaling_limit`` and the PDE solver check
-    num = cfg["numerics"]
-    for key, lo, hi in (("quad_order", 4, 64), ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
+        raise InputError("ambiguity.p must exceed 1")
+    g, num = cfg["grid"], cfg["numerics"]
+    if g["dim"] != len(g["lo"]):
+        raise InputError(f"grid.dim is {g['dim']} but grid.lo has {len(g['lo'])} entries")
+    # the ranges that ``law``, ``OperatorConfig``, ``scaling_limit`` and the PDE solver check
+    for key, lo, hi in (("quad_order", 4, 64), ("cand_per_side", 1, np.inf),
+                        ("max_level", 0, MAX_LEVEL), ("stop_tol", 0, np.inf)):
         if not lo <= num[key] <= hi:
-            raise ConfigError(f"numerics.{key} must lie in [{lo}, {hi}], got {num[key]!r}")
+            raise InputError(f"numerics.{key} must lie in [{lo}, {hi}], got {num[key]!r}")
     if not 0 < num["cfl_safety"] <= 1:
-        raise ConfigError(f"numerics.cfl_safety must lie in (0, 1], got {num['cfl_safety']!r}")
+        raise InputError(f"numerics.cfl_safety must lie in (0, 1], got {num['cfl_safety']!r}")
     return cfg
 
 
 def _apply_override(cfg: dict, item: str) -> None:
     if "=" not in item:
-        raise ConfigError(f"override {item!r} is not of the form key.path=value")
+        raise InputError(f"override {item!r} is not of the form key.path=value")
     key, raw = item.split("=", 1)
     try:
         value = json.loads(raw)

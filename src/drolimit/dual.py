@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import InputError
 from .models import DiscreteMeasure
 
 Array = np.ndarray
@@ -93,9 +93,9 @@ class DualInstance:
                 )
             g = np.asarray(integrand(z), dtype=float).ravel()
             if g.shape[0] != z.shape[0]:
-                raise DataError("integrand returned wrong number of values")
+                raise InputError("integrand returned wrong number of values")
             if not np.all(np.isfinite(g)):
-                raise DataError("integrand returned non-finite values")
+                raise InputError("integrand returned non-finite values")
             c = dist ** self.p
             c[np.argmin(c)] = 0.0  # the stay option is exactly free
             self.candidates.append(z)
@@ -325,7 +325,7 @@ def solve_batch(
         a_l, s_l, lo = np.where(left, a, a_l), np.where(left, sub, s_l), np.where(left, lam, lo)
         a_r, s_r, hi = np.where(right, a, a_r), np.where(right, sub, s_r), np.where(right, lam, hi)
     if active.any():
-        raise DataError("batch dual cutting planes did not terminate")
+        raise RuntimeError("batch dual cutting planes did not terminate")
     out[nodes], stopped_at[nodes] = best, lam
     return out, stopped_at
 

@@ -1,17 +1,6 @@
-"""Error taxonomy shared across the package."""
+"""The package's one refusal, which the command line reports with exit 2."""
 
 
 class InputError(ValueError):
-    """Bad argument to an operation (wrong range, non-finite, malformed)."""
-
-
-class ModelError(ValueError):
-    """Inconsistent reference-model parameters (e.g. non-PSD covariance)."""
-
-
-class DataError(ValueError):
-    """Non-finite or otherwise unusable numerical data mid-computation."""
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (unknown key, violated invariant)."""
+    """Bad input to an operation or a run: a configuration, model or argument
+    out of range, malformed or inconsistent."""

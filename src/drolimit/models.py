@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ModelError
+from .errors import InputError
 
 Array = np.ndarray
 
@@ -59,7 +59,7 @@ class Action:
 
     The dimension d >= 1 is the drift's length; sigma and theta must be (d, d)
     and finite (a scalar sigma or theta is (1, 1) in 1-d), theta symmetric
-    positive semi-definite, and 0 unless given.  ModelError otherwise."""
+    positive semi-definite, and 0 unless given.  InputError otherwise."""
 
     label: str
     drift: Optional[Array] = None       # the constant b(a)
@@ -70,13 +70,13 @@ class Action:
         self.drift = _checked(self.drift, "drift").ravel()
         d = len(self.drift)
         if d == 0:
-            raise ModelError("drift must have one or more entries")
+            raise InputError("drift must have one or more entries")
         self.sigma = _checked(self.sigma, "sigma", d)
         self.theta = np.zeros((d, d)) if self.theta is None else _checked(self.theta, "theta", d)
         if not np.allclose(self.theta, self.theta.T, atol=1e-10):
-            raise ModelError(f"theta for action {self.label!r} is not symmetric")
+            raise InputError(f"theta for action {self.label!r} is not symmetric")
         if np.linalg.eigvalsh(self.theta).min() < -1e-10:
-            raise ModelError(f"theta for action {self.label!r} is not PSD")
+            raise InputError(f"theta for action {self.label!r} is not PSD")
 
 
 class ReferenceModel:
@@ -84,32 +84,32 @@ class ReferenceModel:
 
     def __init__(self, actions: Sequence[Action], dim: int = 1):
         if not actions:
-            raise ModelError("action set must be nonempty")
+            raise InputError("action set must be nonempty")
         self.dim = int(dim)
         self.actions = tuple(actions)
         labels = set()
         for a in self.actions:
             if a.drift.shape != (self.dim,):
-                raise ModelError(f"drift must have shape ({self.dim},), got {a.drift.shape}")
+                raise InputError(f"drift must have shape ({self.dim},), got {a.drift.shape}")
             if a.label in labels:
-                raise ModelError(f"duplicate action label {a.label!r}")
+                raise InputError(f"duplicate action label {a.label!r}")
             labels.add(a.label)
 
 
 def _checked(v, name: str, d: Optional[int] = None) -> Array:
     """``v`` as a float array, of shape (d, d) unless d is None (a scalar is
-    (1, 1) in 1-d); ModelError if it is missing, of another shape or not
+    (1, 1) in 1-d); InputError if it is missing, of another shape or not
     finite."""
     if v is None:
-        raise ModelError(f"{name} is required")
+        raise InputError(f"{name} is required")
     arr = np.asarray(v, dtype=float)
     if d is not None:
         if arr.ndim == 0 and d == 1:
             arr = arr.reshape(1, 1)
         if arr.shape != (d, d):
-            raise ModelError(f"{name} must have shape ({d},{d}), got {arr.shape}")
+            raise InputError(f"{name} must have shape ({d},{d}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{name} must be finite")
+        raise InputError(f"{name} must be finite")
     return arr
 
 
@@ -169,7 +169,7 @@ def law(act: Action, t: float, quad_order: int = 16) -> DiscreteMeasure:
     cov = covariance(act, t)
     evals, evecs = np.linalg.eigh(cov)
     if evals.min() < -1e-10 * max(1.0, abs(evals.max())):
-        raise ModelError("covariance is not positive semi-definite")
+        raise InputError("covariance is not positive semi-definite")
     evals = np.clip(evals, 0.0, None)
     keep = evals > 1e-15 * max(1.0, evals.max())
     if not keep.any():

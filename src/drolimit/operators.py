@@ -112,18 +112,25 @@ class OperatorConfig:
 
 def _radius_offsets(radius: float, per_side: int, dim: int, p: float):
     """Candidate offsets around each atom and their transport costs, sorted
-    by cost ascending so that index 0 is the free stay option."""
+    by cost ascending from the free stay option; InputError unless every
+    distance is finite and every cost but the stay's is finite and above 0."""
     if radius <= 0.0:
         return np.zeros((1, dim)), np.zeros(1)
     span = REACH * radius
     step = span / per_side
     line = step * np.arange(-per_side, per_side + 1)  # exact 0 at the center
     offs = np.stack(np.meshgrid(*[line] * dim, indexing="ij"), -1).reshape(-1, dim)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(offs, axis=1)
     # the disk; in 1-d every offset, as |per_side * step| <= span up to rounding
-    offs = offs[np.linalg.norm(offs, axis=1) <= span * (1 + 1e-12)]
-    costs = np.linalg.norm(offs, axis=1) ** p
+    keep = dist <= span * (1 + 1e-12)
+    costs = dist[keep] ** p
     order = np.argsort(costs, kind="stable")
-    return offs[order], costs[order]
+    offs, costs = offs[keep][order], costs[order]
+    if not (np.isfinite(dist).all() and np.all(costs[1:] > 0) and costs[-1] < np.inf):
+        raise InputError(f"the candidate costs at radius {radius:.3g} and p = {p:g} overflow or"
+                         " underflow; choose another ambiguity.m or ambiguity.p")
+    return offs, costs
 
 
 class _StepKernel:
@@ -271,8 +278,6 @@ def action_values(
     configs may share it.  The kernels built here are cold, so a shared cache
     changes no output.
     """
-    if t < 0:
-        raise InputError("time must be nonnegative")
     out = []
     for act in cfg.model.actions:
         kernel = None if cache is None else cache.get((cfg, act.label, t))

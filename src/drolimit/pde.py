@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .fields import Grid, ScalarField, csv_columns, gradient_fd, write_rows
 from .operators import OperatorConfig
 
@@ -78,7 +78,7 @@ def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
         ssT = act.sigma @ act.sigma.T
         diag = np.diag(ssT).copy()
         if np.abs(ssT - np.diag(diag)).max() > 1e-12 * max(1.0, abs(ssT).max()):
-            raise ConfigError("2-d solver requires diagonal sigma sigma^T")
+            raise InputError("2-d solver requires diagonal sigma sigma^T")
         drift = []
         for ax in range(cfg.grid.dim):
             vals = np.full(cfg.grid.shape, act.drift[ax])
@@ -91,7 +91,7 @@ def _coefficients(cfg: OperatorConfig) -> List[Tuple[Array, List[Array]]]:
 
 def _cfl_bound(cfg: OperatorConfig, cfl_safety: float, coeffs) -> float:
     if not 0 < cfl_safety <= 1:
-        raise ConfigError("cfl_safety must lie in (0, 1]")
+        raise InputError("cfl_safety must lie in (0, 1]")
     denom = 0.0
     for ax in range(cfg.grid.dim):
         h = cfg.grid.spacing[ax]
@@ -154,7 +154,7 @@ def step_forward(cfg: OperatorConfig, cfl_safety: float, v: ScalarField, dt: Opt
     if dt is None:
         dt = bound
     if dt > bound * (1 + 1e-12):
-        raise ConfigError(f"dt={dt} violates the CFL bound {bound}")
+        raise InputError(f"dt={dt} violates the CFL bound {bound}")
     vals = v.values
     diffs = _differences(vals, cfg.grid)
 

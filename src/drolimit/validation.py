@@ -1,9 +1,9 @@
 """Executable verification of the package's quantitative claims.
 
-Every check returns a ``CheckReport`` with measured errors, thresholds, and a
-pass flag; reports are deterministic given (config, seed).  Each gate is
-written once, in the ``thresholds`` dict its check builds, and the report
-records it.
+Every check returns a ``CheckReport`` of measured errors and thresholds, which
+passes when each gated one is within its gate; reports are deterministic given
+(config, seed).  Each gate is written once, in the ``thresholds`` dict its
+check builds, and the report records it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,13 @@ class CheckReport:
     parameters: dict
     measured: List[Tuple[str, float]]
     thresholds: Dict[str, float]
-    passed: bool
     runtime_seconds: float
     artifacts: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        """Every gated measurement is within its gate."""
+        return all(v <= self.thresholds[k] for k, v in self.measured if k in self.thresholds)
 
     def to_dict(self) -> dict:
         """The report without its runtime (``None``), so that identical runs
@@ -59,18 +63,7 @@ class CheckReport:
 
 
 def _finish(name, params, measured, thresholds, t0, artifacts=None) -> CheckReport:
-    passed = all(
-        value <= thresholds[label] for label, value in measured if label in thresholds
-    )
-    return CheckReport(
-        name=name,
-        parameters=params,
-        measured=measured,
-        thresholds=thresholds,
-        passed=passed,
-        runtime_seconds=time.perf_counter() - t0,
-        artifacts=artifacts,
-    )
+    return CheckReport(name, params, measured, thresholds, time.perf_counter() - t0, artifacts)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from drolimit.cli import main
 from drolimit.config import load_config
-from drolimit.errors import ConfigError, ModelError
+from drolimit.errors import InputError
 
 
 def run_cli(args):
@@ -20,8 +20,22 @@ def test_config_defaults_load():
 
 
 def test_unknown_key_named():
-    with pytest.raises(ConfigError, match="numerics.quod_order"):
+    with pytest.raises(InputError, match="numerics.quod_order"):
         load_config(None, ["numerics.quod_order=8"])
+
+
+@pytest.mark.parametrize("config, overrides, message", [
+    (None, ["grid=5"], "grid must be an object, got 5"),
+    ("[1]", [], r"config .*config\.json must hold an object"),
+    (None, ["grid.dim"], "override 'grid.dim' is not of the form key.path=value"),
+])
+def test_config_refusals(tmp_path, config, overrides, message):
+    path = None
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+    with pytest.raises(InputError, match=message):
+        load_config(path, overrides)
 
 
 def test_negative_m_rejected(tmp_path, capsys):
@@ -41,7 +55,7 @@ TWO_D = (
 def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
     # each config is refused while it is built and checked, before any output
     cases = [
-        # sigma of the wrong shape is a ModelError raised while building the model
+        # sigma of the wrong shape is refused while the model is built
         ("limit", ('model.actions=[{"label":"a0","drift":[0.0],"sigma":[[1.0,0.0]]}]',),
          "error: sigma"),
         # action values are type-checked; there is no family tag, and the
@@ -144,6 +158,12 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
         ("limit", ("numerics.quad_order=2",), "error: numerics.quad_order must lie in [4, 64]"),
         ("pde", ("numerics.cfl_safety=2",), "error: numerics.cfl_safety must lie in (0, 1]"),
         ("limit", ('grid.lo=["a"]',), "error: grid.lo.0 must be a number"),
+        # grid.dim must be the length of grid.lo, named before the model is built
+        ("properties", (TWO_D[0], TWO_D[1].replace('"dim":2,', "")),
+         "error: grid.dim is 1 but grid.lo has 2 entries"),
+        ("limit", ("grid.dim=2",), "error: grid.dim is 2 but grid.lo has 1 entries"),
+        ("limit", ("numerics.cand_per_side=0",),
+         "error: numerics.cand_per_side must lie in [1, inf], got 0"),
         ("limit", ("grid.n=[12.5]",), "error: grid.n.0 must be an integer"),
         # a finite horizon that would run without bound: too many dyadic gaps
         # or explicit time steps
@@ -208,11 +228,25 @@ def test_model_error_during_run_exits_two(tmp_path, monkeypatch, capsys):
     from drolimit import cli
 
     def refuse(*args, **kwargs):
-        raise ModelError("no such law")
+        raise InputError("no such law")
 
     monkeypatch.setattr(cli, "scaling_limit", refuse)
     assert run_cli(["limit", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: no such law\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_internal_error_during_run_exits_three(tmp_path, monkeypatch, capsys):
+    # any other exception is an internal error: a traceback, no manifest
+    from drolimit import cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "scaling_limit", fail)
+    assert run_cli(["limit", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: broken invariant\n")
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -465,7 +499,7 @@ def test_all_and_certify_run_the_anchors_at_the_configs_cfl_safety(tmp_path, mon
 
     def report(name):
         return validation.CheckReport(
-            name, {}, [("operator_pde_gap", 0.0)], {"operator_pde_gap": 1.0}, True, 0.0
+            name, {}, [("operator_pde_gap", 0.0)], {"operator_pde_gap": 1.0}, 0.0
         )
 
     def crosscheck(*args, cfl_safety=None, name="", **kwargs):

@@ -7,7 +7,6 @@ import pytest
 
 from drolimit import (
     Action,
-    DataError,
     DiscreteMeasure,
     DualInstance,
     InputError,
@@ -77,7 +76,7 @@ def test_dual_instance_and_oracle_refusals():
         (lambda z: np.zeros(3), "integrand returned wrong number of values"),
         (lambda z: np.full(len(z), np.nan), "integrand returned non-finite values"),
     ):
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(InputError, match=message):
             DualInstance(src, stay, integrand, 0.1)
     with pytest.raises(InputError, match="grid_steps must be >= 1"):
         brute_force_sup(DualInstance(src, stay, linear, 0.1), grid_steps=0)
@@ -764,3 +763,17 @@ def test_windowed_steps_give_the_exact_lp(monkeypatch):
                     gvals[:, :, k].T, [kernel.costs] * 16, kernel.weights, kernel.radius ** 2
                 )
                 assert abs(values[k] - lp) <= 8 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("call, message", [
+    # six atoms, one more than the enumeration oracle takes
+    (lambda: brute_force_sup(DualInstance(
+        DiscreteMeasure(np.zeros((6, 1)), np.full(6, 1 / 6)), [np.zeros((1, 1))] * 6, linear, 0.1)),
+     r"instance too large for the enumeration oracle \(6 atoms, up to 1 candidates per atom\)"),
+    (lambda: solve_window(np.zeros((2, 1, 1)), np.array([0.0, 1.0]), np.ones(1), 0.0, 2.0,
+                          np.zeros(1), None),
+     "a window needs a positive radius and a cost above 0"),
+])
+def test_oracle_and_window_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -388,3 +388,27 @@ def test_nonfinite_rejected():
     f = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(InputError):
         f.eval(np.nan)
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp_path: Grid((0.0,), (1.0, 2.0), (9,)), "expected 1 per-axis entries, got 2"),
+    (lambda tmp_path: Grid((0.0,), (1.0,), (9, 9)), "expected 1 per-axis entries, got 2"),
+    (lambda tmp_path: CompactWindow((1.0,), (1.0,)), r"window needs lo < hi, got \[1.0, 1.0\]"),
+    (lambda tmp_path: CompactWindow((-1.0, -1.0), (1.0, 1.0)).validate_for(Grid(-8.0, 8.0, 65)),
+     "window dimension does not match grid"),
+    (lambda tmp_path: Stencil(Grid(-8.0, 8.0, 65), (3,), [np.zeros(2)]),
+     r"blocks hold 2 points, not the 3 of shape \(3,\)"),
+    (lambda tmp_path: ShiftStencil(Grid(-8.0, 8.0, 65), [[[np.inf]]]), "shifts must be finite"),
+    (lambda tmp_path: load_csv(_written(tmp_path, "x,v\n0.0,1.0\n")),
+     r"unrecognized field CSV header: \['x', 'v'\]"),
+    (lambda tmp_path: load_csv(_written(tmp_path, "x,value\n0.0,one\n")), "unreadable field CSV rows"),
+])
+def test_field_refusals(tmp_path, call, message):
+    with pytest.raises(InputError, match=message):
+        call(tmp_path)

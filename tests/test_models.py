@@ -8,7 +8,6 @@ from drolimit import (
     DiscreteMeasure,
     Grid,
     InputError,
-    ModelError,
     ReferenceModel,
     ScalarField,
     brownian_model,
@@ -197,11 +196,11 @@ def test_chapman_kolmogorov_ou():
 
 
 def test_model_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         ReferenceModel([])
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         ou_action(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), np.eye(2))  # not symmetric
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         ou_action(-1.0, 0.0, 1.0)  # not PSD
 
 
@@ -222,15 +221,15 @@ def test_action_checks_itself():
         ({"drift": [0.0], "sigma": [[1.0]], "theta": [[-1.0]]}, "theta for action 'a0' is not PSD"),
     ]
     for kwargs, message in cases:
-        with pytest.raises(ModelError, match=message):
+        with pytest.raises(InputError, match=message):
             Action("a0", **kwargs)
 
 
 def test_model_checks_dimension_and_labels():
-    with pytest.raises(ModelError, match=r"drift must have shape \(2,\), got \(1,\)"):
+    with pytest.raises(InputError, match=r"drift must have shape \(2,\), got \(1,\)"):
         brownian_model([[0.0]], [[1.0]], dim=2)
     twice = [Action("a0", drift=[0.0], sigma=[[1.0]]), Action("a0", drift=[0.5], sigma=[[1.0]])]
-    with pytest.raises(ModelError, match="duplicate action label 'a0'"):
+    with pytest.raises(InputError, match="duplicate action label 'a0'"):
         ReferenceModel(twice)
     # a scalar sigma (and theta) is the (1, 1) matrix in 1-d
     act = Action("a0", drift=[0.2], sigma=0.8, theta=0.5)
@@ -247,3 +246,15 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.array([[np.inf]]), np.array([1.0]))
     mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.25, 0.75]))
     assert mu.weights @ np.sum(mu.atoms ** 2, axis=1) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DiscreteMeasure(np.zeros((2, 1)), np.ones(1)), "atom/weight count mismatch"),
+    (lambda: DiscreteMeasure(np.zeros((2, 1)), [1.5, -0.5]), "weights must be nonnegative"),
+    (lambda: psi(brownian_action([0.0], [[1.0]]), -1.0, np.zeros((1, 1))),
+     "time must be nonnegative, got -1.0"),
+    (lambda: covariance(brownian_action([0.0], [[1.0]]), -1.0), "time must be nonnegative, got -1.0"),
+])
+def test_model_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -725,3 +725,24 @@ def test_scaling_limit_refuses_long_horizon_before_composing(monkeypatch, grid, 
     with pytest.raises(InputError, match="dyadic gaps at level 10"):
         scaling_limit(cfg_for(grid), 100.0, named_field(grid, "tanh"), window, max_level=10)
     assert calls == []
+
+
+@pytest.mark.parametrize("m, p", [(1e160, 2.0), (0.5, 400.0)])
+def test_lattice_whose_costs_overflow_or_underflow_is_refused(grid, m, p):
+    # at m = 1e160 every nonzero offset's distance overflows to inf and the
+    # disk keeps only the stay point, so the step would be the m = 0 step;
+    # at p = 400 and radius 1/8 the costs of 8 of the 32 other offsets
+    # underflow to 0, and those candidates would move for free
+    with pytest.raises(InputError, match="overflow or underflow; choose another ambiguity.m"):
+        dro_step(cfg_for(grid, m=m, p=p), 0.25, named_field(grid, "tanh"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid, window: cfg_for(grid, cand_per_side=0), "cand_per_side must be >= 1"),
+    (lambda grid, window: scaling_limit(cfg_for(grid), 0.5, named_field(grid, "tanh"), window,
+                                        stop_tol=-1.0),
+     "stop_tol must be nonnegative"),
+])
+def test_operator_refusals(grid, window, call, message):
+    with pytest.raises(InputError, match=message):
+        call(grid, window)

@@ -6,7 +6,6 @@ import pytest
 from drolimit import (
     Action,
     CompactWindow,
-    ConfigError,
     Grid,
     InputError,
     OperatorConfig,
@@ -19,7 +18,7 @@ from drolimit import (
     step_forward,
     sup_distance,
 )
-from drolimit.pde import MAX_STEPS, time_step
+from drolimit.pde import MAX_STEPS, SpaceTimeField, time_step
 from drolimit.validation import named_field, normal_cdf
 
 
@@ -51,7 +50,7 @@ def test_cfl_bound_formula(grid):
 def test_cfl_violation_rejected(grid):
     cfg = cfg_for(grid)
     v = named_field(grid, "cos")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         step_forward(cfg, 0.8, v, dt=1.0)
 
 
@@ -59,9 +58,9 @@ def test_cfl_safety_outside_unit_interval_refused(grid):
     cfg = cfg_for(grid)
     v = named_field(grid, "cos")
     for cfl_safety in (0.0, 1.5):
-        with pytest.raises(ConfigError, match="cfl_safety"):
+        with pytest.raises(InputError, match="cfl_safety"):
             cfl_time_step(cfg, cfl_safety)
-        with pytest.raises(ConfigError, match="cfl_safety"):
+        with pytest.raises(InputError, match="cfl_safety"):
             solve(cfg, cfl_safety, v, 0.1)
 
 
@@ -206,7 +205,7 @@ def test_2d_requires_diagonal_diffusion():
     sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
     model = brownian_model([[0.0, 0.0]], sigma, dim=2)
     cfg = OperatorConfig(model=model, m=0.1, grid=g2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         cfl_time_step(cfg, 0.8)
 
 
@@ -250,3 +249,12 @@ def test_snapshot_csv_2d(tmp_path):
         assert np.array_equal(block[:, 1], np.repeat(g2.axes[0], 11))
         assert np.array_equal(block[:, 2], np.tile(g2.axes[1], 9))
         assert np.array_equal(block[:, 3], run.snapshots[k].values.ravel())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: SpaceTimeField(f.grid, [0.0, 0.5], [f], 0.1, 5), "one snapshot per time required"),
+    (lambda f: SpaceTimeField(f.grid, [0.0], [f], 0.1, 0).at(0.5), "no snapshot recorded at t=0.5"),
+])
+def test_space_time_field_refusals(grid, call, message):
+    with pytest.raises(InputError, match=message):
+        call(named_field(grid, "cos"))

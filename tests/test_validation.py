@@ -334,3 +334,8 @@ def test_report_serialization(grid, window):
     import json
 
     json.dumps(d)  # must be serializable
+
+
+def test_named_fields_are_one_dimensional():
+    with pytest.raises(InputError, match="named test functions are one-dimensional"):
+        named_field(Grid((-1.0, -1.0), (1.0, 1.0), (9, 9)), "sin")

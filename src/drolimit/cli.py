@@ -16,7 +16,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -134,54 +133,7 @@ def _run_certify(cfg, op, params, args) -> List[CheckReport]:
 
 
 def _run_all(cfg, op, params, args) -> List[CheckReport]:
-    window = build_window(cfg)
-    cfl_safety = build_scheme(cfg)
-    grid = op.grid
-    fine_grid = grid.refined()
-    reports: List[CheckReport] = []
-    reports.append(val.check_dual_oracle(trials=200, seed=args.seed))
-    reports.append(val.check_operator_properties(op, trials=100, seed=args.seed))
-    # refinement monotonicity: the six comparisons of levels 0-6 at the config
-    # grid, then all seven of levels 0-7 at doubled resolution (1,025 nodes by
-    # default): at 513 nodes the per-stage resampling bias (~h^2/dt)
-    # overtakes the margin between levels 6 and 7
-    reports.append(
-        val.check_refinement_monotonicity(
-            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "tanh"),
-            t=1.0, levels=6, window=window,
-        )
-    )
-    reports.append(
-        val.check_refinement_monotonicity(
-            val.with_model(replace(op, grid=fine_grid), [[0.0]], m=0.5),
-            named_field(fine_grid, "tanh"), t=1.0, levels=7, window=window,
-        )
-    )
-    reports.append(
-        val.check_sensitivity(
-            val.with_model(op, [[0.0]], m=1.0), named_field(grid, "sin"),
-            window=window,
-        )
-    )
-    reports.append(
-        val.check_generator(
-            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "cos"),
-            t_list=(0.2, 0.1, 0.05), window=window,
-        )
-    )
-    reports.append(
-        val.check_semigroup(
-            val.with_model(op, [[0.0]], m=0.5), named_field(grid, "tanh"),
-            pairs=((0.25, 0.25),), window=window,
-        )
-    )
-    anchors = {
-        name: val.anchor_check(op, window, name, cfl_safety) for name in ("heat_anchor", "cdf_anchor")
-    }
-    anchors["game_crosscheck"] = val.game_crosscheck(op, window, cfl_safety)
-    reports += anchors.values()
-    reports.append(val.refinement_certificates(op, window, base_reports=anchors, cfl_safety=cfl_safety))
-    return reports
+    return val.acceptance(op, build_window(cfg), build_scheme(cfg), args.seed)
 
 
 # subcommand -> (runner, the experiment.parameters it reads with their
@@ -197,7 +149,7 @@ _SUBCOMMANDS = {
     "generator": (
         functools.partial(_run_rates, val.check_generator, "generator.csv"),
         {"function": "cos", "t_list": [0.2, 0.1, 0.05]},
-        {"t_list": lambda p, cfg, op: val.validate_times(p["t_list"])},
+        {"t_list": lambda p, cfg, op: val._validate_generator_times(p["t_list"])},
     ),
     "semigroup": (
         _run_semigroup, {"function": "tanh", "pairs": [[0.25, 0.25], [0.5, 0.25]]},
@@ -222,7 +174,7 @@ _SUBCOMMANDS = {
          "dual_trials": lambda p, cfg, op: val.validate_trials(p["dual_trials"])},
     ),
     "certify": (
-        _run_certify, {"experiments": ["heat_anchor", "cdf_anchor", "game_crosscheck"]},
+        _run_certify, {"experiments": list(val._ANCHORS)},
         {"experiments": lambda p, cfg, op: val.validate_experiments(p["experiments"])},
     ),
     "all": (_run_all, {}, {}),

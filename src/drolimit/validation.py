@@ -125,11 +125,11 @@ def fourier_field(grid: Grid, rng: np.random.Generator, max_wavenumber: int = 8)
 
 def validate_pairs(pairs, max_level: int) -> None:
     """Refuse no pairs, semigroup pairs other than two finite numbers
-    s, t >= 0 with s + t <= 1, or a pair whose s, t or s + t
-    ``validate_limit_time`` refuses."""
+    s, t >= 0 with s + t <= 1, a repeated pair, or a pair whose s, t or
+    s + t ``validate_limit_time`` refuses."""
     if not pairs:
         raise InputError("need one or more semigroup pairs")
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(v, numbers.Real) for v in pair)):
             raise InputError(f"semigroup pairs must be [s, t] number pairs, got {pair!r}")
@@ -137,6 +137,8 @@ def validate_pairs(pairs, max_level: int) -> None:
             raise InputError(f"semigroup pairs must be nonnegative and finite, got {pair!r}")
         if pair[0] + pair[1] > 1.0 + 1e-12:
             raise InputError("semigroup pairs must satisfy s + t <= 1")
+        if any(tuple(pair) == tuple(q) for q in pairs[:i]):
+            raise InputError(f"repeated semigroup pair {pair!r}")
         for t in (*pair, pair[0] + pair[1]):
             validate_limit_time(t, max_level)
 
@@ -177,12 +179,25 @@ def validate_trials(trials: int) -> None:
 
 
 def validate_experiments(names) -> None:
-    """Refuse an empty list of anchors or a name that is not one."""
+    """Refuse an empty list of anchors, a name that is not one, or a repeat."""
     if not names:
         raise InputError("need one or more certifiable experiments")
-    for name in names:
+    for i, name in enumerate(names):
         if not isinstance(name, str) or name not in _ANCHORS:
             raise InputError(f"unknown certifiable experiment {name!r}")
+        if name in names[:i]:
+            raise InputError(f"repeated certifiable experiment {name!r}")
+
+
+_GENERATOR_LEVEL = 6  # the generator check's top dyadic level
+
+
+def _validate_generator_times(ts) -> None:
+    """``validate_times``, then ``validate_limit_time`` at the generator's
+    level for each time, whose limit would otherwise be a single period."""
+    validate_times(ts)
+    for t in ts:
+        validate_limit_time(t, _GENERATOR_LEVEL)
 
 
 # ----------------------------------------------------------------------
@@ -240,16 +255,18 @@ def check_generator(
     """Error of (S(t)f - f)/t against inf_a L^a f + m ||grad f||; the final
     error's gate is 0.1 (sup |inf_a L^a f| + m sup ||grad f||) on the window.
 
-    The dyadic depth is capped at level 6: each composition stage re-samples
-    the grid, and past it the accumulated interpolation bias (of order
-    spacing^2 per stage, divided by t in the quotient) would dominate the
-    quantity under test.  Each limit runs to level 6 unless a level gap
-    reaches 2e-5 first.
+    The dyadic depth is capped at level 6 (``_GENERATOR_LEVEL``): each
+    composition stage re-samples the grid, and past it the accumulated
+    interpolation bias (of order spacing^2 per stage, divided by t in the
+    quotient) would dominate the quantity under test.  Each limit runs to
+    level 6 unless a level gap reaches 2e-5 first; a time at most 2^-6,
+    whose partition is the same at every level, is refused.
     """
+    _validate_generator_times(t_list)
     stop_tol = 2e-5
 
     def quotient(t):
-        lim = scaling_limit(cfg, t, f, max_level=6, stop_tol=stop_tol, window=window)
+        lim = scaling_limit(cfg, t, f, max_level=_GENERATOR_LEVEL, stop_tol=stop_tol, window=window)
         return (lim.field.values - f.values) / t
 
     mask = window.mask(cfg.grid)
@@ -610,7 +627,7 @@ def _headline(report: CheckReport) -> float:
 def refinement_certificates(
     cfg: OperatorConfig,
     window: CompactWindow,
-    experiments: Sequence[str] = ("heat_anchor", "cdf_anchor", "game_crosscheck"),
+    experiments: Sequence[str] = tuple(_ANCHORS),
     base_reports: Optional[Dict[str, CheckReport]] = None,
     cfl_safety: float = 0.8,
 ) -> CheckReport:
@@ -634,3 +651,32 @@ def refinement_certificates(
         thresholds[label] = factor * base.thresholds["operator_pde_gap"]
     params = {"experiments": list(experiments), "factor": factor}
     return _finish("refinement_certificates", params, measured, thresholds, t0)
+
+
+def acceptance(cfg: OperatorConfig, window: CompactWindow, cfl_safety: float, seed: int) -> List[CheckReport]:
+    """The acceptance battery: the twelve reports ``drolimit all`` writes, in
+    order, and the acceptance suite reads.  Only the property suite reads the
+    config's model and m; the semigroup check runs at stop tolerance 1e-3 and
+    the anchors at their rows', all to level 8."""
+    grid, fine = cfg.grid, replace(cfg, grid=cfg.grid.refined())
+    reports = [
+        check_dual_oracle(trials=200, seed=seed),
+        check_operator_properties(cfg, trials=100, seed=seed),
+        # refinement monotonicity: the six comparisons of levels 0-6 at the
+        # config grid, then all seven of levels 0-7 at doubled resolution
+        # (1,025 nodes by default): at 513 nodes the per-stage resampling bias
+        # (~h^2/dt) overtakes the margin between levels 6 and 7
+        check_refinement_monotonicity(
+            with_model(cfg, [[0.0]], m=0.5), named_field(grid, "tanh"), window, t=1.0, levels=6
+        ),
+        check_refinement_monotonicity(
+            with_model(fine, [[0.0]], m=0.5), named_field(fine.grid, "tanh"), window, t=1.0, levels=7
+        ),
+        check_sensitivity(with_model(cfg, [[0.0]], m=1.0), named_field(grid, "sin"), window),
+        check_generator(with_model(cfg, [[0.0]], m=0.5), named_field(grid, "cos"), window, (0.2, 0.1, 0.05)),
+        check_semigroup(with_model(cfg, [[0.0]], m=0.5), named_field(grid, "tanh"), window, ((0.25, 0.25),)),
+    ]
+    anchors = {name: anchor_check(cfg, window, name, cfl_safety) for name in ("heat_anchor", "cdf_anchor")}
+    anchors["game_crosscheck"] = game_crosscheck(cfg, window, cfl_safety)
+    certificates = refinement_certificates(cfg, window, base_reports=anchors, cfl_safety=cfl_safety)
+    return reports + [*anchors.values(), certificates]

@@ -95,6 +95,12 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: experiment.parameters.experiments: need one or more certifiable experiments"),
         ("semigroup", ("experiment.parameters.pairs=[]",),
          "error: experiment.parameters.pairs: need one or more semigroup pairs"),
+        # a repeated experiment or pair would run again and write its label
+        # twice under one gate
+        ("certify", ('experiment.parameters.experiments=["heat_anchor", "heat_anchor"]',),
+         "error: experiment.parameters.experiments: repeated certifiable experiment 'heat_anchor'"),
+        ("semigroup", ("experiment.parameters.pairs=[[0.25, 0.25], [0.25, 0.25]]",),
+         "error: experiment.parameters.pairs: repeated semigroup pair [0.25, 0.25]"),
         ("crosscheck", ("experiment.parameters.horizon=2.0",),
          "error: experiment.parameters.horizon: cross-check horizons are limited to T <= 1"),
         ("semigroup", ("experiment.parameters.pairs=[[0.25, 0.25], [0.75, 0.5]]",),
@@ -113,6 +119,10 @@ def test_bad_model_exit_two_without_manifest(tmp_path, capsys):
          "error: experiment.parameters.t_list must be a list"),
         ("generator", ("experiment.parameters.t_list=[0.1, 0.0]",),
          "error: experiment.parameters.t_list: need one or more positive times"),
+        # the generator's limits stop at level 6, where t <= 2^-6 is one period
+        ("generator", ("experiment.parameters.t_list=[0.02, 0.01]",),
+         "error: experiment.parameters.t_list: t = 0.01 has one dyadic partition at every level"
+         " up to 6"),
         # the generator's stop tolerance, the gates and the candidate reach
         # are constants, not settings
         ("generator", ("experiment.parameters.stop_tol=-1",),
@@ -446,16 +456,17 @@ def test_sensitivity_subcommand(tmp_path):
 
 def test_error_tables_keep_every_digit_of_t(tmp_path):
     # the t column is the report's t_list, not t as the error labels round it
+    # (the t is above 2^-6, the generator's shortest refinable time)
     for name in ("sensitivity", "generator"):
         out = tmp_path / name
         run_cli(
             [name, "--out", str(out), "--set", "ambiguity.m=0.0",
-             "--set", "experiment.parameters.t_list=[0.0123456789, 0.2]"] + SMALL
+             "--set", "experiment.parameters.t_list=[0.0234567891, 0.2]"] + SMALL
         )
         lines = (out / f"{name}.csv").read_text().splitlines()
-        assert [line.split(",")[0] for line in lines] == ["t", "0.2", "0.0123456789"]
+        assert [line.split(",")[0] for line in lines] == ["t", "0.2", "0.0234567891"]
         report = json.loads((out / "report.json").read_text())
-        assert report[0]["parameters"]["t_list"] == [0.2, 0.0123456789]
+        assert report[0]["parameters"]["t_list"] == [0.2, 0.0234567891]
 
 
 def test_generator_subcommand_default_grid(tmp_path):

@@ -181,6 +181,11 @@ def test_checks_refuse_no_pairs_and_no_or_unknown_anchors(grid, window):
         refinement_certificates(cfg_for(grid), window, experiments=())
     with pytest.raises(InputError, match="unknown certifiable experiment 'foo'"):
         anchor_check(cfg_for(grid), window, "foo")
+    # a repeat would run again and write one label twice under one gate
+    with pytest.raises(InputError, match=r"repeated semigroup pair \(0.25, 0.25\)"):
+        check_semigroup(cfg_for(grid), named_field(grid, "tanh"), window, pairs=[(0.25, 0.25)] * 2)
+    with pytest.raises(InputError, match="repeated certifiable experiment 'cdf_anchor'"):
+        refinement_certificates(cfg_for(grid), window, experiments=("cdf_anchor", "cdf_anchor"))
 
 
 def test_checks_refuse_horizons_with_one_partition(grid, window):
@@ -193,6 +198,9 @@ def test_checks_refuse_horizons_with_one_partition(grid, window):
         cross_check_pde(cfg_for(grid), f, 0.5, window, max_level=0)
     with pytest.raises(InputError, match="one dyadic partition at every level up to 8"):
         check_semigroup(cfg_for(grid), f, window, pairs=[(0.25, 0.001)])
+    # the generator's limits stop at level 6
+    with pytest.raises(InputError, match="t = 0.01 has one dyadic partition at every level up to 6"):
+        check_generator(cfg_for(grid), f, window, t_list=(0.02, 0.01))
 
 
 def test_refinement_check_refuses_no_level_gap(window):

@@ -27,7 +27,7 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     },
     "numerics": {
         "quad_order": 16,
-        "cand_per_side": 16,
+        "cand_per_side": 12,
         "stop_tol": 1e-3,
         "max_level": 8,
         "cfl_safety": 0.8,

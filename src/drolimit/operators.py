@@ -13,11 +13,18 @@ dyadic partition sequence, whose values decrease node-wise as the mesh is
 refined.
 
 Candidate destinations for the inner worst case live on a lattice of offsets
-around each quadrature atom spanning [-REACH * r, REACH * r].  The lattice
-spacing is proportional to the radius r (a fixed number of points per side),
-so the relative quality of the inner maximization is scale-free along the
-dyadic refinement; resolution is controlled by ``cand_per_side`` and audited
-by the refinement certificates in the validation module.
+around each quadrature atom spanning [-REACH * r, REACH * r], REACH = 3.  To
+first order the worst case moves atom y by r grad f(y) / ||grad f||_{L^q(mu)}
+(1/p + 1/q = 1; Bartl et al. 2021), which exceeds three radii only at nodes
+near a zero of grad f.  The lattice spacing is proportional to the radius r (a
+fixed number of points per side; the default 12 gives a step of r/4), so the
+relative quality of the inner maximization is scale-free along the dyadic
+refinement; resolution is controlled by ``cand_per_side`` and audited by the
+refinement certificates in the validation module.
+
+``compose`` gives all its kernels one (D, Q, *grid.shape) array of run
+maxima per distinct shape, which every apply overwrites, so that the largest
+array of a step is not allocated afresh on every step.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ MAX_LEVEL = 10  # each dyadic level doubles the cost of the one before
 # the most gaps a dyadic partition may have: t <= 64 at MAX_LEVEL; one
 # composition of that many default 1-d steps takes minutes
 MAX_GAPS = 2 ** 16
-REACH = 4.0  # the candidate lattice spans this many radii on each side
+REACH = 3.0  # the candidate lattice spans this many radii on each side
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class OperatorConfig:
     grid: Grid
     p: float = 2.0
     quad_order: int = 16
-    cand_per_side: int = 16
+    cand_per_side: int = 12
 
     def __post_init__(self):
         if not (np.isfinite(self.m) and self.m >= 0):
@@ -151,7 +158,12 @@ class _StepKernel:
     and ties still resolve toward the cheapest cost because the runs ascend.
     The run maxima are held run by run, (D, Q, N), the order in which
     ``solve_batch`` loops over candidates, so the dual solve copies nothing
-    but the nodes still running once at most half of them run.
+    but the nodes still running once at most half of them run.  Given
+    ``run_maxima``, a dict from shapes to arrays shared with other kernels,
+    the kernel writes them into that dict's array of its shape (``merged``),
+    which the next apply of any of those kernels overwrites; without it, each
+    apply allocates its own.  The dual solvers return fresh arrays, so no
+    apply returns or keeps a view of them.
 
     A cold kernel solves every step from lam = 0 (``solve_batch``), so its
     output depends on its input alone.  A warm one keeps in ``lam`` and
@@ -168,10 +180,14 @@ class _StepKernel:
     """
 
     __slots__ = (
-        "weights", "costs", "runs", "stencil", "radius", "p", "warm", "lam", "prev", "paid"
+        "weights", "costs", "runs", "merged", "stencil", "radius", "p", "warm", "lam", "prev",
+        "paid",
     )
 
-    def __init__(self, cfg: OperatorConfig, action: Action, dt: float, warm: bool = False):
+    def __init__(
+        self, cfg: OperatorConfig, action: Action, dt: float, warm: bool = False,
+        run_maxima: Optional[Dict[tuple, Array]] = None,
+    ):
         meas = law(action, dt, cfg.quad_order)
         radius = cfg.m * dt
         shift = not np.any(action.theta)
@@ -227,6 +243,10 @@ class _StepKernel:
                 cfg.grid, (len(offs), q) + cfg.grid.shape, (near + off for off in offs)
             )
         self.runs = list(zip(starts, ends))
+        shape = (len(self.runs), q) + cfg.grid.shape
+        if run_maxima is not None and shape not in run_maxima:
+            run_maxima[shape] = np.empty(shape)
+        self.merged = None if run_maxima is None else run_maxima[shape]
         self.costs = costs[starts]
         self.weights = meas.weights
         self.radius = radius
@@ -253,16 +273,19 @@ class _StepKernel:
 
     def _run_max(self, values: Array) -> Array:
         """The C-contiguous (D, Q, N) max of the interpolated values over each
-        of the D runs of equal cost: one (Q, N) block per run, the
-        candidate-major layout that ``solve_batch`` computes in, which the
-        stencil's ``run_max`` writes in place.  A 1-d shift stencil or a
+        of the D runs of equal cost, in ``merged`` where the kernel shares
+        one: one (Q, N) block per run, the candidate-major layout that
+        ``solve_batch`` computes in, which the stencil's ``run_max`` writes
+        in place.  A 1-d shift stencil or a
         point stencil reduces the run's rows with ``np.maximum``; a 2-d shift
         stencil folds one candidate and atom at a time, lerping once along
         the last axis per candidate and distinct shift along it.  Either
         way each block is the fold of the run's values in candidate order,
         the same bits as ``np.max`` over the run."""
         windows = self.stencil.windows(values)
-        merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
+        merged = self.merged
+        if merged is None:
+            merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
             self.stencil.run_max(windows, start, end, merged[k])
         return merged.reshape(merged.shape[:2] + (-1,))
@@ -312,8 +335,9 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
     third on each solves through certified windows walked from the
     multipliers of the two steps before with that gap (``_StepKernel``).
     """
+    run_maxima: Dict[tuple, Array] = {}
     cache = {
-        (cfg, act.label, gap): _StepKernel(cfg, act, gap, warm=True)
+        (cfg, act.label, gap): _StepKernel(cfg, act, gap, warm=True, run_maxima=run_maxima)
         for gap in dict.fromkeys(pi.gaps) for act in cfg.model.actions
     }
     out = f

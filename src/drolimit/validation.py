@@ -203,6 +203,14 @@ def _validate_generator_times(ts) -> None:
 # ----------------------------------------------------------------------
 # limit checks: sensitivity, generator, semigroup
 
+def _time_label(t: float) -> str:
+    """``t`` in six significant digits where they give it back exactly, and
+    its shortest round-trip ``repr`` otherwise, so that distinct times get
+    distinct labels."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(float(t))
+
+
 def _rate_check(name, cfg, window, t_list, quotient, target, final_threshold, params) -> CheckReport:
     """Window error of ``quotient(t)`` against ``target`` along the distinct
     times of ``t_list``, largest first, and its gates: the final error, and
@@ -216,7 +224,7 @@ def _rate_check(name, cfg, window, t_list, quotient, target, final_threshold, pa
     for a, b in zip(errors, errors[1:]):
         max_ratio = max(max_ratio, (b - a) / max(a, 1e-15))
     measured = [("final_error", errors[-1]), ("max_increase_ratio", max_ratio)]
-    measured += [(f"error_t={t:g}", e) for t, e in zip(ts, errors)]
+    measured += [(f"error_t={_time_label(t)}", e) for t, e in zip(ts, errors)]
     thresholds = {"final_error": final_threshold, "max_increase_ratio": 0.10}
     return _finish(name, {"t_list": ts, **params}, measured, thresholds, t0)
 
@@ -299,7 +307,7 @@ def check_semigroup(
         joint = scaling_limit(cfg, s + t, f, max_level=max_level, stop_tol=stop_tol, window=window)
         inner = scaling_limit(cfg, s, f, max_level=max_level, stop_tol=stop_tol, window=window)
         outer = scaling_limit(cfg, t, inner.field, max_level=max_level, stop_tol=stop_tol, window=window)
-        label = f"gap_s={s:g}_t={t:g}"
+        label = f"gap_s={_time_label(s)}_t={_time_label(t)}"
         measured.append((label, sup_distance(joint.field, outer.field, window)))
         thresholds[label] = threshold
     params = {"pairs": list(pairs), "stop_tol": stop_tol, "m": cfg.m}

@@ -489,6 +489,21 @@ def test_semigroup_subcommand_default_grid(tmp_path):
     assert report[0]["passed"]
 
 
+def test_semigroup_labels_times_that_agree_to_six_digits_apart(tmp_path):
+    # six significant digits print both s as 0.123456; each label keeps the
+    # shortest repr that gives its time back
+    out = tmp_path / "semi"
+    code = run_cli(
+        ["semigroup", "--out", str(out), "--quiet", "--set", "grid.n=[65]",
+         "--set", "experiment.parameters.pairs=[[0.1234561, 0.25], [0.1234564, 0.25]]"]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    labels = [label for label, _ in report[0]["measured"]]
+    assert labels == ["gap_s=0.1234561_t=0.25", "gap_s=0.1234564_t=0.25"]
+    assert sorted(report[0]["thresholds"]) == sorted(labels)
+
+
 def test_certify_subcommand_heat_only(tmp_path):
     out = tmp_path / "cert"
     code = run_cli(

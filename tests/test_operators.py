@@ -425,6 +425,50 @@ def test_shift_onto_nodes_reproduces_node_values(grid):
     assert np.all(out[-3:] == f.values[-1])
 
 
+def test_default_lattice_spans_three_radii_at_a_quarter_radius(grid):
+    # 12 per side at REACH = 3: 25 candidates k r/4, |k| <= 12, in 13 runs
+    # of equal cost, the stay option alone and then the pairs +-k r/4
+    cfg, t = cfg_for(grid), 0.25
+    radius = cfg.m * t
+    offs, costs = _radius_offsets(radius, cfg.cand_per_side, 1, cfg.p)
+    steps = offs[:, 0] / (radius / 4)
+    assert len(offs) == 25
+    assert np.array_equal(np.sort(np.round(steps)), np.arange(-12.0, 13.0))
+    assert np.max(np.abs(steps - np.round(steps))) <= 1e-12
+    assert offs.min() == pytest.approx(-3 * radius, rel=1e-15)
+    assert offs.max() == pytest.approx(3 * radius, rel=1e-15)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], t)
+    assert kernel.stencil.cells.shape[1] == 25
+    assert [end - start for start, end in kernel.runs] == [1] + [2] * 12
+    assert np.array_equal(kernel.costs, np.unique(costs))
+
+
+def test_composition_kernels_share_run_maxima_without_aliasing(grid):
+    # the kernels of a two-action composition write their run maxima into one
+    # array; an apply's values survive the next kernel's apply into it, and
+    # warm kernels (windows from the third apply on) give the bits of kernels
+    # that hold their own arrays, so no apply returns or keeps a view of it
+    cfg, t = cfg_for(grid, drifts=((0.3,), (-0.2,))), 2.0 ** -6
+    run_maxima = {}
+    shared = [_StepKernel(cfg, a, t, warm=True, run_maxima=run_maxima) for a in cfg.model.actions]
+    own = [_StepKernel(cfg, a, t, warm=True) for a in cfg.model.actions]
+    assert len(run_maxima) == 1 and shared[0].merged is shared[1].merged
+    assert own[0].merged is None and own[1].merged is None
+    f = named_field(grid, "tanh")
+    for _ in range(4):
+        first = shared[0].apply(f)
+        kept = first.copy()
+        second = shared[1].apply(f)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first, own[0].apply(f))
+        assert np.array_equal(second, own[1].apply(f))
+        f = ScalarField(grid, np.minimum(first, second))
+    assert all(k.paid is not None for k in shared)
+    # compose runs the same four steps through kernels of its own
+    assert np.array_equal(compose(cfg, dyadic_partition(4 * t, 6), named_field(grid, "tanh")).values,
+                          f.values)
+
+
 def test_merged_costs_match_unmerged_solve(grid):
     # the kernel's max over each run of equal cost, solved over the distinct
     # costs, equals the solve over all its unmerged values, bitwise; those
@@ -620,14 +664,19 @@ def test_zero_step_returns_the_field_bitwise(grid):
 
 
 def test_two_dimensional_default_step_builds():
-    # 4225 nodes x 256 atoms x 797 candidates (98 distinct costs): a shift
-    # stencil holds the merged values, not the 862M evaluation points
+    # 4225 nodes x 256 atoms x 797 candidates (98 distinct costs) at 16 per
+    # side: a shift stencil holds the merged values, not the 862M evaluation
+    # points; the default 12 per side has 441 candidates (59 distinct costs)
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (65, 65))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
-    cfg = OperatorConfig(model=model, m=0.5, grid=g2)
+    cfg = OperatorConfig(model=model, m=0.5, grid=g2, cand_per_side=16)
     kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25)
     assert kernel.stencil.cells.shape == (2, 797, 256)
     assert kernel.costs.size == 98
+    cfg = OperatorConfig(model=model, m=0.5, grid=g2)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25)
+    assert kernel.stencil.cells.shape == (2, 441, 256)
+    assert kernel.costs.size == 59
 
 
 def test_two_dimensional_step_refused_beyond_memory():
@@ -660,13 +709,14 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     nq, nq2 = 513 * 16, 289 * 16
     cases = [
         # 33 candidates in 17 runs of at most 2
-        (cfg_for(grid), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
-        (OperatorConfig(model=ou, m=0.5, grid=grid), False,
+        (cfg_for(grid, cand_per_side=16), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
+        (OperatorConfig(model=ou, m=0.5, grid=grid, cand_per_side=16), False,
          12 * nq * 17 + 8 * nq * (4 + 1 * 2) + 12 * nq * 33),
         # 29 lattice points in the disk, 7 runs of at most 8
         (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * 4),
         # a warm kernel's windows add 152 bytes per atom and node
-        (cfg_for(grid), True, 12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 152 * nq),
+        (cfg_for(grid, cand_per_side=16), True,
+         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 152 * nq),
         (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * 4 + 152 * nq2),
     ]
     for cfg, warm, need in cases:

@@ -297,7 +297,7 @@ def test_anchor_pde_route_uses_the_given_cfl_safety(grid, window):
 
 
 def test_refined_config_doubles(grid):
-    cfg = cfg_for(grid)
+    cfg = replace(cfg_for(grid), cand_per_side=16)
     fine = refined_config(cfg)
     assert fine.grid.n == (1025,)
     assert fine.quad_order == 32

@@ -11,9 +11,11 @@ its step grid and with one at t = 0, ``crosscheck``, ``sensitivity``,
 refinement certificates of its default experiments, each base run made
 afresh) and ``all`` on the default config, ``limit`` on a one-action
 Ornstein-Uhlenbeck model at t = 1/4, ``limit`` at Wasserstein order p = 3
-and t = 1/4, ``limit`` from a config file whose sections set only some of
-their keys (written into the temporary directory; its ``manifest.json``
-holds the tree merged with the defaults), ``properties
+and t = 1/4, ``limit`` at p = 1.5 on the default horizon (there q = 3, so
+the first-order worst-case move grows like |grad f|^2 and the candidate
+reach binds first), ``limit`` from a config file whose sections set only
+some of their keys (written into the temporary directory; its
+``manifest.json`` holds the tree merged with the defaults), ``properties
 --seed 1`` on a 2-d one-action Ornstein-Uhlenbeck model (17 x 17 nodes,
 quadrature order 4, 3 candidates per side, 5 trials of each check), the
 same on a 2-d Brownian action with correlated sigma = [[1, 0], [0.6, 0.8]],
@@ -65,6 +67,8 @@ RUNS = {
     ],
     # the only run at an order p other than 2
     "limit-p3": ["limit", "--set", "ambiguity.p=3", "--set", "experiment.parameters.t=0.25"],
+    # the order at which the reach of the candidate lattice binds first
+    "limit-p15": ["limit", "--set", "ambiguity.p=1.5"],
     "properties": ["properties", "--seed", "1"],
     # the only run whose steps go through the 2-d point stencil
     "properties-ou-2d": [

@@ -9,11 +9,13 @@ directory, as ``perfbench/worker.py`` runs a workload, and reaps it with
 ``os.wait4``.  It prints the run's exit code, its wall time (spawn to reap)
 and the child's minor faults (``ru_minflt``), then the medians over the runs.
 
-The default ``limit`` allocates fresh temporaries on every step, so its time
-moves with glibc's heap layout: a run that keeps returning memory to the
-system and faulting it back in shows tens of thousands of minor faults more
-than one that does not.  The environment is passed on, so glibc tunables
-(``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_ARENA_MAX``) set by the caller apply.
+The kernels of each composition write their run maxima into one array that
+they share, but the dual solve still allocates fresh temporaries on every
+step, so the time of the default ``limit`` moves with glibc's heap layout: a
+run that keeps returning memory to the system and faulting it back in shows
+tens of thousands of minor faults more than one that does not.  The
+environment is passed on, so glibc tunables (``MALLOC_TRIM_THRESHOLD_``,
+``MALLOC_ARENA_MAX``) set by the caller apply.
 """
 
 from __future__ import annotations

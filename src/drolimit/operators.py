@@ -14,17 +14,23 @@ refined.
 
 Candidate destinations for the inner worst case live on a lattice of offsets
 around each quadrature atom spanning [-REACH * r, REACH * r], REACH = 3.  To
-first order the worst case moves atom y by r grad f(y) / ||grad f||_{L^q(mu)}
-(1/p + 1/q = 1; Bartl et al. 2021), which exceeds three radii only at nodes
-near a zero of grad f.  The lattice spacing is proportional to the radius r (a
-fixed number of points per side; the default 12 gives a step of r/4), so the
-relative quality of the inner maximization is scale-free along the dyadic
-refinement; resolution is controlled by ``cand_per_side`` and audited by the
-refinement certificates in the validation module.
+first order the worst case moves atom y by r |grad f(y)|^(q-1) /
+||grad f||_{L^q(mu)}^(q-1) along grad f (1/p + 1/q = 1; Bartl et al. 2021),
+which exceeds three radii at the atoms where |grad f| is well above its
+L^q(mu) mean over the node's atoms.  Those are mostly tail atoms of small
+weight, but not rare: on the default ``limit`` run with a reach of 4, 4.0% of
+the (atom, node) elements paid a run beyond 3r at their multiplier, holding
+0.05% of the quadrature weight; at p = 1.5, 15% and 0.38%.  The lattice
+truncates those moves.  The lattice spacing is proportional to the radius r
+(a fixed number of points per side; the default 12 gives a step of r/4), so
+the relative quality of the inner maximization is scale-free along the dyadic
+refinement.  The refinement certificates of the validation module double
+``cand_per_side`` at a fixed reach, so they audit the step, not the reach.
 
-``compose`` gives all its kernels one (D, Q, *grid.shape) array of run
-maxima per distinct shape, which every apply overwrites, so that the largest
-array of a step is not allocated afresh on every step.
+The kernels of one cache (every kernel of a ``compose``, or those an
+``action_values`` caller's cache holds) share one (D, Q, *grid.shape) array of
+run maxima per distinct shape, which every apply overwrites, so that the
+largest array of a step is not allocated afresh on every step.
 """
 
 from __future__ import annotations
@@ -158,12 +164,11 @@ class _StepKernel:
     and ties still resolve toward the cheapest cost because the runs ascend.
     The run maxima are held run by run, (D, Q, N), the order in which
     ``solve_batch`` loops over candidates, so the dual solve copies nothing
-    but the nodes still running once at most half of them run.  Given
-    ``run_maxima``, a dict from shapes to arrays shared with other kernels,
-    the kernel writes them into that dict's array of its shape (``merged``),
-    which the next apply of any of those kernels overwrites; without it, each
-    apply allocates its own.  The dual solvers return fresh arrays, so no
-    apply returns or keeps a view of them.
+    but the nodes still running once at most half of them run.  The kernel
+    writes them into ``merged``, the array of its shape in ``run_maxima``, a
+    dict from shapes to arrays that it shares with other kernels, so the next
+    apply of any of those kernels overwrites them.  The dual solvers return
+    fresh arrays, so no apply returns or keeps a view of them.
 
     A cold kernel solves every step from lam = 0 (``solve_batch``), so its
     output depends on its input alone.  A warm one keeps in ``lam`` and
@@ -185,8 +190,8 @@ class _StepKernel:
     )
 
     def __init__(
-        self, cfg: OperatorConfig, action: Action, dt: float, warm: bool = False,
-        run_maxima: Optional[Dict[tuple, Array]] = None,
+        self, cfg: OperatorConfig, action: Action, dt: float,
+        run_maxima: Dict[tuple, Array], warm: bool = False,
     ):
         meas = law(action, dt, cfg.quad_order)
         radius = cfg.m * dt
@@ -244,9 +249,9 @@ class _StepKernel:
             )
         self.runs = list(zip(starts, ends))
         shape = (len(self.runs), q) + cfg.grid.shape
-        if run_maxima is not None and shape not in run_maxima:
+        if shape not in run_maxima:
             run_maxima[shape] = np.empty(shape)
-        self.merged = None if run_maxima is None else run_maxima[shape]
+        self.merged = run_maxima[shape]
         self.costs = costs[starts]
         self.weights = meas.weights
         self.radius = radius
@@ -273,10 +278,9 @@ class _StepKernel:
 
     def _run_max(self, values: Array) -> Array:
         """The C-contiguous (D, Q, N) max of the interpolated values over each
-        of the D runs of equal cost, in ``merged`` where the kernel shares
-        one: one (Q, N) block per run, the candidate-major layout that
-        ``solve_batch`` computes in, which the stencil's ``run_max`` writes
-        in place.  A 1-d shift stencil or a
+        of the D runs of equal cost, in ``merged``: one (Q, N) block per run,
+        the candidate-major layout that ``solve_batch`` computes in, which
+        the stencil's ``run_max`` writes in place.  A 1-d shift stencil or a
         point stencil reduces the run's rows with ``np.maximum``; a 2-d shift
         stencil folds one candidate and atom at a time, lerping once along
         the last axis per candidate and distinct shift along it.  Either
@@ -284,8 +288,6 @@ class _StepKernel:
         the same bits as ``np.max`` over the run."""
         windows = self.stencil.windows(values)
         merged = self.merged
-        if merged is None:
-            merged = np.empty((len(self.runs), len(self.weights)) + values.shape)
         for k, (start, end) in enumerate(self.runs):
             self.stencil.run_max(windows, start, end, merged[k])
         return merged.reshape(merged.shape[:2] + (-1,))
@@ -298,16 +300,18 @@ def action_values(
     one kernel apply per action, in the order of ``cfg.model.actions``.
 
     ``cache`` maps (config, action label, t) to the step kernel, so that
-    configs may share it.  The kernels built here are cold, so a shared cache
+    configs may share it; a kernel built here writes its run maxima into the
+    array of its shape that the cache's kernels hold, if one does
+    (``_StepKernel``).  The kernels built here are cold, so a shared cache
     changes no output.
     """
+    cache = {} if cache is None else cache
     out = []
     for act in cfg.model.actions:
-        kernel = None if cache is None else cache.get((cfg, act.label, t))
+        kernel = cache.get((cfg, act.label, t))
         if kernel is None:
-            kernel = _StepKernel(cfg, act, t)
-            if cache is not None:
-                cache[(cfg, act.label, t)] = kernel
+            run_maxima = {k.merged.shape: k.merged for k in cache.values()}
+            kernel = cache[(cfg, act.label, t)] = _StepKernel(cfg, act, t, run_maxima)
         out.append(kernel.apply(f).reshape(cfg.grid.shape))
     return out
 
@@ -337,7 +341,7 @@ def compose(cfg: OperatorConfig, pi: Partition, f: ScalarField) -> ScalarField:
     """
     run_maxima: Dict[tuple, Array] = {}
     cache = {
-        (cfg, act.label, gap): _StepKernel(cfg, act, gap, warm=True, run_maxima=run_maxima)
+        (cfg, act.label, gap): _StepKernel(cfg, act, gap, run_maxima, warm=True)
         for gap in dict.fromkeys(pi.gaps) for act in cfg.model.actions
     }
     out = f

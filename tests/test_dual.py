@@ -518,7 +518,7 @@ def tanh_step(t):
     its kernel and its (D, Q, N) run maxima."""
     grid = Grid(-8.0, 8.0, 513)
     cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), 0.5, grid)
-    kernel = _StepKernel(cfg, cfg.model.actions[0], t)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], t, {})
     return kernel, kernel._run_max(np.tanh(grid.axes[0]))
 
 
@@ -750,7 +750,7 @@ def test_windowed_steps_give_the_exact_lp(monkeypatch):
     monkeypatch.setattr(operators, "solve_window", recorded)
     grid = Grid(-8.0, 8.0, 513)
     cfg = OperatorConfig(brownian_model([[0.5]], [[1.0]]), 0.5, grid)
-    kernel = _StepKernel(cfg, cfg.model.actions[0], 2.0 ** -8, warm=True)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 2.0 ** -8, {}, warm=True)
     values = np.tanh(grid.axes[0])
     rng = np.random.default_rng(41)
     for step in range(5):

@@ -27,7 +27,7 @@ from drolimit import (
 from drolimit import dual
 from drolimit.dual import solve_batch
 from drolimit.fields import ShiftStencil, Stencil
-from drolimit.operators import MAX_GAPS, _StepKernel, _radius_offsets
+from drolimit.operators import MAX_GAPS, _StepKernel, _radius_offsets, action_values
 from drolimit.validation import named_field, normal_cdf
 
 
@@ -349,7 +349,7 @@ def test_2d_run_max_is_the_run_max_of_point_stencil_values(monkeypatch):
     for atoms, lerps in laws:
         meas = DiscreteMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms)))
         monkeypatch.setattr(operators, "law", lambda *args: meas)
-        kernel = _StepKernel(cfg, cfg.model.actions[0], t)
+        kernel = _StepKernel(cfg, cfg.model.actions[0], t, {})
         assert max(end - start for start, end in kernel.runs) == 8
         assert all(len(groups) == lerps for groups in kernel.stencil.lerps)
         pts = base[None, None, :, :] + atoms[None, :, None, :] + offs[:, None, None, :]
@@ -376,7 +376,7 @@ def test_2d_run_max_folds_like_np_max():
             quad_order=4, cand_per_side=4,
         )
         for t in (1.0, 2.0 ** -4):
-            kernel = _StepKernel(cfg, cfg.model.actions[0], t)
+            kernel = _StepKernel(cfg, cfg.model.actions[0], t, {})
             values = kernel_values(kernel, f)
             pts, _ = kernel_points(cfg, cfg.model.actions[0], t)
             assert np.max(np.abs(values - f.eval(pts))) <= SHIFT_TOL
@@ -399,7 +399,7 @@ def test_shift_stencil_matches_eval(grid):
         lo, hi = np.array(cfg.grid.lo), np.array(cfg.grid.hi)
         for t in (1.0, 2.0 ** -4, 2.0 ** -8):
             for act in cfg.model.actions:
-                kernel = _StepKernel(cfg, act, t)
+                kernel = _StepKernel(cfg, act, t, {})
                 assert isinstance(kernel.stencil, ShiftStencil)
                 pts, _ = kernel_points(cfg, act, t)
                 values = kernel_values(kernel, f)
@@ -437,7 +437,7 @@ def test_default_lattice_spans_three_radii_at_a_quarter_radius(grid):
     assert np.max(np.abs(steps - np.round(steps))) <= 1e-12
     assert offs.min() == pytest.approx(-3 * radius, rel=1e-15)
     assert offs.max() == pytest.approx(3 * radius, rel=1e-15)
-    kernel = _StepKernel(cfg, cfg.model.actions[0], t)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], t, {})
     assert kernel.stencil.cells.shape[1] == 25
     assert [end - start for start, end in kernel.runs] == [1] + [2] * 12
     assert np.array_equal(kernel.costs, np.unique(costs))
@@ -450,10 +450,10 @@ def test_composition_kernels_share_run_maxima_without_aliasing(grid):
     # that hold their own arrays, so no apply returns or keeps a view of it
     cfg, t = cfg_for(grid, drifts=((0.3,), (-0.2,))), 2.0 ** -6
     run_maxima = {}
-    shared = [_StepKernel(cfg, a, t, warm=True, run_maxima=run_maxima) for a in cfg.model.actions]
-    own = [_StepKernel(cfg, a, t, warm=True) for a in cfg.model.actions]
+    shared = [_StepKernel(cfg, a, t, run_maxima, warm=True) for a in cfg.model.actions]
+    own = [_StepKernel(cfg, a, t, {}, warm=True) for a in cfg.model.actions]
     assert len(run_maxima) == 1 and shared[0].merged is shared[1].merged
-    assert own[0].merged is None and own[1].merged is None
+    assert own[0].merged is not own[1].merged
     f = named_field(grid, "tanh")
     for _ in range(4):
         first = shared[0].apply(f)
@@ -467,6 +467,19 @@ def test_composition_kernels_share_run_maxima_without_aliasing(grid):
     # compose runs the same four steps through kernels of its own
     assert np.array_equal(compose(cfg, dyadic_partition(4 * t, 6), named_field(grid, "tanh")).values,
                           f.values)
+
+
+def test_cached_action_values_share_one_run_max_array(grid):
+    # the cold kernels of a cache share one array per shape, across actions
+    # and times; each action's values are those of an uncached call
+    cfg = cfg_for(grid, drifts=((0.3,), (-0.2,)))
+    f, cache = named_field(grid, "tanh"), {}
+    for t in (2.0 ** -6, 2.0 ** -4):
+        cached = action_values(cfg, t, f, cache)
+        for got, fresh in zip(cached, action_values(cfg, t, f)):
+            assert np.array_equal(got, fresh)
+    kernels = list(cache.values())
+    assert len(kernels) == 4 and all(k.merged is kernels[0].merged for k in kernels)
 
 
 def test_merged_costs_match_unmerged_solve(grid):
@@ -488,7 +501,7 @@ def test_merged_costs_match_unmerged_solve(grid):
     for cfg, f in cases:
         for t in (1.0, 2.0 ** -4):
             for act in cfg.model.actions:
-                kernel = _StepKernel(cfg, act, t)
+                kernel = _StepKernel(cfg, act, t, {})
                 pts, costs = kernel_points(cfg, act, t)
                 values = kernel_values(kernel, f)
                 assert kernel.costs.size < costs.size
@@ -528,7 +541,7 @@ def test_brownian_is_ou_with_zero_theta(grid):
             assert np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights)
             assert np.array_equal(dro_step(cfgs[0], t, f).values, dro_step(cfgs[1], t, f).values)
             for cfg in cfgs:
-                assert isinstance(_StepKernel(cfg, cfg.model.actions[0], t).stencil, ShiftStencil)
+                assert isinstance(_StepKernel(cfg, cfg.model.actions[0], t, {}).stencil, ShiftStencil)
 
 
 def test_warm_kernel_solves_its_first_two_applies_cold(grid):
@@ -538,7 +551,7 @@ def test_warm_kernel_solves_its_first_two_applies_cold(grid):
     # multipliers a window starts from
     cfg = cfg_for(grid)
     act = cfg.model.actions[0]
-    warm, cold = _StepKernel(cfg, act, 2.0 ** -8, warm=True), _StepKernel(cfg, act, 2.0 ** -8)
+    warm, cold = _StepKernel(cfg, act, 2.0 ** -8, {}, warm=True), _StepKernel(cfg, act, 2.0 ** -8, {})
     values = named_field(grid, "tanh").values
     for _ in range(2):
         out = warm.apply(ScalarField(grid, values))
@@ -670,11 +683,11 @@ def test_two_dimensional_default_step_builds():
     g2 = Grid((-6.0, -6.0), (6.0, 6.0), (65, 65))
     model = brownian_model([[0.0, 0.0]], np.eye(2), dim=2)
     cfg = OperatorConfig(model=model, m=0.5, grid=g2, cand_per_side=16)
-    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25, {})
     assert kernel.stencil.cells.shape == (2, 797, 256)
     assert kernel.costs.size == 98
     cfg = OperatorConfig(model=model, m=0.5, grid=g2)
-    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25)
+    kernel = _StepKernel(cfg, cfg.model.actions[0], 0.25, {})
     assert kernel.stencil.cells.shape == (2, 441, 256)
     assert kernel.costs.size == 59
 
@@ -725,9 +738,9 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
             monkeypatch.setattr(os, "sysconf", pages.__getitem__)
             if have < need:
                 with pytest.raises(InputError, match="GB of evaluation points"):
-                    _StepKernel(cfg, cfg.model.actions[0], 0.25, warm)
+                    _StepKernel(cfg, cfg.model.actions[0], 0.25, {}, warm)
             else:
-                _StepKernel(cfg, cfg.model.actions[0], 0.25, warm)
+                _StepKernel(cfg, cfg.model.actions[0], 0.25, {}, warm)
 
 
 def test_memory_guard_refuses_a_huge_lattice_before_building_it(grid, monkeypatch):
@@ -750,9 +763,9 @@ def test_memory_guard_refuses_a_huge_lattice_before_building_it(grid, monkeypatc
     ]
     for warm in (False, True):
         with pytest.raises(InputError, match="GB of evaluation points"):
-            _StepKernel(huge[0], huge[0].model.actions[0], 0.25, warm)
+            _StepKernel(huge[0], huge[0].model.actions[0], 0.25, {}, warm)
     monkeypatch.setattr(operators, "_radius_offsets", radius_offsets)
-    assert _StepKernel(huge[1], huge[1].model.actions[0], 0.25).costs.tolist() == [0.0]
+    assert _StepKernel(huge[1], huge[1].model.actions[0], 0.25, {}).costs.tolist() == [0.0]
 
 
 def test_config_validation(grid, window):

@@ -29,11 +29,14 @@ only free one.  The step kernels build that row from their offsets; a
 ``_tableau`` puts those rows on the distinct costs of all atoms, keeping
 each atom's largest value at each cost.
 
-Each evaluation of D is candidate-major: one loop over the candidates keeps
-the running max and the cost it pays on (atoms, nodes) arrays, and the sums
-over atoms run in a fixed order, so a node's value does not depend on which
-other nodes share its batch.  The batch therefore drops the nodes whose
-cutting planes have stopped, once at most half of it still runs.
+Each evaluation of D is candidate-major: for one block of atom rows at a
+time, small enough to stay in cache, one loop over the candidates keeps the
+running max and the index of the candidate it pays, the index in one byte
+while there are at most 256 candidates and updated without a mask.  Every
+element meets the same operations in the same order in any block, and the
+sums over atoms run in a fixed order, so a node's value does not depend on
+which other nodes share its batch.  The batch therefore drops the nodes
+whose cutting planes have stopped, once at most half of it still runs.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .models import DiscreteMeasure
 Array = np.ndarray
 
 _STAY_TOL = 1e-9
+_BLOCK = 1 << 15  # (atom, node) elements per block of ``_best_candidates``
 
 
 class DualInstance:
@@ -214,19 +218,39 @@ def _weighted_sum(a: Array, w: Array) -> Array:
 
 def _best_candidates(g: Array, costs: Array, lam: Array) -> tuple:
     """The (Q, M) max over candidates of g[d] - costs[d] lam, for g of shape
-    (C, Q, M), and the index d of the candidate each max pays; ``costs[0]``
-    is the free stay option.  A candidate replaces the max only where it is
-    strictly larger, so of equal maxima the first, cheapest one pays."""
+    (C, Q, M), and the (intp) index d of the candidate each max pays;
+    ``costs[0]`` is the free stay option.  A candidate replaces the max only
+    where it is strictly larger, so of equal maxima the first, cheapest one
+    pays.
+
+    The loop runs over blocks of whole atom rows, about ``_BLOCK`` elements
+    each, so that a block's running max stays in cache across candidates; the
+    products costs[d] lam are formed once, as a (C, M) table.  The index is
+    kept in the smallest unsigned type that holds C - 1 and updated without
+    a mask, as max(paid, d [better]): d exceeds every index recorded before
+    it.  Each element meets the same operations in the same order at any
+    block size, so the bits do not depend on it."""
+    c, q, m = g.shape
     mx = g[0].copy()
-    paid = np.zeros(mx.shape, np.intp)
-    cand = np.empty_like(mx)
-    better = np.empty(mx.shape, bool)
-    for d in range(1, len(g)):
-        np.subtract(g[d], costs[d] * lam, out=cand)
-        np.greater(cand, mx, out=better)
-        np.maximum(mx, cand, out=mx)
-        np.copyto(paid, d, where=better)
-    return mx, paid
+    paid = np.zeros((q, m), np.min_scalar_type(c - 1))
+    index = np.arange(c, dtype=paid.dtype)
+    prod = costs[:, None] * lam
+    rows = max(_BLOCK // max(m, 1), 1)
+    cand = np.empty((min(rows, q), m))
+    better = np.empty(cand.shape, bool)
+    flags = better.view(np.uint8)
+    step = np.empty(cand.shape, paid.dtype)
+    for s in range(0, q, rows):
+        top, idx = mx[s:s + rows], paid[s:s + rows]
+        k = len(top)
+        cb, bb, fb, sb = cand[:k], better[:k], flags[:k], step[:k]
+        for d in range(1, c):
+            np.subtract(g[d, s:s + rows], prod[d], out=cb)
+            np.greater(cb, top, out=bb)
+            np.maximum(top, cb, out=top)
+            np.multiply(fb, index[d], out=sb)
+            np.maximum(idx, sb, out=idx)
+    return mx, paid.astype(np.intp)
 
 
 def _check_row(gvals: Array, costs: Array) -> None:
@@ -269,9 +293,11 @@ def solve_batch(
     evaluated dual objectives, an upper bound on the LP value that is
     attained up to rounding.
 
-    A pass runs candidate by candidate on (Q, M) arrays of the M nodes in the
-    working set (``_best_candidates``), so it builds no tensor beyond its input
-    and ties keep the cheaper cost.  Sums over atoms run in a fixed order
+    A pass runs candidate by candidate over the M nodes of the working set,
+    on blocks of whole atom rows of about ``_BLOCK`` elements, keeping each
+    element's running max and a one- or two-byte index of the candidate it
+    pays (``_best_candidates``), so it builds no tensor beyond its input and
+    ties keep the cheaper cost.  Sums over atoms run in a fixed order
     (``_weighted_sum``), so a node's value is the same bits in any batch;
     that is what lets the working set shrink to the running nodes once at
     most half of it still runs.
@@ -418,8 +444,9 @@ def solve_window(
 
     costs:  (C,) the cost row of ``solve_batch``
     guess:  (N,) finite multipliers >= 0, near each node's minimizer
-    centre: (Q, N) run each element paid at ``guess`` (on the data of the
-            step before), or None: one full evaluation at the guess gives it
+    centre: (Q, N) integer array of the run each element paid at ``guess``
+            (on the data of the step before), or None: one full evaluation
+            at the guess gives it
 
     ``_window_minimizer`` minimizes the dual D_w <= D of each element's
     window (its stay run and three runs around its centre) exactly, from the
@@ -441,6 +468,12 @@ def solve_window(
         raise InputError(f"the guess must be ({n},) finite multipliers >= 0")
     if radius <= 0.0 or len(gvals) == 1:
         raise InputError("a window needs a positive radius and a cost above 0")
+    if centre is not None:
+        centre = np.asarray(centre)
+        if centre.shape != gvals.shape[1:] or not np.issubdtype(centre.dtype, np.integer):
+            raise InputError(f"the centre must be a {gvals.shape[1:]} array of integer runs")
+        # as intp, so that an unsigned centre cannot wrap at centre - 1
+        centre = centre.astype(np.intp, copy=False)
     rp = radius ** p
     g = np.ascontiguousarray(gvals)
     if centre is None:

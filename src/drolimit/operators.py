@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dual import solve_batch, solve_window
+from .dual import _BLOCK, solve_batch, solve_window
 from .errors import InputError
 from .fields import (
     CompactWindow,
@@ -203,17 +203,23 @@ class _StepKernel:
             # the bytes one apply holds, at most, besides arrays the size of
             # the padded grid: the (D, Q, N) run maxima (8 per value) and the
             # at most half of them that ``solve_batch`` gathers when its
-            # running nodes shrink (4 more), and its four (Q, N) temporaries.
-            # ``run_max`` reads the longest run's rows at once in two arrays
-            # for a 1-d shift stencil and in one for a point stencil; a 2-d
-            # shift stencil folds one candidate and atom at a time and holds
-            # none.  Point stencils add the index (4 bytes) and d fractions
-            # (8 each) of every point, and warm kernels, per atom and node,
-            # the stored run (8 bytes) and six (3, Q, N) arrays of
-            # ``solve_window`` (8 each): the window's runs, values, costs and
-            # breakpoints, and two temporaries of its walk
+            # running nodes shrink (4 more).  One evaluation of D holds four
+            # (Q, N) arrays of at most 8 bytes (the running max, the narrow
+            # index, its intp copy and the costs paid), the (D, N) table of
+            # products costs lam, and, for one block of atom rows of at most
+            # max(_BLOCK, N) elements, the candidate, a flag and the index
+            # times the flag (at most 17 bytes).  ``run_max`` reads the
+            # longest run's rows at once in two arrays for a 1-d shift
+            # stencil and in one for a point stencil; a 2-d shift stencil
+            # folds one candidate and atom at a time and holds none.  Point
+            # stencils add the index (4 bytes) and d fractions (8 each) of
+            # every point, and warm kernels, per atom and node, the stored
+            # run (8 bytes) and six (3, Q, N) arrays of ``solve_window`` (8
+            # each): the window's runs, values, costs and breakpoints, and
+            # two temporaries of its walk
             held = (2 if d == 1 else 0) if shift else 1
             need = 12 * n * q * distinct + 8 * n * q * (4 + held * longest)
+            need += 8 * n * distinct + 17 * max(_BLOCK, n)
             if not shift:
                 need += (4 + 8 * d) * n * q * cands
             if warm:

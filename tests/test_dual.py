@@ -631,6 +631,37 @@ def test_warm_start_refuses_bad_guesses():
             solve_window(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.array(guess), None)
 
 
+def test_warm_start_refuses_bad_centres():
+    g = np.ones((4, 3, 2))
+    costs = np.array([0.0, 0.2, 0.25, 1.0])
+    bad = (np.zeros((3, 3), int), np.zeros(2, int), np.zeros((3, 2)), np.zeros((3, 2), bool), [[0]])
+    for centre in bad:
+        with pytest.raises(InputError, match=r"the centre must be a \(3, 2\) array of integer runs"):
+            solve_window(g, costs, np.full(3, 1 / 3), 0.3, 2.0, np.ones(2), centre)
+
+
+def test_unsigned_centres_do_not_wrap(monkeypatch):
+    # a centre on the stay run opens the window at run 1 in any integer
+    # type; an unsigned 0 - 1 would wrap to the last window instead
+    firsts = []
+
+    def window(g, costs, *args):
+        first, lam = _window_minimizer(g, costs, *args)
+        firsts.append(first)
+        return first, lam
+
+    monkeypatch.setattr(dual, "_window_minimizer", window)
+    kernel, run_max = tanh_step(1.0)
+    args = (run_max, kernel.costs, kernel.weights, kernel.radius, 2.0)
+    lam_star = solve_batch(*args)[1]
+    centre = np.zeros(run_max.shape[1:], np.uint8)
+    centre[:, ::2] = 3
+    got = [solve_window(*args, lam_star, c) for c in (centre, centre.astype(np.intp))]
+    assert np.array_equal(firsts[0], np.where(centre == 3, 2, 1))
+    assert np.array_equal(firsts[0], firsts[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+
 def test_equal_maxima_pay_the_cheaper_cost():
     # at lam = 0 candidates 1 and 2 tie at 1; at lam = 4 candidate 1 ties the
     # stay value at 1 - 4 * 0.25 = 0: the first, cheaper candidate pays
@@ -643,6 +674,59 @@ def test_equal_maxima_pay_the_cheaper_cost():
     # budget 1/64 moves a sixteenth of the mass to candidate 1, gaining 1
     value, _ = solve_batch(g[:, :1, :1], costs, np.ones(1), 0.125, 2.0)
     assert value[0] == 0.0625
+
+
+def masked_copy_candidates(g, costs, lam):
+    """The candidate loop on whole (Q, M) arrays, with an intp index that a
+    masked copy updates: the reference ``_best_candidates`` keeps the bits
+    of."""
+    mx = g[0].copy()
+    paid = np.zeros(mx.shape, np.intp)
+    cand = np.empty_like(mx)
+    better = np.empty(mx.shape, bool)
+    for d in range(1, len(g)):
+        np.subtract(g[d], costs[d] * lam, out=cand)
+        np.greater(cand, mx, out=better)
+        np.maximum(mx, cand, out=mx)
+        np.copyto(paid, d, where=better)
+    return mx, paid
+
+
+def assert_masked_copy_bits(g, costs, lam):
+    mx, paid = _best_candidates(g, costs, lam)
+    want_mx, want_paid = masked_copy_candidates(g, costs, lam)
+    assert paid.dtype == np.intp
+    assert np.array_equal(mx.view(np.int64), want_mx.view(np.int64))
+    assert np.array_equal(paid, want_paid)
+
+
+def test_blocked_candidates_keep_the_masked_copy_bits(monkeypatch):
+    # values on a grid of quarters and lam = 0 on some nodes make exact ties;
+    # 300 candidates need a two-byte index, which atom 0 pays; atom rows of
+    # a third of a block and of more than a block give several blocks, the
+    # last one short; and a batch of one node gives M = 1
+    rng = np.random.default_rng(43)
+    third = dual._BLOCK // 3 + 1
+    for c, q, m in ((9, 5, 6), (300, 3, 7), (4, 5, third), (3, 3, dual._BLOCK + 3), (9, 7, 1)):
+        g = rng.integers(-8, 8, (c, q, m)) / 4.0
+        g[:, 0] = np.arange(c)[:, None]  # the last candidates pay where lam = 0
+        costs = np.concatenate([[0.0], np.sort(rng.integers(1, 4 * c, c - 1)) / 16.0])
+        lam = rng.integers(0, 5, m) / 2.0
+        lam[::3] = 0.0
+        assert_masked_copy_bits(g, costs, lam)
+        assert_masked_copy_bits(g, costs, rng.uniform(0.0, 4.0, m))
+    # every evaluation of a solve from a Fortran-ordered batch
+    seen = []
+
+    def checked(g, costs, lam):
+        assert_masked_copy_bits(g, costs, lam)
+        seen.append(g.shape[2])
+        return _best_candidates(g, costs, lam)
+
+    monkeypatch.setattr(dual, "_best_candidates", checked)
+    kernel, run_max = tanh_step(1.0)
+    solve_batch(np.asfortranarray(run_max), kernel.costs, kernel.weights, kernel.radius, 2.0)
+    assert len(seen) > 2 and seen[-1] < seen[0]
 
 
 def window_dual(g, costs, w, rp, first, lam):

@@ -706,9 +706,10 @@ def test_two_dimensional_step_refused_beyond_memory():
 
 def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
     # one apply holds 12 bytes per run max (the (D, Q, N) maxima, and the
-    # half of them that the dual solve may gather) and four (Q, N)
-    # temporaries; a 1-d shift stencil two arrays of the largest run's rows,
-    # a point stencil (OU) one, and a 2-d shift stencil none; a point stencil
+    # half of them that the dual solve may gather), four (Q, N) arrays of
+    # an evaluation of D, its (D, N) products and 17 bytes per element of a
+    # block; a 1-d shift stencil two arrays of the largest run's rows, a
+    # point stencil (OU) one, and a 2-d shift stencil none; a point stencil
     # adds 4 + 8 d bytes per point, and a warm kernel's windowed applies the
     # stored run and the window's arrays of every atom and node
     ou = ReferenceModel(
@@ -720,17 +721,19 @@ def test_memory_guard_refuses_one_byte_short(grid, monkeypatch):
         grid=g2, quad_order=4, cand_per_side=3,
     )
     nq, nq2 = 513 * 16, 289 * 16
+    block = 17 * dual._BLOCK
     cases = [
         # 33 candidates in 17 runs of at most 2
-        (cfg_for(grid, cand_per_side=16), False, 12 * nq * 17 + 8 * nq * (4 + 2 * 2)),
+        (cfg_for(grid, cand_per_side=16), False,
+         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 8 * 513 * 17 + block),
         (OperatorConfig(model=ou, m=0.5, grid=grid, cand_per_side=16), False,
-         12 * nq * 17 + 8 * nq * (4 + 1 * 2) + 12 * nq * 33),
+         12 * nq * 17 + 8 * nq * (4 + 1 * 2) + 8 * 513 * 17 + block + 12 * nq * 33),
         # 29 lattice points in the disk, 7 runs of at most 8
-        (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * 4),
+        (cfg2, False, 12 * nq2 * 7 + 8 * nq2 * 4 + 8 * 289 * 7 + block),
         # a warm kernel's windows add 152 bytes per atom and node
         (cfg_for(grid, cand_per_side=16), True,
-         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 152 * nq),
-        (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * 4 + 152 * nq2),
+         12 * nq * 17 + 8 * nq * (4 + 2 * 2) + 8 * 513 * 17 + block + 152 * nq),
+        (cfg2, True, 12 * nq2 * 7 + 8 * nq2 * 4 + 8 * 289 * 7 + block + 152 * nq2),
     ]
     for cfg, warm, need in cases:
         for have in (need, need - 1):
